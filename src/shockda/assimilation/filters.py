@@ -1,11 +1,18 @@
 """ETKF transform, closed-form analysis mean, and the assimilation loop.
 
-The analysis mean is computed through the Sherman-Morrison-Woodbury form
+The analysis mean is the Sherman-Morrison-Woodbury form
 
     m = m_hat + W H^T (H W H^T + Gamma)^{-1} (y - H m_hat),
 
-an m x m solve that never inverts W.  The posterior anomalies come from
-the symmetric square root of the K x K transform
+which never inverts W.  ``analysis_mean`` picks one of three solve paths
+from how the weight is stored: a K x K ensemble-space solve for the
+low-rank W = X X^T of the unlocalized baseline (Bishop et al. 2001, MWR
+129:420; Hunt et al. 2007, Physica D 230:112), elementwise division when
+the observed block H W H^T is diagonal, and otherwise a Cholesky (LDL'
+fallback) solve of the dense m x m innovation matrix.
+
+The posterior anomalies come from the symmetric square root of the
+K x K transform
 
     T = [I + (H X)^T Gamma^{-1} (H X)]^{-1}.
 """
@@ -82,41 +89,85 @@ def etkf_transform(X: np.ndarray, H: ObservationOperator, Gamma):
     return 0.5 * (T + T.T), 0.5 * (Tsqrt + Tsqrt.T)
 
 
-def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, Gamma, W) -> np.ndarray:
-    """Posterior mean via the m x m innovation solve.
+def _symmetric_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """S^{-1} rhs for a symmetric S, given as a vector when S is diagonal.
 
-    ``W`` may be a WeightMatrix or a raw (sparse or dense) matrix.  The
-    solve tries a Cholesky factorization first; band-masked covariance
+    A full S is factored by Cholesky first; band-masked covariance
     weights can make the innovation matrix indefinite, so a symmetric
     LDL' solve is kept as the fallback.  Raises with a condition estimate
     if the system is singular.
     """
-    Wm = W.matrix if isinstance(W, WeightMatrix) else W
+    try:
+        if S.ndim == 1:
+            if np.any(S == 0.0):
+                raise scipy.linalg.LinAlgError("zero diagonal entry")
+            t = rhs / S
+        else:
+            try:
+                t = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S, lower=True), rhs)
+            except scipy.linalg.LinAlgError:
+                t = scipy.linalg.solve(S, rhs, assume_a="sym")
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"innovation system singular (condition estimate {_condition(S):.3e})"
+        ) from exc
+    if not np.all(np.isfinite(t)):
+        raise NumericalError(
+            f"innovation solve produced non-finite values (condition estimate {_condition(S):.3e})"
+        )
+    return t
+
+
+def _condition(S: np.ndarray) -> float:
+    return float(np.linalg.cond(np.diag(S) if S.ndim == 1 else S))
+
+
+def _has_offdiagonal(S: sp.spmatrix) -> bool:
+    coo = S.tocoo()
+    return bool(np.any(coo.data[coo.row != coo.col]))
+
+
+def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, Gamma, W) -> np.ndarray:
+    """Posterior mean m_hat + W H^T (H W H^T + Gamma)^{-1} (y - H m_hat).
+
+    ``W`` may be a WeightMatrix or a raw (sparse or dense) matrix.  The
+    solve path follows its storage:
+
+    - a ``"lowrank"`` WeightMatrix, W = X X^T with X n x K, is solved in
+      ensemble space as m_hat + X (I + Y^T Gamma^{-1} Y)^{-1} Y^T Gamma^{-1} d,
+      Y = H X, the same mean by the push-through identity;
+    - a sparse W whose observed block H W H^T has no off-diagonal entries,
+      with scalar or per-entry Gamma, is solved by elementwise division;
+    - every other W goes through the dense m x m innovation matrix, by
+      Cholesky with a symmetric LDL' fallback for indefinite systems.
+
+    Raises NumericalError with a condition estimate if the system is
+    singular.
+    """
+    m_hat = np.asarray(m_hat, dtype=float)
     idx = H.indices
+    innovation = np.asarray(y, dtype=float) - m_hat[idx]
+    if isinstance(W, WeightMatrix) and W.form == "lowrank":
+        X = W.matrix
+        Y = X[idx]
+        K = X.shape[1]
+        G = _gamma_solve(Gamma, np.column_stack([Y, innovation]))  # Gamma^{-1} [Y d]
+        A = np.eye(K) + Y.T @ G[:, :K]
+        return m_hat + X @ _symmetric_solve(A, Y.T @ G[:, K])
+
+    Wm = W.matrix if isinstance(W, WeightMatrix) else W
     if sp.issparse(Wm):
         WHt = Wm.tocsc()[:, idx]
-        S_obs = WHt.tocsr()[idx].toarray()
+        S_obs = WHt.tocsr()[idx]
+        if np.ndim(Gamma) < 2 and not _has_offdiagonal(S_obs):
+            S = S_obs.diagonal() + np.asarray(Gamma, dtype=float)
+        else:
+            S = _gamma_add(Gamma, S_obs.toarray())
     else:
         Wm = np.asarray(Wm, dtype=float)
         WHt = Wm[:, idx]
-        S_obs = WHt[idx, :]
-    S = _gamma_add(Gamma, S_obs)
-    innovation = np.asarray(y, dtype=float) - np.asarray(m_hat, dtype=float)[idx]
-    try:
-        cho = scipy.linalg.cho_factor(S, lower=True)
-        t = scipy.linalg.cho_solve(cho, innovation)
-    except scipy.linalg.LinAlgError:
-        try:
-            t = scipy.linalg.solve(S, innovation, assume_a="sym")
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"innovation system singular (condition estimate {np.linalg.cond(S):.3e})"
-            ) from exc
-    if not np.all(np.isfinite(t)):
-        raise NumericalError(
-            f"innovation solve produced non-finite values (condition estimate {np.linalg.cond(S):.3e})"
-        )
-    return np.asarray(m_hat, dtype=float) + WHt @ t
+        S = _gamma_add(Gamma, WHt[idx, :])
+    return m_hat + WHt @ _symmetric_solve(S, innovation)
 
 
 @dataclass

@@ -4,7 +4,8 @@ Three gradient-second-moment forms (diagonal, full, clustered) plus the
 localized sample covariance used by the baseline filter.  Banded
 localization masks are never materialized as dense n x n matrices: the
 masked products are assembled diagonal band by diagonal band from the
-low-rank factors.
+low-rank factors.  The unlocalized sample covariance is not assembled at
+all: it is kept as its n x K factor (the "lowrank" form).
 """
 
 from __future__ import annotations
@@ -85,10 +86,18 @@ class ClusterPartition:
 class WeightMatrix:
     """Symmetric prior weight with its structural form and realized scale.
 
-    ``matrix`` is scipy sparse for banded/diagonal forms and a dense
-    ndarray when no localization mask is applied.  Unmasked and clustered
-    constructions are positive semidefinite; a banded mask can introduce
-    small negative eigenvalues (the analysis solve tolerates that).
+    ``matrix`` holds one of three storages, and the analysis solve picks
+    its path from it:
+
+    - scipy sparse for the banded and diagonal forms;
+    - a dense n x n ndarray for the unmasked gsm forms;
+    - the n x K factor X of W = X X^T for the ``"lowrank"`` form (the
+      unlocalized baseline covariance), which is never multiplied out
+      unless ``toarray`` asks for it.
+
+    Unmasked and clustered constructions are positive semidefinite; a
+    banded mask can introduce small negative eigenvalues (the analysis
+    solve tolerates that).
     """
 
     form: str
@@ -97,12 +106,19 @@ class WeightMatrix:
     partition: ClusterPartition | None = None
 
     def toarray(self) -> np.ndarray:
+        if self.form == "lowrank":
+            return self.matrix @ self.matrix.T
         return self.matrix.toarray() if sp.issparse(self.matrix) else np.asarray(self.matrix)
 
     def max_entry(self) -> float:
+        if self.form == "lowrank":
+            # by Cauchy-Schwarz a Gram matrix peaks on its diagonal
+            return float(self.diagonal().max())
         return float(self.matrix.max())
 
     def diagonal(self) -> np.ndarray:
+        if self.form == "lowrank":
+            return np.einsum("ik,ik->i", self.matrix, self.matrix)
         return self.matrix.diagonal() if sp.issparse(self.matrix) else np.diagonal(self.matrix)
 
 
@@ -243,13 +259,16 @@ def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> Weig
 def covariance_weight(X: np.ndarray, bandwidth: int | None) -> WeightMatrix:
     """Localized sample covariance (X @ X.T) o T for the baseline filter.
 
-    ``X`` is the (already inflated) n x K anomaly matrix.  Stored banded
-    for finite bandwidth, dense otherwise; no rescaling and no floor (the
-    analysis solve tolerates a singular W).
+    ``X`` is the (already inflated) n x K anomaly matrix.  Without a mask
+    (bandwidth None) the weight is the ``"lowrank"`` form that stores X
+    itself, and the analysis mean is solved in the K-dimensional ensemble
+    space; bandwidth 0 gives a sparse ``"diagonal"`` weight and a finite
+    bandwidth a sparse banded ``"full"`` one.  No rescaling and no floor
+    (the analysis solve tolerates a singular W).
     """
     n = X.shape[0]
     if bandwidth is None:
-        return WeightMatrix("full", X @ X.T, 1.0)
+        return WeightMatrix("lowrank", X, 1.0)
     if bandwidth == 0:
         diag = np.einsum("ik,ik->i", X, X)
         return WeightMatrix("diagonal", sp.diags([diag], [0], format="csr"), 1.0)

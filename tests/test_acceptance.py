@@ -292,18 +292,18 @@ def test_oscillatory_weighted_filters_beat_baseline(tmp_path):
 
 
 def test_rerun_from_manifest_is_bit_identical(tmp_path):
-    for case, variant in [("dense", "gsm"), ("sparse", "gsm_clustered")]:
+    for case, variant in [("dense", "gsm"), ("dense", "etkf_baseline"), ("sparse", "gsm_clustered")]:
         cfg = ExperimentConfig.for_case(
             case, n=61, ensemble_size=8, seed=4, variant=variant,
-            output_dir=tmp_path / f"{case}_first",
+            output_dir=tmp_path / f"{case}_{variant}_first",
             cache_dir=tmp_path / f"{case}_cache",
         )
         first = run_experiment(cfg)
         replay_cfg = dataclasses.replace(
-            config_from_manifest(first.manifest), output_dir=tmp_path / f"{case}_replay"
+            config_from_manifest(first.manifest), output_dir=tmp_path / f"{case}_{variant}_replay"
         )
         replay = run_experiment(replay_cfg)
         for name in ("solution_csv", "error_csv", "moments_csv", "summary_csv"):
             a = getattr(first, name)
             b = getattr(replay, name)
-            assert a.read_bytes() == b.read_bytes(), f"{case}: {name} differs between reruns"
+            assert a.read_bytes() == b.read_bytes(), f"{case}/{variant}: {name} differs between reruns"

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from shockda.errors import ConfigError, NumericalError
 from shockda.solver import Grid1D
@@ -10,6 +13,7 @@ from shockda.assimilation import (
     FilterConfig,
     analysis_mean,
     build_weight,
+    covariance_weight,
     ensemble_moments,
     etkf_transform,
     run_baseline_filter,
@@ -182,6 +186,74 @@ def test_analysis_accepts_weightmatrix_and_sparse():
     np.testing.assert_allclose(out_sparse, out_dense, atol=1e-14)
 
 
+@pytest.mark.parametrize("gamma_kind", ["scalar", "per-entry", "full"])
+@pytest.mark.parametrize("wide", [False, True], ids=["K<n", "K>n"])
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 25), extra=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_lowrank_mean_matches_dense_weight(gamma_kind, wide, n, extra, seed):
+    # the K x K ensemble-space solve for W = X X^T against the m x m
+    # innovation solve on the materialized W
+    rng = np.random.default_rng(seed)
+    K = n + 1 + extra if wide else 1 + extra % (n - 1)
+    X = rng.standard_normal((n, K)) / np.sqrt(K)
+    m = int(rng.integers(1, n + 1))
+    H = ObservationOperator(np.sort(rng.choice(n, size=m, replace=False)), n)
+    if gamma_kind == "scalar":
+        Gamma = float(rng.uniform(0.05, 2.0))
+    elif gamma_kind == "per-entry":
+        Gamma = rng.uniform(0.05, 2.0, size=m)
+    else:
+        A = rng.standard_normal((m, m))
+        Gamma = A @ A.T / m + 0.1 * np.eye(m)
+    m_hat = rng.standard_normal(n)
+    y = rng.standard_normal(m)
+
+    W = covariance_weight(X, None)
+    assert W.form == "lowrank"
+    Wd = W.toarray()
+    np.testing.assert_array_equal(Wd, X @ X.T)
+    np.testing.assert_allclose(W.diagonal(), np.diagonal(Wd), rtol=1e-12)
+    assert W.max_entry() == pytest.approx(Wd.max(), rel=1e-12)
+
+    out = analysis_mean(m_hat, y, H, Gamma, W)
+    dense = analysis_mean(m_hat, y, H, Gamma, Wd)
+    assert np.linalg.norm(out - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+def test_diagonal_innovation_shortcut_matches_dense_path(monkeypatch):
+    # a sparse W whose observed block H W H^T is diagonal is solved without
+    # Cholesky; a block with off-diagonal entries still takes the m x m path
+    cholesky_calls = []
+    cho_factor = scipy.linalg.cho_factor
+    monkeypatch.setattr(
+        scipy.linalg, "cho_factor", lambda *a, **kw: cholesky_calls.append(1) or cho_factor(*a, **kw)
+    )
+    rng = np.random.default_rng(16)
+    n = 31
+    grid = Grid1D(n=n, x_min=-1.0, x_max=1.0)
+    ens = ensemble_moments(np.where(grid.points < 0.0, 1.0, 0.6) + 0.05 * rng.standard_normal((40, n)))
+    every_other, dense_obs = ObservationOperator.every_other(n), ObservationOperator.dense(n)
+    cases = [
+        (build_weight(ens, FilterConfig(variant="gsm", localization_bandwidth=1), grid), every_other, True),
+        (build_weight(ens, FilterConfig(variant="gsm_clustered", localization_bandwidth=1), grid), every_other, True),
+        (covariance_weight(1.3 * ens.centered, 1), every_other, True),
+        (build_weight(ens, FilterConfig(variant="gsm", localization_bandwidth=0), grid), dense_obs, True),
+        (covariance_weight(1.5 * ens.centered, 0), dense_obs, True),
+        (build_weight(ens, FilterConfig(variant="gsm", localization_bandwidth=2), grid), every_other, False),
+    ]
+    for W, H, diagonal_block in cases:
+        block = W.toarray()[np.ix_(H.indices, H.indices)]
+        assert np.array_equal(block, np.diag(np.diag(block))) == diagonal_block
+        m_hat = ens.mean + 0.01 * rng.standard_normal(n)
+        y = H.apply(ens.mean) + 0.01 * rng.standard_normal(H.m)
+        for Gamma in (0.01**2, rng.uniform(0.5e-4, 2e-4, size=H.m)):
+            cholesky_calls.clear()
+            out = analysis_mean(m_hat, y, H, Gamma, W)
+            assert bool(cholesky_calls) != diagonal_block
+            expected = analysis_mean(m_hat, y, H, Gamma, W.toarray())
+            np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+
 def test_analysis_indefinite_but_nonsingular_weight_still_solves():
     # band-masked covariances can be indefinite; the SMW identity only
     # needs the innovation system to be nonsingular
@@ -202,6 +274,8 @@ def test_analysis_singular_system_raises():
     H = ObservationOperator.dense(n)
     with pytest.raises(NumericalError):
         analysis_mean(np.zeros(n), np.ones(n), H, 1.0, W)
+    with pytest.raises(NumericalError):  # the same system on the diagonal path
+        analysis_mean(np.zeros(n), np.ones(n), H, 1.0, sp.csr_matrix(W))
 
 
 def test_clustered_analysis_leaves_unobserved_jump_cells_unchanged():
