@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError
-from ..solver import GRAVITY, Grid1D, SolverConfig
+from ..solver import GRAVITY, Grid1D, SolverConfig, resolve_steps
 from ..stoker import DamBreakParams, ObservationOperator
 from ..assimilation import FilterConfig
 from .._csvio import fmt17
@@ -116,10 +116,7 @@ class ExperimentConfig:
 
     @property
     def n_steps(self) -> int:
-        steps = int(round(self.t_end / self.dt))
-        if steps < 1 or abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ConfigError(f"t_end={self.t_end} is not an integer multiple of dt={self.dt}")
-        return steps
+        return resolve_steps(self.t_end, self.dt)
 
     @property
     def obs_step_indices(self) -> np.ndarray:

@@ -177,6 +177,12 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate")
     against ``field`` with a trailing size-1 axis for batched input); it
     must dominate the characteristic speeds.  ``boundary`` selects the
     ghost-point fill: "extrapolate" repeats end values, "periodic" wraps.
+
+    Ghosts are filled after the split 0.5 * (flux +- lam * field), as
+    copies of split grid values, so each element sees the same operations
+    as when padding comes first.  The result keeps ``field``'s memory
+    layout: analysed members are F-ordered, and ensemble reductions sum in
+    a layout-dependent order.
     """
     field = np.asarray(field, dtype=float)
     flux = np.asarray(flux, dtype=float)
@@ -186,19 +192,26 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate")
         raise NumericalError(f"non-finite field value at flat index {_first_bad_index(field)}")
     if not np.isfinite(flux).all():
         raise NumericalError(f"non-finite flux value at flat index {_first_bad_index(flux)}")
-
-    if boundary == "extrapolate":
-        mode = "edge"
-    elif boundary == "periodic":
-        mode = "wrap"
-    else:
+    if boundary not in ("extrapolate", "periodic"):
         raise ConfigError(f"unknown boundary closure '{boundary}'")
+    rows, lam_shape = field.shape[:-1] + (1,), np.shape(lam)
+    if len(lam_shape) > len(rows) or any(a not in (1, b) for a, b in zip(lam_shape[::-1], rows[::-1])):
+        raise ConfigError(f"lam of shape {lam_shape} does not broadcast to {rows} for field of shape {field.shape}")
 
-    pad = [(0, 0)] * (field.ndim - 1) + [(_NGHOST, _NGHOST)]
-    fp = 0.5 * (np.pad(flux, pad, mode=mode) + lam * np.pad(field, pad, mode=mode))
-    fm = 0.5 * (np.pad(flux, pad, mode=mode) - lam * np.pad(field, pad, mode=mode))
+    n, g = field.shape[-1], _NGHOST
+    fp = np.empty_like(field, shape=field.shape[:-1] + (n + 2 * g,))
+    fm = np.empty_like(fp)
+    lam_field = lam * field
+    np.multiply(0.5, np.add(flux, lam_field, out=fp[..., g : n + g]), out=fp[..., g : n + g])
+    np.multiply(0.5, np.subtract(flux, lam_field, out=fm[..., g : n + g]), out=fm[..., g : n + g])
+    for buf in (fp, fm):
+        if boundary == "extrapolate":
+            buf[..., :g] = buf[..., g : g + 1]
+            buf[..., n + g :] = buf[..., n + g - 1 : n + g]
+        else:
+            buf[..., :g] = buf[..., g + np.arange(-g, 0) % n]
+            buf[..., n + g :] = buf[..., g + np.arange(g) % n]
 
-    n = field.shape[-1]
     m = n + 1  # interfaces i-1/2 for i = 0..n
     # plus flux: left-biased stencil f[i-2..i+2] about interface i+1/2
     fhat = _weno5_face(
@@ -282,7 +295,8 @@ class CoupledRun:
         return [self.state_at(int(s)) for s in self.recorded_steps]
 
 
-def _resolve_steps(t_end: float, dt: float) -> int:
+def resolve_steps(t_end: float, dt: float) -> int:
+    """Number of steps of size dt to t_end, which must be a positive multiple of dt."""
     steps = int(round(t_end / dt))
     if steps < 1 or abs(steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ConfigError(f"t_end={t_end} is not a positive integer multiple of dt={dt}")
@@ -309,7 +323,7 @@ def solve_coupled_swe(
     if t_end <= 0.0:
         raise ConfigError("t_end must be positive")
     dt = config.cfl * grid.dx
-    n_steps = _resolve_steps(t_end, dt)
+    n_steps = resolve_steps(t_end, dt)
 
     if isinstance(record, str):
         if record == "all":

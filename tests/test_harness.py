@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shockda.errors import ConfigError, NumericalError
+from shockda.solver import resolve_steps
 from shockda.stoker import stoker_solve
 from shockda.harness import (
     CASES,
@@ -93,6 +94,17 @@ def test_config_validation():
         ExperimentConfig(gamma=0.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(variant="enkf")
+
+
+def test_step_count_rule_is_the_solvers():
+    cfg = _small()
+    assert cfg.n_steps == resolve_steps(cfg.t_end, cfg.dt) == 30
+    for t_end in (0.1501, 0.001):  # not a step multiple; shorter than one step
+        with pytest.raises(ConfigError) as from_config:
+            _small(t_end=t_end)
+        with pytest.raises(ConfigError) as from_solver:
+            resolve_steps(t_end, cfg.dt)
+        assert str(from_config.value) == str(from_solver.value)
 
 
 def test_observation_schedule():

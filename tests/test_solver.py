@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shockda.errors import ConfigError, NumericalError
 from shockda.solver import (
@@ -16,7 +17,7 @@ from shockda.solver import (
     tvdrk3_step,
     weno5_derivative,
 )
-from shockda.solver import _swe_rhs
+from shockda.solver import _NGHOST, _swe_rhs, _weno5_face
 
 
 # ---------------------------------------------------------------- grid / types
@@ -155,6 +156,68 @@ def test_weno_batched_rows_match_individual_calls():
     for k in range(4):
         single = weno5_derivative(fields[k], 0.5 * fields[k] ** 2, lam[k], dx=0.05)
         np.testing.assert_array_equal(batched[k], single)
+
+
+def _weno5_derivative_padded(field, flux, lam, dx, boundary="extrapolate"):
+    """Reference: pad field and flux with np.pad, then split (the former body)."""
+    mode = {"extrapolate": "edge", "periodic": "wrap"}[boundary]
+    pad = [(0, 0)] * (field.ndim - 1) + [(_NGHOST, _NGHOST)]
+    fp = 0.5 * (np.pad(flux, pad, mode=mode) + lam * np.pad(field, pad, mode=mode))
+    fm = 0.5 * (np.pad(flux, pad, mode=mode) - lam * np.pad(field, pad, mode=mode))
+    m = field.shape[-1] + 1
+    fhat = _weno5_face(
+        fp[..., 0:m], fp[..., 1 : m + 1], fp[..., 2 : m + 2], fp[..., 3 : m + 3], fp[..., 4 : m + 4]
+    )
+    fhat += _weno5_face(
+        fm[..., 5 : m + 5], fm[..., 4 : m + 4], fm[..., 3 : m + 3], fm[..., 2 : m + 2], fm[..., 1 : m + 1]
+    )
+    return -np.diff(fhat, axis=-1) / dx
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layout=st.sampled_from(["1d", "members_c", "members_f", "stacked"]),
+    n=st.integers(1, 40),
+    rows=st.integers(1, 5),
+    boundary=st.sampled_from(["extrapolate", "periodic"]),
+    per_row_lam=st.booleans(),
+    data=st.sampled_from(["smooth", "jump", "rough"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weno_matches_padded_reference_bitwise_and_keeps_layout(layout, n, rows, boundary, per_row_lam, data, seed):
+    shape = {"1d": (n,), "members_c": (rows, n), "members_f": (rows, n), "stacked": (rows, 2, n)}[layout]
+    order = "F" if layout == "members_f" else "C"
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-1.0, 1.0, n)
+    if data == "smooth":
+        field = 1.0 + 0.2 * np.sin(np.pi * rng.uniform(1.0, 4.0, shape[:-1] + (1,)) * x + rng.uniform(0.0, 6.3))
+    elif data == "jump":
+        field = np.where(x < rng.uniform(-1.0, 1.0), 1.0, rng.uniform(0.1, 0.9, shape[:-1] + (1,)))
+    else:
+        field = rng.lognormal(0.0, 0.5, shape)
+    field = np.array(np.broadcast_to(field, shape), order=order)
+    flux = np.array(field * rng.standard_normal(n) + 0.5 * 9.81 * field**2, order=order)
+    lam = rng.uniform(0.0, 5.0, shape[:-1] + (1,)) if per_row_lam else rng.uniform(0.0, 5.0)
+
+    expected = _weno5_derivative_padded(field, flux, lam, 0.01, boundary)
+    got = weno5_derivative(field, flux, lam, 0.01, boundary)
+    np.testing.assert_array_equal(got, expected)
+    assert got.flags.c_contiguous == expected.flags.c_contiguous
+    assert got.flags.f_contiguous == expected.flags.f_contiguous
+
+
+def test_weno_rejects_lambda_that_broadcasts_along_the_grid():
+    # a (K,) lam would silently pair member k's speed with grid column k
+    n = 12
+    field = 1.0 + 0.1 * np.random.default_rng(5).standard_normal((n, n))
+    lam = np.linspace(1.0, 2.0, n)
+    with pytest.raises(ConfigError, match="lam of shape"):
+        weno5_derivative(field, field, lam, dx=0.1)
+    for bad in (lam[:, None, None], np.ones((n, 2)), np.ones((1, n, 1))):
+        with pytest.raises(ConfigError, match="lam of shape"):
+            weno5_derivative(field, field, bad, dx=0.1)
+    for good in (1.5, np.float64(1.5), np.ones(1), np.ones((1, 1)), lam[:, None]):
+        weno5_derivative(field, field, good, dx=0.1)
 
 
 # ------------------------------------------------------------------ TVD-RK3
