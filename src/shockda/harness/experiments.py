@@ -11,6 +11,7 @@ run bit-identically.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -227,6 +228,16 @@ def write_manifest(path: Path, config: ExperimentConfig, status: str, error: str
     path.write_text("\n".join(lines) + "\n")
 
 
+@contextmanager
+def _manifest_on_failure(path: Path, config: ExperimentConfig):
+    """On a ShockdaError in the body, write a status = failed manifest and re-raise."""
+    try:
+        yield
+    except ShockdaError as exc:
+        write_manifest(path, config, status="failed", error=str(exc))
+        raise
+
+
 def read_manifest(path) -> dict:
     path = Path(path)
     if not path.exists():
@@ -267,7 +278,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         moments_csv=out / "moments.csv",
         summary_csv=out / "summary.csv",
     )
-    try:
+    with _manifest_on_failure(paths.manifest, config):
         grid = config.grid()
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         H = config.observation_operator()
@@ -306,13 +317,10 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         _write_prior_moments_csv(paths.moments_csv, grid, run, config.snapshot_times)
         write_manifest(paths.manifest, config, status="completed")
 
-        paths.run = run
-        paths.truth = bundle
-        paths.series = series
-        return paths
-    except ShockdaError as exc:
-        write_manifest(paths.manifest, config, status="failed", error=str(exc))
-        raise
+    paths.run = run
+    paths.truth = bundle
+    paths.series = series
+    return paths
 
 
 def _write_solution_csv(path, grid, run, observations: ObservationStream, truth_rows) -> None:
@@ -403,15 +411,12 @@ def run_free_moments(config: ExperimentConfig) -> RunArtifacts:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     paths = RunArtifacts(manifest=out / "manifest.txt", moments_csv=out / "moments.csv")
-    try:
+    with _manifest_on_failure(paths.manifest, config):
         grid = config.grid()
         times, means, variances, gsms = free_ensemble_moments(config)
         write_csv(paths.moments_csv, ("t", "x", "mean", "variance", "gsm"), _moment_rows(times, means, variances, gsms, grid))
         write_manifest(paths.manifest, config, status="completed")
-        return paths
-    except ShockdaError as exc:
-        write_manifest(paths.manifest, config, status="failed", error=str(exc))
-        raise
+    return paths
 
 
 def run_truth_only(config: ExperimentConfig) -> RunArtifacts:
@@ -419,15 +424,12 @@ def run_truth_only(config: ExperimentConfig) -> RunArtifacts:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     paths = RunArtifacts(manifest=out / "manifest.txt", truth_csv=out / "truth.csv")
-    try:
+    with _manifest_on_failure(paths.manifest, config):
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         truth_to_csv(bundle.all_times, bundle.grid, bundle.truth_h, bundle.truth_u, paths.truth_csv)
         write_manifest(paths.manifest, config, status="completed")
-        paths.truth = bundle
-        return paths
-    except ShockdaError as exc:
-        write_manifest(paths.manifest, config, status="failed", error=str(exc))
-        raise
+    paths.truth = bundle
+    return paths
 
 
 def compare_runs(summary_paths, out_path=None, windows=None, labels=None, column: str = "relative_error_full"):

@@ -334,6 +334,15 @@ def test_run_experiment_failure_writes_manifest(tmp_path):
     assert mapping["error"]
 
 
+def test_run_truth_only_failure_writes_manifest(tmp_path):
+    cfg = _small(h0=10.0, h1=1e-4, cfl=0.5, output_dir=tmp_path / "truth", cache_dir=tmp_path / "cache")
+    with pytest.raises(NumericalError):
+        run_truth_only(cfg)
+    mapping = read_manifest(tmp_path / "truth" / "manifest.txt")
+    assert mapping["status"] == "failed"
+    assert mapping["error"]
+
+
 def test_truth_cache_shared_across_variants(tmp_path):
     kw = dict(ensemble_size=8, seed=2, cache_dir=tmp_path / "cache")
     arts_w = run_experiment(_small(variant="gsm", output_dir=tmp_path / "w", **kw))

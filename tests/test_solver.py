@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shockda.errors import ConfigError, NumericalError
 from shockda.solver import (
     GRAVITY,
+    WENO_EPS,
     Grid1D,
     SolverConfig,
     SWEState,
@@ -17,7 +18,7 @@ from shockda.solver import (
     tvdrk3_step,
     weno5_derivative,
 )
-from shockda.solver import _NGHOST, _swe_rhs, _weno5_face
+from shockda.solver import _FACE_BLOCK, _NGHOST, _swe_rhs
 
 
 # ---------------------------------------------------------------- grid / types
@@ -158,17 +159,34 @@ def test_weno_batched_rows_match_individual_calls():
         np.testing.assert_array_equal(batched[k], single)
 
 
+def _weno5_face_expression(a, b, c, d, e):
+    """Reference: the whole-array expression form of solver._weno5_face."""
+    beta0 = 13.0 / 12.0 * (a - 2.0 * b + c) ** 2 + 0.25 * (a - 4.0 * b + 3.0 * c) ** 2
+    beta1 = 13.0 / 12.0 * (b - 2.0 * c + d) ** 2 + 0.25 * (b - d) ** 2
+    beta2 = 13.0 / 12.0 * (c - 2.0 * d + e) ** 2 + 0.25 * (3.0 * c - 4.0 * d + e) ** 2
+
+    alpha0 = 0.1 / (WENO_EPS + beta0) ** 2
+    alpha1 = 0.6 / (WENO_EPS + beta1) ** 2
+    alpha2 = 0.3 / (WENO_EPS + beta2) ** 2
+    total = alpha0 + alpha1 + alpha2
+
+    q0 = (2.0 * a - 7.0 * b + 11.0 * c) / 6.0
+    q1 = (-b + 5.0 * c + 2.0 * d) / 6.0
+    q2 = (2.0 * c + 5.0 * d - e) / 6.0
+    return (alpha0 * q0 + alpha1 * q1 + alpha2 * q2) / total
+
+
 def _weno5_derivative_padded(field, flux, lam, dx, boundary="extrapolate"):
-    """Reference: pad field and flux with np.pad, then split (the former body)."""
+    """Reference: pad field and flux with np.pad, split, then whole-array faces."""
     mode = {"extrapolate": "edge", "periodic": "wrap"}[boundary]
     pad = [(0, 0)] * (field.ndim - 1) + [(_NGHOST, _NGHOST)]
     fp = 0.5 * (np.pad(flux, pad, mode=mode) + lam * np.pad(field, pad, mode=mode))
     fm = 0.5 * (np.pad(flux, pad, mode=mode) - lam * np.pad(field, pad, mode=mode))
     m = field.shape[-1] + 1
-    fhat = _weno5_face(
+    fhat = _weno5_face_expression(
         fp[..., 0:m], fp[..., 1 : m + 1], fp[..., 2 : m + 2], fp[..., 3 : m + 3], fp[..., 4 : m + 4]
     )
-    fhat += _weno5_face(
+    fhat += _weno5_face_expression(
         fm[..., 5 : m + 5], fm[..., 4 : m + 4], fm[..., 3 : m + 3], fm[..., 2 : m + 2], fm[..., 1 : m + 1]
     )
     return -np.diff(fhat, axis=-1) / dx
@@ -184,6 +202,12 @@ def _weno5_derivative_padded(field, flux, lam, dx, boundary="extrapolate"):
     data=st.sampled_from(["smooth", "jump", "rough"]),
     seed=st.integers(0, 2**32 - 1),
 )
+# rows x (n + 1) above _FACE_BLOCK: several blocks, the last one partial
+@example(layout="members_f", n=1001, rows=100, boundary="extrapolate", per_row_lam=True, data="jump", seed=1)
+@example(layout="members_c", n=1001, rows=100, boundary="periodic", per_row_lam=True, data="rough", seed=2)
+@example(layout="members_f", n=700, rows=37, boundary="periodic", per_row_lam=False, data="smooth", seed=3)
+@example(layout="stacked", n=300, rows=40, boundary="extrapolate", per_row_lam=True, data="rough", seed=4)
+@example(layout="1d", n=20000, rows=1, boundary="periodic", per_row_lam=False, data="jump", seed=5)
 def test_weno_matches_padded_reference_bitwise_and_keeps_layout(layout, n, rows, boundary, per_row_lam, data, seed):
     shape = {"1d": (n,), "members_c": (rows, n), "members_f": (rows, n), "stacked": (rows, 2, n)}[layout]
     order = "F" if layout == "members_f" else "C"
@@ -204,6 +228,29 @@ def test_weno_matches_padded_reference_bitwise_and_keeps_layout(layout, n, rows,
     np.testing.assert_array_equal(got, expected)
     assert got.flags.c_contiguous == expected.flags.c_contiguous
     assert got.flags.f_contiguous == expected.flags.f_contiguous
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64, 1000])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("boundary", ["extrapolate", "periodic"])
+def test_weno_result_does_not_depend_on_block_size(monkeypatch, block, order, boundary):
+    # blocks narrower than the stencil and blocks ending inside the ghost
+    # columns must see the same split values as one whole-array pass
+    rng = np.random.default_rng(block)
+    field = np.array(rng.lognormal(0.0, 0.5, (6, 50)), order=order)
+    flux = np.array(field * rng.standard_normal(50), order=order)
+    lam = rng.uniform(1.0, 3.0, (6, 1))
+    expected = _weno5_derivative_padded(field, flux, lam, 0.01, boundary)
+    monkeypatch.setattr("shockda.solver._FACE_BLOCK", block)
+    got = weno5_derivative(field, flux, lam, 0.01, boundary)
+    np.testing.assert_array_equal(got, expected)
+    assert got.flags.c_contiguous == expected.flags.c_contiguous
+
+
+def test_weno_large_examples_span_several_blocks():
+    # the @example shapes above exercise the blocking only while they exceed it
+    for rows, n in ((100, 1001), (37, 700), (80, 300), (1, 20000)):
+        assert rows * (n + 1) > _FACE_BLOCK
 
 
 def test_weno_rejects_lambda_that_broadcasts_along_the_grid():
@@ -228,6 +275,45 @@ def test_rk3_zero_rhs_is_bitwise_identity():
     state = rng.standard_normal(17)
     out = tvdrk3_step(state, lambda s: np.zeros_like(s), dt=0.37)
     assert np.array_equal(out, state)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("kind", ["identity", "cached", "weno"])
+def test_rk3_writes_neither_state_nor_rhs_results(order, kind):
+    # the stages are formed in place; an in-place update of an rhs result
+    # would corrupt ``state`` (identity rhs) or the cached array
+    rng = np.random.default_rng(17)
+    state = np.array(1.0 + 0.1 * rng.standard_normal((8, 40)), order=order)
+    cached = np.array(rng.standard_normal((8, 40)), order=order)
+    lam = np.full((8, 1), 2.0)
+    rhs = {
+        "identity": lambda s: s,
+        "cached": lambda s: cached,
+        "weno": lambda s: weno5_derivative(s, 0.5 * s * s, lam, 0.05),
+    }[kind]
+    state_before, cached_before = state.copy(), cached.copy()
+    returned = []
+
+    def recording_rhs(s):
+        out = rhs(s)
+        returned.append((out, out.copy()))
+        return out
+
+    dt = 0.01
+    got = tvdrk3_step(state, recording_rhs, dt)
+    np.testing.assert_array_equal(state, state_before)
+    np.testing.assert_array_equal(cached, cached_before)
+    if kind == "weno":
+        # (identity results are ``state`` and then the step's own stages)
+        for out, copy in returned:
+            np.testing.assert_array_equal(out, copy)
+
+    s1 = state + dt * rhs(state)
+    s2 = state + 0.25 * ((s1 - state) + dt * rhs(s1))
+    s3 = state + (2.0 / 3.0) * ((s2 - state) + dt * rhs(s2))
+    np.testing.assert_array_equal(got, s3)
+    assert got.flags.c_contiguous == s3.flags.c_contiguous == state.flags.c_contiguous
+    assert got.flags.f_contiguous == s3.flags.f_contiguous == state.flags.f_contiguous
 
 
 def test_rk3_exponential_one_step():
