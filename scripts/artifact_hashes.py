@@ -1,12 +1,19 @@
 #!/usr/bin/env python3
-"""SHA-256 of every CSV written by the nine desk-scale case x variant runs.
+"""SHA-256 of every CSV written by the desk-scale runs of each case.
 
-Runs each named case (oscillatory with a 4x fine-grid reference, as in
-the acceptance test) with each filter variant at n=201, K=50 into
-``<out>/<case>/<variant>/`` and prints ``sha256  relative/path`` per CSV,
-sorted by path. ``manifest.txt`` is left out because it records absolute
-paths. Two commits wrote byte-identical artifacts when their outputs are
-equal:
+For each named case (oscillatory with a 4x fine-grid reference, as in
+the acceptance test) at n=201, K=50 this writes, under ``<out>/<case>/``:
+
+- ``<variant>/``: one ``run_experiment`` per filter variant (solution,
+  error, summary and prior moments CSVs);
+- ``truth/truth.csv`` from ``run_truth_only``;
+- ``moments/moments.csv`` from ``run_free_moments``;
+- ``comparison.csv``: ``compare_runs`` over the variants' summaries with
+  one time window, so the quoted ``mean[lo,hi]`` row is written too.
+
+It prints ``sha256  relative/path`` per CSV, sorted by path.
+``manifest.txt`` is left out because it records absolute paths. Two
+commits wrote byte-identical artifacts when their outputs are equal:
 
     PYTHONPATH=src python3 scripts/artifact_hashes.py --out runs/hashes --seed 1 > after.txt
     diff before.txt after.txt
@@ -17,7 +24,9 @@ import hashlib
 from pathlib import Path
 
 from shockda.assimilation.weights import VARIANTS
-from shockda.harness import CASES, ExperimentConfig, run_experiment
+from shockda.harness import CASES, ExperimentConfig, compare_runs, run_experiment, run_free_moments, run_truth_only
+
+COMPARE_WINDOW = (0.05, 0.15)
 
 
 def main(argv=None):
@@ -28,13 +37,22 @@ def main(argv=None):
     out = Path(args.out)
 
     for case in CASES:
-        for variant in VARIANTS:
-            extra = {"fine_refine": 4} if case == "oscillatory" else {}
-            cfg = ExperimentConfig.for_case(
-                case, n=201, ensemble_size=50, seed=args.seed, variant=variant,
-                output_dir=out / case / variant, **extra,
+        extra = {"fine_refine": 4} if case == "oscillatory" else {}
+
+        def config(name, **overrides):
+            return ExperimentConfig.for_case(
+                case, n=201, ensemble_size=50, seed=args.seed, output_dir=out / case / name, **extra, **overrides
             )
-            run_experiment(cfg)
+
+        for variant in VARIANTS:
+            run_experiment(config(variant, variant=variant))
+        run_truth_only(config("truth"))
+        run_free_moments(config("moments"))
+        compare_runs(
+            [out / case / variant / "summary.csv" for variant in VARIANTS],
+            out_path=out / case / "comparison.csv",
+            windows=[COMPARE_WINDOW],
+        )
     for path in sorted(out.rglob("*.csv")):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}")
 

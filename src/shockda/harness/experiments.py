@@ -20,17 +20,10 @@ import numpy as np
 from .. import __version__
 from ..errors import ConfigError, ShockdaError
 from ..solver import Grid1D, SWEState, VelocityField, solve_coupled_swe, transport_step
-from ..stoker import (
-    ObservationStream,
-    observations_to_csv,
-    stoker_evaluate,
-    stoker_solve,
-    synthesize_observations,
-    truth_to_csv,
-)
+from ..stoker import ObservationStream, stoker_evaluate, stoker_solve, synthesize_observations
 from ..assimilation import Ensemble, ensemble_moments, gradient_second_moment, run_baseline_filter, run_weighted_filter, sample_variance_diag
 from ..assimilation.filters import FilterRun
-from ..metrics import ErrorSeries, error_series_to_csv, pointwise_error, relative_error
+from ..metrics import ErrorSeries, pointwise_error, relative_error
 from .config import ExperimentConfig
 from .._csvio import fmt17, write_csv
 
@@ -257,12 +250,6 @@ def config_from_manifest(path) -> ExperimentConfig:
     return ExperimentConfig.from_mapping(mapping)
 
 
-def _moment_rows(times, means, variances, gsms, grid):
-    for t, mean, var, gsm in zip(times, means, variances, gsms):
-        for i in range(grid.n):
-            yield (fmt17(t), fmt17(grid.points[i]), fmt17(mean[i]), fmt17(var[i]), fmt17(gsm[i]))
-
-
 def run_experiment(config: ExperimentConfig) -> RunArtifacts:
     """Run one filter variant end to end and write all artifacts.
 
@@ -312,9 +299,13 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         write_csv(
             paths.summary_csv,
             ("t", "relative_error_full", "relative_error_window"),
-            ((fmt17(t), fmt17(ef), fmt17(ew)) for t, ef, ew in zip(run.times, rel_full, rel_win)),
+            (run.times, np.asarray(rel_full), np.asarray(rel_win)),
         )
-        _write_prior_moments_csv(paths.moments_csv, grid, run, config.snapshot_times)
+        snapshots = [r for r in run.records if any(abs(r.t - s) <= 1e-9 for s in config.snapshot_times)]
+        _write_moments_csv(
+            paths.moments_csv, grid, [r.t for r in snapshots],
+            [r.prior_mean for r in snapshots], [r.prior_variance for r in snapshots], [r.prior_gsm for r in snapshots],
+        )
         write_manifest(paths.manifest, config, status="completed")
 
     paths.run = run
@@ -323,50 +314,41 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
     return paths
 
 
+def _time_x_columns(times, grid):
+    """The (t, x) columns of a table with one row per time and grid point."""
+    return np.repeat(times, grid.n), np.tile(grid.points, len(times))
+
+
 def _write_solution_csv(path, grid, run, observations: ObservationStream, truth_rows) -> None:
-    obs_idx = observations.operator.indices
-    x = grid.points
-
-    def rows():
-        for j, rec in enumerate(run.records):
-            obs_col = np.full(grid.n, "", dtype=object)
-            for c, i in enumerate(obs_idx):
-                obs_col[i] = fmt17(observations.values[j, c])
-            for i in range(grid.n):
-                yield (
-                    fmt17(rec.t),
-                    fmt17(x[i]),
-                    fmt17(truth_rows[j][i]),
-                    obs_col[i],
-                    fmt17(rec.prior_mean[i]),
-                    fmt17(rec.posterior_mean[i]),
-                )
-
-    write_csv(path, ("t", "x", "truth", "obs", "prior_mean", "posterior_mean"), rows())
+    posterior = np.array([rec.posterior_mean for rec in run.records])
+    obs = np.full(posterior.shape, "", dtype=object)
+    obs[:, observations.operator.indices] = observations.values
+    write_csv(
+        path,
+        ("t", "x", "truth", "obs", "prior_mean", "posterior_mean"),
+        (
+            *_time_x_columns(run.times, grid),
+            truth_rows.ravel(),
+            obs.ravel(),
+            np.ravel([rec.prior_mean for rec in run.records]),
+            posterior.ravel(),
+        ),
+    )
 
 
 def _write_error_csv(path, grid, run, truth_rows) -> None:
-    x = grid.points
-
-    def rows():
-        for j, rec in enumerate(run.records):
-            err = pointwise_error(rec.posterior_mean, truth_rows[j])
-            for i in range(grid.n):
-                yield (fmt17(rec.t), fmt17(x[i]), fmt17(err[i]))
-
-    write_csv(path, ("t", "x", "pointwise_error"), rows())
+    posterior = np.array([rec.posterior_mean for rec in run.records])
+    err = pointwise_error(posterior, truth_rows)
+    write_csv(path, ("t", "x", "pointwise_error"), (*_time_x_columns(run.times, grid), err.ravel()))
 
 
-def _write_prior_moments_csv(path, grid, run, snapshot_times) -> None:
-    """Prior-ensemble mean/variance/gradient-second-moment at snapshot times."""
-    times, means, variances, gsms = [], [], [], []
-    for rec in run.records:
-        if any(abs(rec.t - s) <= 1e-9 for s in snapshot_times):
-            times.append(rec.t)
-            means.append(rec.prior_mean)
-            variances.append(rec.prior_variance)
-            gsms.append(rec.prior_gsm)
-    write_csv(path, ("t", "x", "mean", "variance", "gsm"), _moment_rows(times, means, variances, gsms, grid))
+def _write_moments_csv(path, grid, times, means, variances, gsms) -> None:
+    """Ensemble mean/variance/gradient-second-moment rows at the given times."""
+    write_csv(
+        path,
+        ("t", "x", "mean", "variance", "gsm"),
+        (*_time_x_columns(times, grid), np.ravel(means), np.ravel(variances), np.ravel(gsms)),
+    )
 
 
 def free_ensemble_moments(config: ExperimentConfig) -> tuple:
@@ -414,7 +396,7 @@ def run_free_moments(config: ExperimentConfig) -> RunArtifacts:
     with _manifest_on_failure(paths.manifest, config):
         grid = config.grid()
         times, means, variances, gsms = free_ensemble_moments(config)
-        write_csv(paths.moments_csv, ("t", "x", "mean", "variance", "gsm"), _moment_rows(times, means, variances, gsms, grid))
+        _write_moments_csv(paths.moments_csv, grid, times, means, variances, gsms)
         write_manifest(paths.manifest, config, status="completed")
     return paths
 
@@ -426,7 +408,11 @@ def run_truth_only(config: ExperimentConfig) -> RunArtifacts:
     paths = RunArtifacts(manifest=out / "manifest.txt", truth_csv=out / "truth.csv")
     with _manifest_on_failure(paths.manifest, config):
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
-        truth_to_csv(bundle.all_times, bundle.grid, bundle.truth_h, bundle.truth_u, paths.truth_csv)
+        write_csv(
+            paths.truth_csv,
+            ("t", "x", "h", "u"),
+            (*_time_x_columns(bundle.all_times, bundle.grid), bundle.truth_h.ravel(), bundle.truth_u.ravel()),
+        )
         write_manifest(paths.manifest, config, status="completed")
     paths.truth = bundle
     return paths
@@ -482,12 +468,9 @@ def compare_runs(summary_paths, out_path=None, windows=None, labels=None, column
         aggregates[(lo, hi)] = {label: float(columns[label][mask].mean()) for label in labels}
 
     if out_path is not None:
-        def rows():
-            for r, t in enumerate(times_ref):
-                yield (fmt17(t), *(fmt17(columns[label][r]) for label in labels))
-            for (lo, hi), means in aggregates.items():
-                yield (f"mean[{fmt17(lo)},{fmt17(hi)}]", *(fmt17(means[label]) for label in labels))
-
-        write_csv(out_path, ("t", *labels), rows())
+        # one row per time, then one labelled row per aggregate window
+        row_names = [*times_ref.tolist(), *(f"mean[{fmt17(lo)},{fmt17(hi)}]" for lo, hi in aggregates)]
+        values = [[*columns[label], *(means[label] for means in aggregates.values())] for label in labels]
+        write_csv(out_path, ("t", *labels), (row_names, *values))
 
     return times_ref, columns, aggregates

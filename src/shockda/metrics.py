@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from ._csvio import fmt17, write_csv
 
 # slack for closed-interval window membership at the endpoints
 _WINDOW_TOL = 1e-12
@@ -71,12 +70,3 @@ class ErrorSeries:
             raise ConfigError(f"no error samples inside [{t_lo}, {t_hi}]")
         return float(self.values[mask].mean())
 
-
-def error_series_to_csv(series: list[ErrorSeries], path) -> None:
-    def rows():
-        for s in series:
-            lo, hi = ("", "") if s.spatial_window is None else (fmt17(s.spatial_window[0]), fmt17(s.spatial_window[1]))
-            for t, v in zip(s.times, s.values):
-                yield (fmt17(t), fmt17(v), s.label, lo, hi)
-
-    write_csv(path, ("t", "value", "label", "window_lo", "window_hi"), rows())

@@ -341,14 +341,6 @@ class CoupledRun:
         r = int(hits[0])
         return SWEState(self.h[r].copy(), self.hu[r].copy(), self.g)
 
-    @property
-    def final_state(self) -> SWEState:
-        return self.state_at(self.n_steps)
-
-    @property
-    def states(self) -> list[SWEState]:
-        return [self.state_at(int(s)) for s in self.recorded_steps]
-
 
 def resolve_steps(t_end: float, dt: float) -> int:
     """Number of steps of size dt to t_end, which must be a positive multiple of dt."""

@@ -13,14 +13,12 @@ observation streams drawn from a seeded generator.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .solver import GRAVITY, Grid1D
-from ._csvio import fmt17, write_csv
 
 
 @dataclass(frozen=True)
@@ -176,11 +174,6 @@ class ObservationOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v)[..., self.indices]
 
-    def scatter(self, w: np.ndarray) -> np.ndarray:
-        out = np.zeros(w.shape[:-1] + (self.n_state,))
-        out[..., self.indices] = w
-        return out
-
     def matrix(self) -> np.ndarray:
         H = np.zeros((self.m, self.n_state))
         H[np.arange(self.m), self.indices] = 1.0
@@ -223,40 +216,3 @@ def synthesize_observations(truth_fn, grid: Grid1D, times, H: ObservationOperato
     clean = np.stack([H.apply(np.asarray(truth_fn(float(t)))) for t in times]) if times.size else np.zeros((0, H.m))
     return ObservationStream(times, H, gamma, clean + noise, seed)
 
-
-def observations_to_csv(stream: ObservationStream, grid: Grid1D, path) -> None:
-    x = grid.points
-    rows = (
-        (fmt17(t), str(int(j)), fmt17(x[j]), fmt17(stream.values[r, c]))
-        for r, t in enumerate(stream.times)
-        for c, j in enumerate(stream.operator.indices)
-    )
-    write_csv(path, ("t", "obs_index", "x", "y"), rows)
-
-
-def observations_from_csv(path):
-    """Read back (times, indices, values) from an observation CSV."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["t", "obs_index", "x", "y"]:
-            raise ConfigError(f"unexpected observation CSV header {header!r}")
-        t_list, j_list, y_list = [], [], []
-        for row in reader:
-            t_list.append(float(row[0]))
-            j_list.append(int(row[1]))
-            y_list.append(float(row[3]))
-    times = np.unique(np.asarray(t_list))
-    indices = np.unique(np.asarray(j_list))
-    values = np.asarray(y_list).reshape(times.size, indices.size)
-    return times, indices, values
-
-
-def truth_to_csv(times, grid: Grid1D, h_rows, u_rows, path) -> None:
-    x = grid.points
-    rows = (
-        (fmt17(t), fmt17(x[i]), fmt17(h_rows[r][i]), fmt17(u_rows[r][i]))
-        for r, t in enumerate(times)
-        for i in range(grid.n)
-    )
-    write_csv(path, ("t", "x", "h", "u"), rows)

@@ -1,12 +1,10 @@
 """Hand cases and properties for the error metrics."""
 
-import csv
-
 import numpy as np
 import pytest
 
 from shockda.errors import ConfigError
-from shockda.metrics import ErrorSeries, error_series_to_csv, pointwise_error, relative_error
+from shockda.metrics import ErrorSeries, pointwise_error, relative_error
 
 
 def test_pointwise_hand_case():
@@ -111,18 +109,3 @@ def test_error_series_validation_and_mean():
     with pytest.raises(ConfigError):
         ErrorSeries(times=[0.1], values=[-0.1], label="bad")
 
-
-def test_error_series_csv_round_trip(tmp_path):
-    a = ErrorSeries(times=[0.1, 0.2], values=[0.5, 0.25], label="baseline")
-    b = ErrorSeries(times=[0.1], values=[0.125], label="weighted", spatial_window=(-0.39, 0.39))
-    path = tmp_path / "errors.csv"
-    error_series_to_csv([a, b], path)
-
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "value", "label", "window_lo", "window_hi"]
-    assert len(rows) == 4
-    assert rows[1][2] == "baseline" and rows[1][3] == "" and rows[1][4] == ""
-    assert rows[3][2] == "weighted"
-    assert float(rows[3][3]) == -0.39 and float(rows[3][4]) == 0.39
-    assert float(rows[2][1]) == 0.25

@@ -9,8 +9,6 @@ from shockda.stoker import (
     DamBreakParams,
     ObservationOperator,
     ObservationStream,
-    observations_from_csv,
-    observations_to_csv,
     rankine_hugoniot_residual,
     rarefaction_invariant_residual,
     stoker_evaluate,
@@ -206,12 +204,6 @@ def test_observation_operator_validates_indices():
         ObservationOperator(np.array([3, 7]), 5)
 
 
-def test_scatter_then_apply_is_identity_on_observed():
-    H = ObservationOperator.every_other(11)
-    w = np.arange(6, dtype=float)
-    np.testing.assert_array_equal(H.apply(H.scatter(w)), w)
-
-
 def test_synthesize_observations_deterministic():
     grid = Grid1D(n=41, x_min=-1.0, x_max=1.0)
     H = ObservationOperator.dense(41)
@@ -255,22 +247,3 @@ def test_observation_stream_shape_validation():
     with pytest.raises(ConfigError):
         ObservationStream(times=np.array([0.1, 0.2]), operator=H, gamma=0.01, values=np.zeros((3, 5)), seed=0)
 
-
-def test_observations_csv_round_trip(tmp_path):
-    grid = Grid1D(n=21, x_min=-1.0, x_max=1.0)
-    H = ObservationOperator.every_other(21)
-    times = np.array([0.005, 0.01, 0.015])
-
-    def truth(t):
-        return 0.9 + 0.1 * np.sin(grid.points + t)
-
-    stream = synthesize_observations(truth, grid, times, H, gamma=0.01, seed=9)
-    path = tmp_path / "obs.csv"
-    observations_to_csv(stream, grid, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,obs_index,x,y"
-
-    times_back, indices_back, values_back = observations_from_csv(path)
-    np.testing.assert_array_equal(times_back, times)
-    np.testing.assert_array_equal(indices_back, H.indices)
-    np.testing.assert_array_equal(values_back, stream.values)
