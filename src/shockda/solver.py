@@ -31,10 +31,11 @@ WENO_EPS = 1e-6
 # ghost points per side needed by the five-point interface stencils
 _NGHOST = 3
 
-# elements (rows x interface columns) per block of weno5_derivative: 128 KiB
-# of float64 per scratch array, so a block's nine scratch arrays stay in a
-# per-core L2 cache (on a 2-vCPU Xeon with 2 MiB L2 per core, 8192 and
-# 32768 measured slower at (100, 1001))
+# elements (rows x interface columns) per block of weno5_derivative: about
+# 128 KiB of float64 in each of its nine flat scratch arrays (two split, seven
+# face; each holds the block's stencil window, five columns wider), so they
+# stay in a per-core L2 cache (on a 2-vCPU Xeon with 2 MiB L2 per core, 8192
+# and 32768 measured slower at (100, 1001))
 _FACE_BLOCK = 16384
 
 
@@ -141,12 +142,15 @@ class SolverConfig:
 def lax_friedrichs_lambda(u, h, g: float = GRAVITY):
     """max(|u| + sqrt(g h)) over the grid, per leading row if batched.
 
-    Negative depths yield NaN here without warning; the step routines
-    turn the resulting non-finite state into a NumericalError with
-    context, which is more useful than a RuntimeWarning at this level.
+    ``u`` broadcasts to the shape of ``h`` (one velocity row for a member
+    stack); g h is formed once and the rest is done in place.  Negative
+    depths yield NaN here without warning; the step routines turn the
+    resulting non-finite state into a NumericalError with context, which
+    is more useful than a RuntimeWarning at this level.
     """
     with np.errstate(invalid="ignore"):
-        speed = np.abs(u) + np.sqrt(g * np.asarray(h))
+        speed = np.multiply(g, h)
+        np.add(np.abs(u), np.sqrt(speed, out=speed), out=speed)
     return np.max(speed, axis=-1, keepdims=True)
 
 
@@ -212,9 +216,17 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate")
     The derivative is computed in blocks of grid cells whose interfaces
     hold at most ``_FACE_BLOCK`` elements (rows x columns).  Each block
     forms the split 0.5 * (flux +- lam * field) on its own stencil window
-    (three columns beyond the block on each side; ghost columns are copies
-    of end or wrapped grid columns) and reconstructs its interfaces in
-    scratch arrays of one block, reused across blocks.  On a (100, 1001)
+    (three columns beyond the block on each side) from a slice of the grid
+    columns; "extrapolate" ghost columns are copies of the end columns'
+    split, and a periodic window that leaves the grid gathers wrapped
+    columns.  The split and face scratch are flat arrays of one block,
+    reused across blocks, that hold the block in C order, or in F order
+    when ``field`` is F- and not C-contiguous.  Along the grid axis the
+    flat step is then one number d (1, or the row count), so each stencil
+    operand of the block's faces is one contiguous slice, shifted by d per
+    stencil point, and numpy runs the face arithmetic on its contiguous
+    fast path.  In C order this also computes the five interfaces per row
+    whose stencils straddle two rows; they are never read.  On a (100, 1001)
     ensemble a whole-array temporary per operation would be 0.8 MB, handed
     back to the OS and faulted in again on every call, and streamed
     through memory; a block's scratch stays in cache.  Every element sees
@@ -238,33 +250,44 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate")
     if len(lam_shape) > len(rows) or any(a not in (1, b) for a, b in zip(lam_shape[::-1], rows[::-1])):
         raise ConfigError(f"lam of shape {lam_shape} does not broadcast to {rows} for field of shape {field.shape}")
 
-    n, g = field.shape[-1], _NGHOST
-    n_rows = max(1, math.prod(field.shape[:-1]))
-    cells = min(n, max(1, _FACE_BLOCK // n_rows - 1))  # cells + 1 interfaces fill one block
-    split = [np.empty_like(field, shape=field.shape[:-1] + (cells + 2 * g,)) for _ in range(2)]
-    faces = [np.empty_like(field, shape=field.shape[:-1] + (cells + 1,)) for _ in range(7)]
+    n, g, lead = field.shape[-1], _NGHOST, field.shape[:-1]
+    n_rows = math.prod(lead)
+    cells = min(n, max(1, _FACE_BLOCK // max(1, n_rows) - 1))  # cells + 1 interfaces fill one block
+    order = "F" if field.flags.f_contiguous and not field.flags.c_contiguous else "C"
+    split = [np.empty(n_rows * (cells + 2 * g)) for _ in range(2)]
+    faces = [np.empty(n_rows * (cells + 2 * g)) for _ in range(7)]
     out = np.empty_like(field)
     for j in range(0, n, cells):
         k = min(cells, n - j)
         # grid columns j-3 .. j+k+2 hold the stencils of interfaces j-1/2 .. j+k-1/2
-        lo, hi = j - g, j + k + g
-        if lo >= 0 and hi <= n:
-            cols = slice(lo, hi)
+        lo, hi, width = j - g, j + k + g, k + 2 * g
+        # d: flat step along the grid axis; span: flat length of one face operand
+        d, row_step = (n_rows, 1) if order == "F" else (1, width)
+        span = k * d + (n_rows - 1) * row_step + 1
+        flat_p, flat_m = (buf[: n_rows * width] for buf in split)
+        fp, fm = (buf.reshape(lead + (width,), order=order) for buf in (flat_p, flat_m))
+        if boundary == "periodic" and (lo < 0 or hi > n):
+            cols, inner = np.arange(lo, hi) % n, slice(0, width)
         else:
-            cols = np.clip(np.arange(lo, hi), 0, n - 1) if boundary == "extrapolate" else np.arange(lo, hi) % n
-        fp, fm = (buf[..., : k + 2 * g] for buf in split)
-        block_flux = flux[..., cols]
-        lam_field = np.multiply(lam, field[..., cols], out=fm)
-        np.multiply(0.5, np.add(block_flux, lam_field, out=fp), out=fp)
-        np.multiply(0.5, np.subtract(block_flux, lam_field, out=fm), out=fm)
+            cols, inner = slice(max(lo, 0), min(hi, n)), slice(max(lo, 0) - lo, min(hi, n) - lo)
+        block_flux, fp_in, fm_in = flux[..., cols], fp[..., inner], fm[..., inner]
+        lam_field = np.multiply(lam, field[..., cols], out=fm_in)
+        np.multiply(0.5, np.add(block_flux, lam_field, out=fp_in), out=fp_in)
+        np.multiply(0.5, np.subtract(block_flux, lam_field, out=fm_in), out=fm_in)
+        for split_block in (fp, fm):  # "extrapolate" ghosts repeat the end columns' split
+            if inner.start > 0:
+                split_block[..., : inner.start] = split_block[..., inner.start : inner.start + 1]
+            if inner.stop < width:
+                split_block[..., inner.stop :] = split_block[..., inner.stop - 1 : inner.stop]
 
-        fhat, minus, *work = (buf[..., : k + 1] for buf in faces)
+        fhat, minus, *work = (buf[:span] for buf in faces)
         # plus flux: left-biased stencil f[i-2..i+2] about interface i+1/2
-        _weno5_face(*(fp[..., s : s + k + 1] for s in range(5)), fhat, work)
+        _weno5_face(*(flat_p[s * d : s * d + span] for s in range(5)), fhat, work)
         # minus flux: mirrored stencil f[i+3..i-1]
-        _weno5_face(*(fm[..., s : s + k + 1] for s in range(5, 0, -1)), minus, work)
+        _weno5_face(*(flat_m[s * d : s * d + span] for s in range(5, 0, -1)), minus, work)
         np.add(fhat, minus, out=fhat)
-        deriv = np.subtract(fhat[..., 1:], fhat[..., :-1], out=out[..., j : j + k])
+        fhat = faces[0][: n_rows * width].reshape(lead + (width,), order=order)  # interface i at column i
+        deriv = np.subtract(fhat[..., 1 : k + 1], fhat[..., :k], out=out[..., j : j + k])
         np.divide(np.negative(deriv, out=deriv), dx, out=deriv)
     return out
 
@@ -308,7 +331,12 @@ def _swe_rhs(stacked, g: float, dx: float):
     hu = stacked[..., 1, :]
     u = hu / h
     lam = lax_friedrichs_lambda(u, h, g)[..., None, :]
-    flux = np.stack([hu, hu * u + 0.5 * g * h * h], axis=-2)
+    # flux = (hu, hu u + 0.5 g h h), the second row in that operation order
+    flux = np.empty_like(stacked)
+    flux[..., 0, :] = hu
+    momentum_flux = np.multiply(hu, u, out=flux[..., 1, :])
+    pressure = np.multiply(np.multiply(0.5 * g, h, out=u), h, out=u)
+    np.add(momentum_flux, pressure, out=momentum_flux)
     out = weno5_derivative(stacked, flux, lam, dx)
     # frozen end values realize the non-reflecting Dirichlet closure
     out[..., 0] = 0.0
@@ -333,13 +361,6 @@ class CoupledRun:
     hu: np.ndarray
     g: float = GRAVITY
     velocity: VelocityField | None = None
-
-    def state_at(self, step: int) -> SWEState:
-        hits = np.nonzero(self.recorded_steps == step)[0]
-        if hits.size == 0:
-            raise ConfigError(f"step {step} was not recorded")
-        r = int(hits[0])
-        return SWEState(self.h[r].copy(), self.hu[r].copy(), self.g)
 
 
 def resolve_steps(t_end: float, dt: float) -> int:

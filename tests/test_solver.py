@@ -1,5 +1,7 @@
 """Solver tests: WENO5 reconstruction, TVD-RK3, coupled SWE, transport."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -68,6 +70,12 @@ def test_lax_friedrichs_lambda_value():
     h = np.array([1.0, 4.0, 0.25])
     lam = lax_friedrichs_lambda(u, h, g=9.81)
     assert lam[0] == pytest.approx(2.0 + np.sqrt(9.81 * 4.0))
+    # a negative depth gives NaN for its row, silently: the RK3 stage check reports it
+    batch_h = np.stack([h, -h])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch_lam = lax_friedrichs_lambda(u, batch_h, g=9.81)
+    assert batch_lam[0, 0] == lam[0] and np.isnan(batch_lam[1, 0])
 
 
 def test_velocity_field_step_range():
@@ -192,9 +200,22 @@ def _weno5_derivative_padded(field, flux, lam, dx, boundary="extrapolate"):
     return -np.diff(fhat, axis=-1) / dx
 
 
+def _layout(arrays, layout):
+    """``arrays`` in a memory layout: "C", "F", or "strided" (a view that is neither)."""
+    if layout == "strided":
+        return [np.repeat(a, 2, axis=-1)[..., ::2] for a in arrays]
+    return [np.array(a, order=layout) for a in arrays]
+
+
+def _assert_layout_kept(got, field):
+    # a C- or F-ordered field gives a result in its layout, a strided view of a C array a C-ordered one
+    want = field if field.flags.c_contiguous or field.flags.f_contiguous else np.ascontiguousarray(field)
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (want.flags.c_contiguous, want.flags.f_contiguous)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    layout=st.sampled_from(["1d", "members_c", "members_f", "stacked"]),
+    layout=st.sampled_from(["1d", "members_c", "members_f", "members_strided", "stacked", "stacked_f"]),
     n=st.integers(1, 40),
     rows=st.integers(1, 5),
     boundary=st.sampled_from(["extrapolate", "periodic"]),
@@ -208,9 +229,13 @@ def _weno5_derivative_padded(field, flux, lam, dx, boundary="extrapolate"):
 @example(layout="members_f", n=700, rows=37, boundary="periodic", per_row_lam=False, data="smooth", seed=3)
 @example(layout="stacked", n=300, rows=40, boundary="extrapolate", per_row_lam=True, data="rough", seed=4)
 @example(layout="1d", n=20000, rows=1, boundary="periodic", per_row_lam=False, data="jump", seed=5)
+@example(layout="members_strided", n=1001, rows=100, boundary="extrapolate", per_row_lam=True, data="rough", seed=6)
+@example(layout="stacked_f", n=300, rows=40, boundary="periodic", per_row_lam=True, data="jump", seed=7)
 def test_weno_matches_padded_reference_bitwise_and_keeps_layout(layout, n, rows, boundary, per_row_lam, data, seed):
-    shape = {"1d": (n,), "members_c": (rows, n), "members_f": (rows, n), "stacked": (rows, 2, n)}[layout]
-    order = "F" if layout == "members_f" else "C"
+    # the C-ordered face scratch also computes 5 interfaces per row that
+    # straddle two rows; a leak of one would break equality here
+    shape = (n,) if layout == "1d" else (rows, 2, n) if layout.startswith("stacked") else (rows, n)
+    order = {"members_f": "F", "members_strided": "strided", "stacked_f": "F"}.get(layout, "C")
     rng = np.random.default_rng(seed)
     x = np.linspace(-1.0, 1.0, n)
     if data == "smooth":
@@ -219,32 +244,32 @@ def test_weno_matches_padded_reference_bitwise_and_keeps_layout(layout, n, rows,
         field = np.where(x < rng.uniform(-1.0, 1.0), 1.0, rng.uniform(0.1, 0.9, shape[:-1] + (1,)))
     else:
         field = rng.lognormal(0.0, 0.5, shape)
-    field = np.array(np.broadcast_to(field, shape), order=order)
-    flux = np.array(field * rng.standard_normal(n) + 0.5 * 9.81 * field**2, order=order)
+    field = np.broadcast_to(field, shape)
+    field, flux = _layout([field, field * rng.standard_normal(n) + 0.5 * 9.81 * field**2], order)
     lam = rng.uniform(0.0, 5.0, shape[:-1] + (1,)) if per_row_lam else rng.uniform(0.0, 5.0)
 
     expected = _weno5_derivative_padded(field, flux, lam, 0.01, boundary)
     got = weno5_derivative(field, flux, lam, 0.01, boundary)
     np.testing.assert_array_equal(got, expected)
-    assert got.flags.c_contiguous == expected.flags.c_contiguous
-    assert got.flags.f_contiguous == expected.flags.f_contiguous
+    _assert_layout_kept(got, field)
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64, 1000])
-@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("order", ["C", "F", "strided", "stacked_F"])
 @pytest.mark.parametrize("boundary", ["extrapolate", "periodic"])
 def test_weno_result_does_not_depend_on_block_size(monkeypatch, block, order, boundary):
     # blocks narrower than the stencil and blocks ending inside the ghost
     # columns must see the same split values as one whole-array pass
     rng = np.random.default_rng(block)
-    field = np.array(rng.lognormal(0.0, 0.5, (6, 50)), order=order)
-    flux = np.array(field * rng.standard_normal(50), order=order)
-    lam = rng.uniform(1.0, 3.0, (6, 1))
+    shape = (3, 2, 50) if order == "stacked_F" else (6, 50)
+    field = rng.lognormal(0.0, 0.5, shape)
+    field, flux = _layout([field, field * rng.standard_normal(50)], order.removeprefix("stacked_"))
+    lam = rng.uniform(1.0, 3.0, shape[:-1] + (1,))
     expected = _weno5_derivative_padded(field, flux, lam, 0.01, boundary)
     monkeypatch.setattr("shockda.solver._FACE_BLOCK", block)
     got = weno5_derivative(field, flux, lam, 0.01, boundary)
     np.testing.assert_array_equal(got, expected)
-    assert got.flags.c_contiguous == expected.flags.c_contiguous
+    _assert_layout_kept(got, field)
 
 
 def test_weno_large_examples_span_several_blocks():
@@ -354,6 +379,54 @@ def test_rk3_reports_stage_and_step_on_blowup():
 # ------------------------------------------------------------- coupled SWE
 
 
+def _lax_friedrichs_lambda_expression(u, h, g=GRAVITY):
+    """Reference: the whole-array expression form of lax_friedrichs_lambda."""
+    with np.errstate(invalid="ignore"):
+        speed = np.abs(u) + np.sqrt(g * np.asarray(h))
+    return np.max(speed, axis=-1, keepdims=True)
+
+
+def _swe_rhs_expression(stacked, g, dx):
+    """Reference: _swe_rhs with a stacked flux, over the padded WENO5 reference."""
+    h = stacked[..., 0, :]
+    hu = stacked[..., 1, :]
+    u = hu / h
+    lam = _lax_friedrichs_lambda_expression(u, h, g)[..., None, :]
+    flux = np.stack([hu, hu * u + 0.5 * g * h * h], axis=-2)
+    out = _weno5_derivative_padded(stacked, flux, lam, dx)
+    out[..., 0] = 0.0
+    out[..., -1] = 0.0
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    members=st.sampled_from([None, 1, 3]),  # None: one (2, n) state, else a (members, 2, n) stack
+    n=st.integers(1, 40),
+    order=st.sampled_from(["C", "F"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(members=None, n=2001, order="C", seed=1)  # the fine coupled solve of oscillatory_cold_desk
+@example(members=20, n=1001, order="F", seed=2)  # several WENO blocks
+def test_swe_rhs_and_lambda_match_expression_form_bitwise(members, n, order, seed):
+    rng = np.random.default_rng(seed)
+    shape = (2, n) if members is None else (members, 2, n)
+    stacked = rng.standard_normal(shape)
+    stacked[..., 0, :] = rng.lognormal(0.0, 0.5, shape[:-2] + (n,))
+    stacked = np.array(stacked, order=order)
+    before = stacked.copy()
+    got = _swe_rhs(stacked, GRAVITY, 0.01)
+    np.testing.assert_array_equal(stacked, before)
+    np.testing.assert_array_equal(got, _swe_rhs_expression(stacked, GRAVITY, 0.01))
+
+    h = stacked[..., 0, :]
+    u = stacked[..., 1, :] / h
+    np.testing.assert_array_equal(lax_friedrichs_lambda(u, h), _lax_friedrichs_lambda_expression(u, h))
+    # one velocity row for every member, as transport_step passes it
+    u_row = u.reshape(-1, n)[0]
+    np.testing.assert_array_equal(lax_friedrichs_lambda(u_row, h), _lax_friedrichs_lambda_expression(u_row, h))
+
+
 def test_coupled_uniform_rest_state_is_constant():
     grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
     h = np.ones(51)
@@ -408,16 +481,22 @@ def test_coupled_t_end_must_align_with_dt():
         solve_coupled_swe(SWEState(np.ones(51), np.zeros(51)), grid, SolverConfig(cfl=0.1), t_end=0.001234567)
 
 
-def test_coupled_record_subset_and_state_at():
+def test_coupled_record_subset():
     grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
     h = np.where(grid.points < 0, 1.0, 0.8)
-    run = solve_coupled_swe(
-        SWEState(h, np.zeros(51)), grid, SolverConfig(cfl=0.1), t_end=10 * 0.1 * grid.dx, record=[0, 5, 10]
-    )
-    assert list(run.recorded_steps) == [0, 5, 10]
-    np.testing.assert_array_equal(run.state_at(0).h, h)
-    with pytest.raises(ConfigError):
-        run.state_at(3)
+
+    def run(record):
+        return solve_coupled_swe(
+            SWEState(h, np.zeros(51)), grid, SolverConfig(cfl=0.1), t_end=10 * 0.1 * grid.dx, record=record
+        )
+
+    subset, full = run([10, 0, 5, 5]), run("all")
+    assert list(subset.recorded_steps) == [0, 5, 10]
+    assert subset.h.shape == subset.hu.shape == (3, 51)
+    np.testing.assert_array_equal(subset.h[0], h)
+    np.testing.assert_array_equal(subset.hu[0], np.zeros(51))
+    np.testing.assert_array_equal(subset.h, full.h[[0, 5, 10]])
+    np.testing.assert_array_equal(subset.hu, full.hu[[0, 5, 10]])
 
 
 def test_coupled_determinism():
