@@ -8,6 +8,9 @@ import numpy as np
 
 from ..errors import ConfigError
 
+# variance floor of correlation_matrix_factor
+_VAR_FLOOR = 1e-12
+
 
 @dataclass
 class Ensemble:
@@ -20,14 +23,6 @@ class Ensemble:
     members: np.ndarray
     mean: np.ndarray
     centered: np.ndarray
-
-    @property
-    def K(self) -> int:
-        return self.members.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.members.shape[1]
 
     def covariance(self) -> np.ndarray:
         """Sample covariance, materialized on request only."""
@@ -80,15 +75,13 @@ def gradient_second_moment(ensemble, dx: float) -> np.ndarray:
     return out
 
 
-def correlation_matrix_factor(ensemble: Ensemble, epsilon_var: float = 1e-12) -> np.ndarray:
+def correlation_matrix_factor(ensemble: Ensemble) -> np.ndarray:
     """n x K factor Xt with Xt @ Xt.T the sample correlation matrix.
 
     Rows of the anomaly matrix are scaled by 1/sqrt(max(variance,
-    epsilon_var)); the floor keeps zero-variance rows finite (their
+    _VAR_FLOOR)); the floor keeps zero-variance rows finite (their
     correlations come out 0 rather than NaN).
     """
-    if epsilon_var <= 0.0:
-        raise ConfigError("epsilon_var must be positive")
     X = ensemble.centered
     var = np.einsum("ik,ik->i", X, X)
-    return X / np.sqrt(np.maximum(var, epsilon_var))[:, None]
+    return X / np.sqrt(np.maximum(var, _VAR_FLOOR))[:, None]

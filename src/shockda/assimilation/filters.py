@@ -1,8 +1,9 @@
 """ETKF transform, closed-form analysis mean, and the assimilation loop.
 
-The analysis mean is the Sherman-Morrison-Woodbury form
+Observation noise is Gamma = gamma^2 I with a scalar gamma^2.  The
+analysis mean is the Sherman-Morrison-Woodbury form
 
-    m = m_hat + W H^T (H W H^T + Gamma)^{-1} (y - H m_hat),
+    m = m_hat + W H^T (H W H^T + gamma^2 I)^{-1} (y - H m_hat),
 
 which never inverts W.  ``analysis_mean`` picks one of three solve paths
 from how the weight is stored: a K x K ensemble-space solve for the
@@ -14,12 +15,12 @@ fallback) solve of the dense m x m innovation matrix.
 The posterior anomalies come from the symmetric square root of the
 K x K transform
 
-    T = [I + (H X)^T Gamma^{-1} (H X)]^{-1}.
+    T = [I + (H X)^T (H X) / gamma^2]^{-1}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -32,61 +33,34 @@ from .ensemble import Ensemble, ensemble_moments, gradient_second_moment, sample
 from .weights import FilterConfig, WeightMatrix, build_weight, covariance_weight
 
 
-def _gamma_solve(Gamma, M: np.ndarray) -> np.ndarray:
-    """Gamma^{-1} M for scalar variance, per-entry variances, or a full SPD matrix."""
-    if np.isscalar(Gamma) or np.ndim(Gamma) == 0:
-        if Gamma <= 0.0:
-            raise ConfigError("observation covariance must be positive")
-        return M / Gamma
-    Gamma = np.asarray(Gamma, dtype=float)
-    if Gamma.ndim == 1:
-        if np.any(Gamma <= 0.0):
-            raise ConfigError("observation variances must all be positive")
-        return M / Gamma[:, None] if M.ndim == 2 else M / Gamma
-    if not np.allclose(Gamma, Gamma.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(Gamma).max()))):
-        raise ConfigError("observation covariance must be symmetric")
-    try:
-        cho = scipy.linalg.cho_factor(Gamma, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ConfigError("observation covariance is not positive definite") from exc
-    return scipy.linalg.cho_solve(cho, M)
+def _checked_gamma_sq(gamma_sq) -> float:
+    """The observation variance gamma^2 of Gamma = gamma^2 I, a positive scalar."""
+    if np.ndim(gamma_sq) != 0 or not gamma_sq > 0.0:
+        raise ConfigError(f"observation variance gamma^2 must be a positive scalar, got {gamma_sq!r}")
+    return float(gamma_sq)
 
 
-def _gamma_add(Gamma, S: np.ndarray) -> np.ndarray:
-    """S + Gamma with the same Gamma conventions as _gamma_solve."""
-    out = np.array(S, dtype=float, copy=True)
-    if np.isscalar(Gamma) or np.ndim(Gamma) == 0:
-        out[np.diag_indices_from(out)] += Gamma
-        return out
-    Gamma = np.asarray(Gamma, dtype=float)
-    if Gamma.ndim == 1:
-        out[np.diag_indices_from(out)] += Gamma
-        return out
-    return out + Gamma
-
-
-def etkf_transform(X: np.ndarray, H: ObservationOperator, Gamma):
-    """Return (T, sqrt(T)) for the centered ensemble X (n x K).
+def etkf_transform(X: np.ndarray, H: ObservationOperator, gamma_sq: float) -> np.ndarray:
+    """Symmetric square root of T = [I + (H X)^T (H X) / gamma^2]^{-1} for centered X (n x K).
 
     The K x K system is symmetrized and eigendecomposed; the symmetric
     square root keeps the ones vector an eigenvector with eigenvalue 1,
     preserving zero column sums of the posterior anomalies.
     """
+    gamma_sq = _checked_gamma_sq(gamma_sq)
     X = np.asarray(X, dtype=float)
     K = X.shape[1]
     if H.m == 0:
-        eye = np.eye(K)
-        return eye, eye.copy()
+        return np.eye(K)
 
     HX = H.apply(X.T).T  # (m, K)
-    A = np.eye(K) + HX.T @ _gamma_solve(Gamma, HX)
+    A = np.eye(K) + HX.T @ (HX / gamma_sq)
     A = 0.5 * (A + A.T)
     w, Q = np.linalg.eigh(A)
     if w.min() <= 0.0:
         raise NumericalError(f"transform system not positive definite (min eigenvalue {w.min():.3e})")
-    T = (Q / w) @ Q.T
     Tsqrt = (Q / np.sqrt(w)) @ Q.T
-    return 0.5 * (T + T.T), 0.5 * (Tsqrt + Tsqrt.T)
+    return 0.5 * (Tsqrt + Tsqrt.T)
 
 
 def _symmetric_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -127,23 +101,24 @@ def _has_offdiagonal(S: sp.spmatrix) -> bool:
     return bool(np.any(coo.data[coo.row != coo.col]))
 
 
-def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, Gamma, W) -> np.ndarray:
-    """Posterior mean m_hat + W H^T (H W H^T + Gamma)^{-1} (y - H m_hat).
+def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, gamma_sq: float, W) -> np.ndarray:
+    """Posterior mean m_hat + W H^T (H W H^T + gamma^2 I)^{-1} (y - H m_hat).
 
     ``W`` may be a WeightMatrix or a raw (sparse or dense) matrix.  The
     solve path follows its storage:
 
     - a ``"lowrank"`` WeightMatrix, W = X X^T with X n x K, is solved in
-      ensemble space as m_hat + X (I + Y^T Gamma^{-1} Y)^{-1} Y^T Gamma^{-1} d,
+      ensemble space as m_hat + X (I + Y^T Y / gamma^2)^{-1} Y^T d / gamma^2,
       Y = H X, the same mean by the push-through identity;
-    - a sparse W whose observed block H W H^T has no off-diagonal entries,
-      with scalar or per-entry Gamma, is solved by elementwise division;
+    - a sparse W whose observed block H W H^T has no off-diagonal entries
+      is solved by elementwise division;
     - every other W goes through the dense m x m innovation matrix, by
       Cholesky with a symmetric LDL' fallback for indefinite systems.
 
     Raises NumericalError with a condition estimate if the system is
     singular.
     """
+    gamma_sq = _checked_gamma_sq(gamma_sq)
     m_hat = np.asarray(m_hat, dtype=float)
     idx = H.indices
     innovation = np.asarray(y, dtype=float) - m_hat[idx]
@@ -151,7 +126,7 @@ def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, Gamm
         X = W.matrix
         Y = X[idx]
         K = X.shape[1]
-        G = _gamma_solve(Gamma, np.column_stack([Y, innovation]))  # Gamma^{-1} [Y d]
+        G = np.column_stack([Y, innovation]) / gamma_sq  # [Y d] / gamma^2
         A = np.eye(K) + Y.T @ G[:, :K]
         return m_hat + X @ _symmetric_solve(A, Y.T @ G[:, K])
 
@@ -159,14 +134,13 @@ def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, Gamm
     if sp.issparse(Wm):
         WHt = Wm.tocsc()[:, idx]
         S_obs = WHt.tocsr()[idx]
-        if np.ndim(Gamma) < 2 and not _has_offdiagonal(S_obs):
-            S = S_obs.diagonal() + np.asarray(Gamma, dtype=float)
-        else:
-            S = _gamma_add(Gamma, S_obs.toarray())
+        if not _has_offdiagonal(S_obs):
+            return m_hat + WHt @ _symmetric_solve(S_obs.diagonal() + gamma_sq, innovation)
+        S = S_obs.toarray()
     else:
-        Wm = np.asarray(Wm, dtype=float)
-        WHt = Wm[:, idx]
-        S = _gamma_add(Gamma, WHt[idx, :])
+        WHt = np.asarray(Wm, dtype=float)[:, idx]
+        S = WHt[idx]
+    S[np.diag_indices_from(S)] += gamma_sq
     return m_hat + WHt @ _symmetric_solve(S, innovation)
 
 
@@ -175,7 +149,6 @@ class AnalysisRecord:
     """Diagnostics captured at one assimilation time."""
 
     t: float
-    step: int
     prior_mean: np.ndarray
     posterior_mean: np.ndarray
     prior_variance: np.ndarray
@@ -189,11 +162,6 @@ class FilterRun:
 
     records: list[AnalysisRecord]
     ensemble: Ensemble
-    config: FilterConfig
-
-    def __iter__(self):
-        for r in self.records:
-            yield r.t, r.prior_mean, r.posterior_mean, r.diagnostics
 
     @property
     def times(self) -> np.ndarray:
@@ -220,7 +188,7 @@ def _assimilate(initial_members, dynamics, observations: ObservationStream, conf
 
         ens = ensemble_moments(members)
         Xw = config.alpha * ens.centered if baseline else ens.centered
-        T, Tsqrt = etkf_transform(Xw, H, gamma_sq)
+        Tsqrt = etkf_transform(Xw, H, gamma_sq)
         if baseline:
             W = covariance_weight(Xw, config.localization_bandwidth)
         else:
@@ -234,7 +202,6 @@ def _assimilate(initial_members, dynamics, observations: ObservationStream, conf
         records.append(
             AnalysisRecord(
                 t=float(t_obs),
-                step=step,
                 prior_mean=ens.mean,
                 posterior_mean=m,
                 prior_variance=sample_variance_diag(ens),
@@ -243,7 +210,7 @@ def _assimilate(initial_members, dynamics, observations: ObservationStream, conf
             )
         )
 
-    return FilterRun(records, ensemble_moments(members), config)
+    return FilterRun(records, ensemble_moments(members))
 
 
 def run_baseline_filter(initial_members, dynamics, observations: ObservationStream,

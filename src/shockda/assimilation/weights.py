@@ -33,7 +33,9 @@ class FilterConfig:
     ``beta_max_target`` scale only acts in the gsm variants, where the
     weight is rescaled each step so its maximum entry hits the target.
     ``localization_bandwidth`` b masks entries with |i-j| > b (b=0 keeps
-    the diagonal only); None disables masking.
+    the diagonal only); None disables masking.  The observation noise
+    Gamma = gamma^2 I is not a filter setting: the filter takes gamma^2
+    from the observation stream.
     """
 
     variant: str = "gsm"
@@ -41,8 +43,6 @@ class FilterConfig:
     beta_max_target: float = 0.003
     localization_bandwidth: int | None = 0
     dist: int = 1
-    gamma: float = 0.01
-    epsilon_var: float = 1e-12
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -55,8 +55,6 @@ class FilterConfig:
             raise ConfigError("localization bandwidth must be >= 0 (or None for no masking)")
         if self.dist < 0:
             raise ConfigError("dist must be >= 0")
-        if self.gamma <= 0.0:
-            raise ConfigError("gamma must be positive")
 
 
 @dataclass(frozen=True)
@@ -80,6 +78,11 @@ class ClusterPartition:
         ids[self.r_d] = 1
         ids[self.r_s2] = 2
         return ids
+
+    @staticmethod
+    def coupled(ids_i: np.ndarray, ids_j: np.ndarray) -> np.ndarray:
+        """True where a coupling survives clustering: both ends in one smooth region."""
+        return (ids_i == ids_j) & (ids_i != 1)
 
 
 @dataclass
@@ -162,8 +165,7 @@ def mask_correlations(R: np.ndarray, partition: ClusterPartition) -> np.ndarray:
     ids = partition.region_ids
     if R.shape != (ids.size, ids.size):
         raise ConfigError("correlation matrix does not match the partition")
-    same_smooth = (ids[:, None] == ids[None, :]) & (ids[:, None] != 1)
-    keep = same_smooth | np.eye(ids.size, dtype=bool)
+    keep = ClusterPartition.coupled(ids[:, None], ids[None, :]) | np.eye(ids.size, dtype=bool)
     return np.where(keep, R, 0.0)
 
 
@@ -215,19 +217,16 @@ def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> Weig
         form = "full"
 
     if form == "diagonal":
-        unscaled = S
-        beta = config.beta_max_target / unscaled.max()
-        diag = beta * unscaled
-        diag[diag == 0.0] += _FLOOR_REL * diag.max()
-        return WeightMatrix(form, sp.diags([diag], [0], format="csr"), float(beta))
+        beta, diag = _rescale_diagonal(S, config.beta_max_target)
+        return WeightMatrix(form, sp.diags([diag], [0], format="csr"), beta)
 
-    F = np.sqrt(S)[:, None] * correlation_matrix_factor(ensemble, config.epsilon_var)
+    F = np.sqrt(S)[:, None] * correlation_matrix_factor(ensemble)
 
     if partition is not None:
         ids = partition.region_ids
         # entries survive only inside one smooth region (diagonal always kept)
         def band_mask(d, ids=ids):
-            return ((ids[: n - d] == ids[d:]) & (ids[: n - d] != 1)).astype(float)
+            return ClusterPartition.coupled(ids[: n - d], ids[d:]).astype(float)
     else:
         band_mask = None
 
@@ -236,24 +235,29 @@ def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> Weig
         if partition is not None:
             W = mask_correlations(W, partition)
         # By Cauchy-Schwarz the maximum sits on the diagonal, which masking keeps.
-        peak = W.diagonal().max()
-        if peak <= 0.0:
-            raise DegenerateWeightError("degenerate prior weight: no anomaly spread anywhere")
-        beta = config.beta_max_target / peak
+        beta, diag = _rescale_diagonal(W.diagonal(), config.beta_max_target)
         W = beta * W
-        d = np.diagonal(W).copy()
-        floor = _FLOOR_REL * d.max()
-        np.fill_diagonal(W, np.where(d == 0.0, floor, d))
-        return WeightMatrix(form, W, float(beta), partition)
+        np.fill_diagonal(W, diag)
+        return WeightMatrix(form, W, beta, partition)
 
     bands = _banded_gram(F, bandwidth, band_mask)
-    if bands[0].max() <= 0.0:
+    beta, diag = _rescale_diagonal(bands[0], config.beta_max_target)
+    bands = [diag] + [beta * b for b in bands[1:]]
+    return WeightMatrix(form, _assemble_banded(bands, n), beta, partition)
+
+
+def _rescale_diagonal(diag: np.ndarray, target: float) -> tuple[float, np.ndarray]:
+    """beta = target / max(diag) and beta * diag, zero entries floored at _FLOOR_REL * its max.
+
+    The weight's maximum entry sits on its diagonal, so beta * W peaks at
+    the target; the floor keeps W invertible in flat regions.
+    """
+    peak = diag.max()
+    if peak <= 0.0:
         raise DegenerateWeightError("degenerate prior weight: no anomaly spread anywhere")
-    beta = config.beta_max_target / bands[0].max()
-    bands = [beta * b for b in bands]
-    floor = _FLOOR_REL * bands[0].max()
-    bands[0] = np.where(bands[0] == 0.0, floor, bands[0])
-    return WeightMatrix(form, _assemble_banded(bands, n), float(beta), partition)
+    beta = target / peak
+    scaled = beta * diag
+    return float(beta), np.where(scaled == 0.0, _FLOOR_REL * scaled.max(), scaled)
 
 
 def covariance_weight(X: np.ndarray, bandwidth: int | None) -> WeightMatrix:

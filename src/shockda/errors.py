@@ -32,6 +32,6 @@ class DegenerateWeightError(NumericalError):
     """The ensemble carries no structural information (flat in space).
 
     Raised when the gradient second moment is identically zero, in which
-    case no meaningful weight matrix can be scaled.  Callers may fall back
-    to a covariance-based weight.
+    case no meaningful weight matrix can be scaled.  The run then fails
+    like any NumericalError: exit code 3 and a failed manifest.
     """

@@ -18,30 +18,13 @@ from ..assimilation.weights import VARIANTS
 from .config import CASES, ExperimentConfig, _str_to_value, parse_config_file
 from .experiments import compare_runs, run_experiment, run_free_moments, run_truth_only
 
-# flag -> config field, shared by the run-producing subcommands
-# (--case is consumed separately to pick the preset)
-_FLAG_FIELDS = {
-    "variant": "variant",
-    "n": "n",
-    "cfl": "cfl",
-    "ensemble_size": "ensemble_size",
-    "alpha": "alpha",
-    "beta_max": "beta_max_target",
-    "dist": "dist",
-    "bandwidth": "localization_bandwidth",
-    "gamma": "gamma",
-    "seed": "seed",
-    "t_end": "t_end",
-    "out": "output_dir",
-    "ic_std": "ic_perturb_std",
-}
-
 # the free moment diagnostic defaults to its reference setup: a coarser
 # grid, a much smaller time step, and gentler initial perturbations
 _MOMENTS_DEFAULTS = {"n": 201, "cfl": 0.001, "ic_perturb_std": 0.05, "t_end": 0.15}
 
 
 def _add_run_flags(p: argparse.ArgumentParser, variant: bool) -> None:
+    """Flags of the run-producing subcommands; each ``dest`` is its ExperimentConfig field."""
     p.add_argument("--config", type=Path, help="flat key = value config file")
     p.add_argument("--case", choices=CASES)
     if variant:
@@ -50,13 +33,13 @@ def _add_run_flags(p: argparse.ArgumentParser, variant: bool) -> None:
     p.add_argument("--cfl", type=float)
     p.add_argument("--ensemble-size", type=int, dest="ensemble_size")
     p.add_argument("--alpha", type=float, help="baseline inflation factor")
-    p.add_argument("--beta-max", type=float, dest="beta_max", help="target max weight entry")
+    p.add_argument("--beta-max", type=float, dest="beta_max_target", help="target max weight entry")
     p.add_argument("--dist", type=int, help="clustering radius in grid points")
-    p.add_argument("--bandwidth", help="localization bandwidth (integer, or 'none' to disable masking)")
+    p.add_argument("--bandwidth", dest="localization_bandwidth", help="localization bandwidth (integer, or 'none' to disable masking)")
     p.add_argument("--gamma", type=float, help="observation noise std")
     p.add_argument("--seed", type=int)
     p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--out", type=Path, help="output directory")
+    p.add_argument("--out", type=Path, dest="output_dir", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mom = sub.add_parser("moments", help="free-ensemble mean/variance/gradient-second-moment diagnostic")
     _add_run_flags(p_mom, variant=False)
-    p_mom.add_argument("--ic-std", type=float, dest="ic_std", help="initial perturbation std (default 0.05 here)")
+    p_mom.add_argument("--ic-std", type=float, dest="ic_perturb_std", help="initial perturbation std (default 0.05 here)")
 
     p_assim = sub.add_parser("assimilate", help="run one filter variant end to end")
     _add_run_flags(p_assim, variant=True)
@@ -91,10 +74,11 @@ def _assemble_config(args, extra_defaults: dict | None = None) -> ExperimentConf
     case = args.case or file_values.get("case") or "dense"
     overrides: dict = dict(extra_defaults or {})
     overrides.update((k, v) for k, v in file_values.items() if k != "case")
-    for flag, field in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
+    # --case is consumed above to pick the preset
+    for f in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
+        if f.name != "case" and value is not None:
+            overrides[f.name] = value
     # file values arrive as strings; reuse the manifest coercion rules
     overrides = {k: (_str_to_value(k, v) if isinstance(v, str) else v) for k, v in overrides.items()}
     unknown = set(overrides) - {f.name for f in dataclasses.fields(ExperimentConfig)}

@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ConfigError("ensemble size must be at least 2")
         if self.ic_perturb_std < 0.0:
             raise ConfigError("ic_perturb_std must be nonnegative")
+        if self.gamma <= 0.0:
+            raise ConfigError("gamma must be positive")
         if self.obs_stride_steps < 1:
             raise ConfigError("obs_stride_steps must be at least 1")
         if self.fine_refine < 1:
@@ -138,7 +140,6 @@ class ExperimentConfig:
             beta_max_target=self.beta_max_target,
             localization_bandwidth=self.localization_bandwidth,
             dist=self.dist,
-            gamma=self.gamma,
         )
 
     def solver_config(self) -> SolverConfig:

@@ -101,7 +101,7 @@ def test_transform_reproduces_kalman_posterior_covariance():
         H = ObservationOperator(np.sort(rng.choice(n, size=m, replace=False)), n)
         gamma_sq = float(rng.uniform(0.05, 2.0))
 
-        _, Tsqrt = etkf_transform(X, H, gamma_sq)
+        Tsqrt = etkf_transform(X, H, gamma_sq)
         Xp = X @ Tsqrt
 
         C = X @ X.T

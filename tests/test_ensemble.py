@@ -17,7 +17,7 @@ def test_moments_mean_and_centered_shapes():
     ens = ensemble_moments(members)
     np.testing.assert_array_equal(ens.mean, [1.0, 1.0])
     assert ens.centered.shape == (2, 3)
-    assert ens.K == 3 and ens.n == 2
+    assert ens.members.shape == (3, 2)
 
 
 def test_moments_identical_members_center_to_zero():

@@ -34,19 +34,18 @@ def test_transform_no_observation_is_identity():
     rng = np.random.default_rng(0)
     X = _centered(rng, 6, 4)
     H = ObservationOperator(np.array([], dtype=int), 6)
-    T, Tsqrt = etkf_transform(X, H, 0.01**2)
-    np.testing.assert_array_equal(T, np.eye(4))
+    Tsqrt = etkf_transform(X, H, 0.01**2)
     np.testing.assert_array_equal(Tsqrt, np.eye(4))
 
 
 def test_transform_scalar_closed_form():
     # X = [a], H = 1, Gamma = gamma^2: T = 1/(1 + a^2/gamma^2)
-    T, Tsqrt = etkf_transform(np.array([[1.0]]), ObservationOperator.dense(1), np.array([1.0]))
-    assert T[0, 0] == pytest.approx(0.5, abs=1e-15)
+    Tsqrt = etkf_transform(np.array([[1.0]]), ObservationOperator.dense(1), 1.0)
+    assert (Tsqrt @ Tsqrt)[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert Tsqrt[0, 0] == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
-    T, _ = etkf_transform(np.array([[2.0]]), ObservationOperator.dense(1), np.array([0.5**2]))
-    assert T[0, 0] == pytest.approx(1.0 / 17.0, rel=1e-14)
+    Tsqrt = etkf_transform(np.array([[2.0]]), ObservationOperator.dense(1), 0.5**2)
+    assert (Tsqrt @ Tsqrt)[0, 0] == pytest.approx(1.0 / 17.0, rel=1e-14)
 
 
 def test_transform_solves_definition():
@@ -56,11 +55,10 @@ def test_transform_solves_definition():
         X = _centered(rng, n, K)
         H = ObservationOperator(np.sort(rng.choice(n, size=m, replace=False)), n)
         gamma_sq = float(rng.uniform(0.01, 2.0))
-        T, Tsqrt = etkf_transform(X, H, gamma_sq)
+        Tsqrt = etkf_transform(X, H, gamma_sq)
         HX = H.apply(X.T).T
         A = np.eye(K) + HX.T @ HX / gamma_sq
-        np.testing.assert_allclose(A @ T, np.eye(K), atol=1e-10)
-        np.testing.assert_allclose(Tsqrt @ Tsqrt, T, atol=1e-12)
+        np.testing.assert_allclose(A @ (Tsqrt @ Tsqrt), np.eye(K), atol=1e-10)
         np.testing.assert_allclose(Tsqrt, Tsqrt.T, atol=1e-14)
 
 
@@ -73,7 +71,7 @@ def test_transform_posterior_covariance_matches_kalman_identity():
         X = _centered(rng, n, K)
         H = ObservationOperator(np.sort(rng.choice(n, size=m, replace=False)), n)
         gamma_sq = float(rng.uniform(0.05, 1.0))
-        _, Tsqrt = etkf_transform(X, H, gamma_sq)
+        Tsqrt = etkf_transform(X, H, gamma_sq)
 
         Hm = H.matrix()
         C = X @ X.T
@@ -91,39 +89,24 @@ def test_transform_preserves_zero_column_sums():
         m = int(rng.integers(1, n + 1))
         X = _centered(rng, n, K)
         H = ObservationOperator(np.sort(rng.choice(n, size=m, replace=False)), n)
-        _, Tsqrt = etkf_transform(X, H, 0.01)
+        Tsqrt = etkf_transform(X, H, 0.01)
         posterior_anomalies = X @ Tsqrt
         assert np.max(np.abs(posterior_anomalies.sum(axis=1))) < 1e-12
 
 
 def test_transform_gamma_validation():
+    # Gamma = gamma^2 I: a non-positive or non-scalar gamma^2 is a config
+    # error in both the transform and the mean (a 1-D array with m == K
+    # would otherwise broadcast along the ensemble axis)
     rng = np.random.default_rng(4)
-    X = _centered(rng, 5, 3)
+    X = _centered(rng, 5, 5)
     H = ObservationOperator.dense(5)
-    with pytest.raises(ConfigError):
-        etkf_transform(X, H, 0.0)
-    with pytest.raises(ConfigError):
-        etkf_transform(X, H, np.array([1.0, -1.0, 1.0, 1.0, 1.0]))
-    bad = np.eye(5)
-    bad[0, 0] = -2.0
-    with pytest.raises(ConfigError):
-        etkf_transform(X, H, bad)
-    asym = np.eye(5)
-    asym[0, 1] = 0.5
-    with pytest.raises(ConfigError):
-        etkf_transform(X, H, asym)
-
-
-def test_transform_accepts_full_spd_gamma():
-    rng = np.random.default_rng(5)
-    X = _centered(rng, 5, 4)
-    H = ObservationOperator.dense(5)
-    A = rng.standard_normal((5, 5))
-    Gamma = A @ A.T + 5.0 * np.eye(5)
-    T, _ = etkf_transform(X, H, Gamma)
-    HX = H.apply(X.T).T
-    expected = np.linalg.inv(np.eye(4) + HX.T @ np.linalg.solve(Gamma, HX))
-    np.testing.assert_allclose(T, expected, atol=1e-12)
+    W = np.eye(5)
+    for gamma_sq in (0.0, -1.0, np.full(5, 0.01), 0.01 * np.eye(5)):
+        with pytest.raises(ConfigError):
+            etkf_transform(X, H, gamma_sq)
+        with pytest.raises(ConfigError):
+            analysis_mean(np.zeros(5), np.ones(5), H, gamma_sq, W)
 
 
 # -------------------------------------------------------------- analysis_mean
@@ -186,7 +169,7 @@ def test_analysis_accepts_weightmatrix_and_sparse():
     np.testing.assert_allclose(out_sparse, out_dense, atol=1e-14)
 
 
-@pytest.mark.parametrize("gamma_kind", ["scalar", "per-entry", "full"])
+@pytest.mark.parametrize("gamma_kind", ["scalar"])  # Gamma = gamma^2 I, the one form the filter takes
 @pytest.mark.parametrize("wide", [False, True], ids=["K<n", "K>n"])
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 25), extra=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
@@ -198,13 +181,7 @@ def test_lowrank_mean_matches_dense_weight(gamma_kind, wide, n, extra, seed):
     X = rng.standard_normal((n, K)) / np.sqrt(K)
     m = int(rng.integers(1, n + 1))
     H = ObservationOperator(np.sort(rng.choice(n, size=m, replace=False)), n)
-    if gamma_kind == "scalar":
-        Gamma = float(rng.uniform(0.05, 2.0))
-    elif gamma_kind == "per-entry":
-        Gamma = rng.uniform(0.05, 2.0, size=m)
-    else:
-        A = rng.standard_normal((m, m))
-        Gamma = A @ A.T / m + 0.1 * np.eye(m)
+    gamma_sq = float(rng.uniform(0.05, 2.0))
     m_hat = rng.standard_normal(n)
     y = rng.standard_normal(m)
 
@@ -215,8 +192,8 @@ def test_lowrank_mean_matches_dense_weight(gamma_kind, wide, n, extra, seed):
     np.testing.assert_allclose(W.diagonal(), np.diagonal(Wd), rtol=1e-12)
     assert W.max_entry() == pytest.approx(Wd.max(), rel=1e-12)
 
-    out = analysis_mean(m_hat, y, H, Gamma, W)
-    dense = analysis_mean(m_hat, y, H, Gamma, Wd)
+    out = analysis_mean(m_hat, y, H, gamma_sq, W)
+    dense = analysis_mean(m_hat, y, H, gamma_sq, Wd)
     assert np.linalg.norm(out - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
@@ -246,12 +223,11 @@ def test_diagonal_innovation_shortcut_matches_dense_path(monkeypatch):
         assert np.array_equal(block, np.diag(np.diag(block))) == diagonal_block
         m_hat = ens.mean + 0.01 * rng.standard_normal(n)
         y = H.apply(ens.mean) + 0.01 * rng.standard_normal(H.m)
-        for Gamma in (0.01**2, rng.uniform(0.5e-4, 2e-4, size=H.m)):
-            cholesky_calls.clear()
-            out = analysis_mean(m_hat, y, H, Gamma, W)
-            assert bool(cholesky_calls) != diagonal_block
-            expected = analysis_mean(m_hat, y, H, Gamma, W.toarray())
-            np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+        cholesky_calls.clear()
+        out = analysis_mean(m_hat, y, H, 0.01**2, W)
+        assert bool(cholesky_calls) != diagonal_block
+        expected = analysis_mean(m_hat, y, H, 0.01**2, W.toarray())
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_analysis_indefinite_but_nonsingular_weight_still_solves():
@@ -330,7 +306,7 @@ def test_static_estimation_converges_monotonically():
     cfg = FilterConfig(variant="etkf_baseline", alpha=1.5, localization_bandwidth=None)
     run = run_baseline_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=1)
 
-    errors = [np.linalg.norm(post - truth) / np.linalg.norm(truth) for _, _, post, _ in run]
+    errors = [np.linalg.norm(r.posterior_mean - truth) / np.linalg.norm(truth) for r in run.records]
     assert all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     assert errors[-1] < 1e-6
     assert errors[-1] < errors[0] / 100.0
@@ -414,14 +390,13 @@ def test_filter_iteration_interface_and_diagnostics():
     cfg = FilterConfig(variant="gsm_clustered", localization_bandwidth=1, dist=2, beta_max_target=0.0027)
     run = run_weighted_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=1)
 
-    seen = list(run)
-    assert [t for t, *_ in seen] == times
-    for _, prior, post, diag in seen:
-        assert prior.shape == (n,)
-        assert post.shape == (n,)
-        assert diag["form"] == "clustered"
-        assert diag["w_max"] == pytest.approx(0.0027, rel=1e-12)
-        assert 0 <= diag["xi"] < n
+    assert [r.t for r in run.records] == times
+    for r in run.records:
+        assert r.prior_mean.shape == (n,)
+        assert r.posterior_mean.shape == (n,)
+        assert r.diagnostics["form"] == "clustered"
+        assert r.diagnostics["w_max"] == pytest.approx(0.0027, rel=1e-12)
+        assert 0 <= r.diagnostics["xi"] < n
     np.testing.assert_array_equal(run.times, times)
 
 
@@ -445,5 +420,5 @@ def test_weighted_filter_reduces_error_against_baseline_static():
         members, _identity_dynamics, stream,
         FilterConfig(variant="gsm", beta_max_target=0.003, localization_bandwidth=0), grid, steps_per_obs=1,
     )
-    err = lambda run: np.mean([np.linalg.norm(post - truth) for _, _, post, _ in run])
+    err = lambda run: np.mean([np.linalg.norm(r.posterior_mean - truth) for r in run.records])
     assert err(weighted) < 2.0 * err(base)  # sanity bracket, not a benchmark

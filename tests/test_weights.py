@@ -30,7 +30,7 @@ def _random_ensemble(rng, K, n, scale=0.1):
 
 
 def _gsm_config(**kw):
-    defaults = dict(variant="gsm", alpha=1.5, beta_max_target=0.003, localization_bandwidth=0, dist=1, gamma=0.01)
+    defaults = dict(variant="gsm", alpha=1.5, beta_max_target=0.003, localization_bandwidth=0, dist=1)
     defaults.update(kw)
     return FilterConfig(**defaults)
 
@@ -49,8 +49,6 @@ def test_filter_config_validation():
         FilterConfig(variant="gsm", localization_bandwidth=-1)
     with pytest.raises(ConfigError):
         FilterConfig(variant="gsm", dist=-1)
-    with pytest.raises(ConfigError):
-        FilterConfig(variant="gsm", gamma=0.0)
     FilterConfig(variant="gsm", localization_bandwidth=None)  # no masking is valid
 
 
