@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from ..errors import ConfigError, NumericalError
 from ..solver import Grid1D
@@ -74,14 +72,15 @@ def _symmetric_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         if S.ndim == 1:
             if np.any(S == 0.0):
-                raise scipy.linalg.LinAlgError("zero diagonal entry")
+                raise np.linalg.LinAlgError("zero diagonal entry")
             t = rhs / S
         else:
+            import scipy.linalg  # only full-matrix solves need scipy, so band-weight runs never load it
             try:
                 t = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S, lower=True), rhs)
-            except scipy.linalg.LinAlgError:
+            except np.linalg.LinAlgError:
                 t = scipy.linalg.solve(S, rhs, assume_a="sym")
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"innovation system singular (condition estimate {_condition(S):.3e})"
         ) from exc
@@ -96,21 +95,16 @@ def _condition(S: np.ndarray) -> float:
     return float(np.linalg.cond(np.diag(S) if S.ndim == 1 else S))
 
 
-def _has_offdiagonal(S: sp.spmatrix) -> bool:
-    coo = S.tocoo()
-    return bool(np.any(coo.data[coo.row != coo.col]))
-
-
 def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, gamma_sq: float, W) -> np.ndarray:
     """Posterior mean m_hat + W H^T (H W H^T + gamma^2 I)^{-1} (y - H m_hat).
 
-    ``W`` may be a WeightMatrix or a raw (sparse or dense) matrix.  The
-    solve path follows its storage:
+    ``W`` may be a WeightMatrix or a raw dense matrix.  The solve path
+    follows its storage:
 
     - a ``"lowrank"`` WeightMatrix, W = X X^T with X n x K, is solved in
       ensemble space as m_hat + X (I + Y^T Y / gamma^2)^{-1} Y^T d / gamma^2,
       Y = H X, the same mean by the push-through identity;
-    - a sparse W whose observed block H W H^T has no off-diagonal entries
+    - a banded W whose observed block H W H^T has no off-diagonal entries
       is solved by elementwise division;
     - every other W goes through the dense m x m innovation matrix, by
       Cholesky with a symmetric LDL' fallback for indefinite systems.
@@ -130,18 +124,19 @@ def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, gamm
         A = np.eye(K) + Y.T @ G[:, :K]
         return m_hat + X @ _symmetric_solve(A, Y.T @ G[:, K])
 
-    Wm = W.matrix if isinstance(W, WeightMatrix) else W
-    if sp.issparse(Wm):
-        WHt = Wm.tocsc()[:, idx]
-        S_obs = WHt.tocsr()[idx]
-        if not _has_offdiagonal(S_obs):
-            return m_hat + WHt @ _symmetric_solve(S_obs.diagonal() + gamma_sq, innovation)
-        S = S_obs.toarray()
+    banded = isinstance(W, WeightMatrix) and W.banded
+    if banded and not W.couples_observations(idx):
+        t = _symmetric_solve(W.diagonal()[idx] + gamma_sq, innovation)
     else:
-        WHt = np.asarray(Wm, dtype=float)[:, idx]
+        WHt = (W.toarray() if isinstance(W, WeightMatrix) else np.asarray(W, dtype=float))[:, idx]
         S = WHt[idx]
-    S[np.diag_indices_from(S)] += gamma_sq
-    return m_hat + WHt @ _symmetric_solve(S, innovation)
+        S[np.diag_indices_from(S)] += gamma_sq
+        t = _symmetric_solve(S, innovation)
+        if not banded:
+            return m_hat + WHt @ t
+    z = np.zeros(m_hat.size)
+    z[idx] = t
+    return m_hat + W.band_product(z)
 
 
 @dataclass

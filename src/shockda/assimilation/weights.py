@@ -1,11 +1,10 @@
 """Prior weight matrices for the analysis step.
 
 Three gradient-second-moment forms (diagonal, full, clustered) plus the
-localized sample covariance used by the baseline filter.  Banded
-localization masks are never materialized as dense n x n matrices: the
-masked products are assembled diagonal band by diagonal band from the
-low-rank factors.  The unlocalized sample covariance is not assembled at
-all: it is kept as its n x K factor (the "lowrank" form).
+localized sample covariance used by the baseline filter.  A banded weight
+is one (b+1) x n band array (Golub & Van Loan, Matrix Computations, 4th
+ed., sec. 4.3), computed diagonal by diagonal from the low-rank factors.
+The unlocalized sample covariance is kept as its n x K factor ("lowrank").
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import ConfigError, DegenerateWeightError
 from ..solver import Grid1D
@@ -89,14 +87,16 @@ class ClusterPartition:
 class WeightMatrix:
     """Symmetric prior weight with its structural form and realized scale.
 
-    ``matrix`` holds one of three storages, and the analysis solve picks
-    its path from it:
+    ``matrix`` holds one of three storages, set by the constructor; the
+    analysis solve picks its path from it:
 
-    - scipy sparse for the banded and diagonal forms;
+    - ``banded``: a (b+1) x n band array, row d holding W[i, i+d] in
+      column i and zeros in its last d entries (the diagonal form, and the
+      band-masked full and clustered forms; b is at most n-1);
     - a dense n x n ndarray for the unmasked gsm forms;
     - the n x K factor X of W = X X^T for the ``"lowrank"`` form (the
-      unlocalized baseline covariance), which is never multiplied out
-      unless ``toarray`` asks for it.
+      unlocalized baseline covariance), never multiplied out unless
+      ``toarray`` asks for it.
 
     Unmasked and clustered constructions are positive semidefinite; a
     banded mask can introduce small negative eigenvalues (the analysis
@@ -104,14 +104,21 @@ class WeightMatrix:
     """
 
     form: str
-    matrix: object
+    matrix: np.ndarray
     beta: float
     partition: ClusterPartition | None = None
+    banded: bool = False
 
     def toarray(self) -> np.ndarray:
         if self.form == "lowrank":
             return self.matrix @ self.matrix.T
-        return self.matrix.toarray() if sp.issparse(self.matrix) else np.asarray(self.matrix)
+        if not self.banded:
+            return np.asarray(self.matrix)
+        W = np.zeros((self.matrix.shape[1],) * 2)
+        for d, band in enumerate(self.matrix):
+            np.fill_diagonal(W[:, d:], band[: band.size - d])
+            np.fill_diagonal(W[d:], band[: band.size - d])
+        return W
 
     def max_entry(self) -> float:
         if self.form == "lowrank":
@@ -122,7 +129,23 @@ class WeightMatrix:
     def diagonal(self) -> np.ndarray:
         if self.form == "lowrank":
             return np.einsum("ik,ik->i", self.matrix, self.matrix)
-        return self.matrix.diagonal() if sp.issparse(self.matrix) else np.diagonal(self.matrix)
+        return self.matrix[0] if self.banded else np.diagonal(self.matrix)
+
+    def couples_observations(self, idx: np.ndarray) -> bool:
+        """Whether the observed block H W H^T of a banded W has a nonzero off-diagonal entry."""
+        obs = np.zeros(self.matrix.shape[1], dtype=bool)
+        obs[idx] = True
+        return any(np.any(band[:-d][obs[:-d] & obs[d:]]) for d, band in enumerate(self.matrix[1:], 1))
+
+    def band_product(self, z: np.ndarray) -> np.ndarray:
+        """W z for a banded W; each row sums its columns in ascending order, which artifact bytes depend on."""
+        bands, out = self.matrix, np.zeros(z.size)
+        for d in range(len(bands) - 1, 0, -1):  # W[i, i-d] z[i-d]
+            out[d:] += bands[d, :-d] * z[:-d]
+        out += bands[0] * z
+        for d in range(1, len(bands)):  # W[i, i+d] z[i+d]
+            out[:-d] += bands[d, :-d] * z[d:]
+        return out
 
 
 def toeplitz_band_mask(n: int, bandwidth: int | None) -> np.ndarray:
@@ -169,25 +192,16 @@ def mask_correlations(R: np.ndarray, partition: ClusterPartition) -> np.ndarray:
     return np.where(keep, R, 0.0)
 
 
-def _banded_gram(F: np.ndarray, bandwidth: int, band_mask=None) -> list[np.ndarray]:
-    """Diagonals 0..bandwidth of F @ F.T, optionally masked per offset."""
+def _banded_gram(F: np.ndarray, bandwidth: int, ids: np.ndarray | None = None) -> np.ndarray:
+    """Band array of diagonals 0..min(bandwidth, n-1) of F @ F.T; given cluster
+    region ``ids``, off-diagonal entries survive only inside one smooth region."""
     n = F.shape[0]
-    bands = []
-    for d in range(bandwidth + 1):
-        band = np.einsum("ik,ik->i", F[: n - d], F[d:])
-        if band_mask is not None and d > 0:
-            band = band * band_mask(d)
-        bands.append(band)
+    bands = np.zeros((min(bandwidth, n - 1) + 1, n))
+    for d in range(bands.shape[0]):
+        bands[d, : n - d] = np.einsum("ik,ik->i", F[: n - d], F[d:])
+        if ids is not None and d > 0:
+            bands[d, : n - d] *= ClusterPartition.coupled(ids[: n - d], ids[d:])
     return bands
-
-
-def _assemble_banded(bands: list[np.ndarray], n: int) -> sp.csr_matrix:
-    diagonals = [bands[0]]
-    offsets = [0]
-    for d in range(1, len(bands)):
-        diagonals.extend([bands[d], bands[d]])
-        offsets.extend([d, -d])
-    return sp.diags(diagonals, offsets, shape=(n, n), format="csr")
 
 
 def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> WeightMatrix:
@@ -218,18 +232,9 @@ def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> Weig
 
     if form == "diagonal":
         beta, diag = _rescale_diagonal(S, config.beta_max_target)
-        return WeightMatrix(form, sp.diags([diag], [0], format="csr"), beta)
+        return WeightMatrix(form, diag[None, :], beta, banded=True)
 
     F = np.sqrt(S)[:, None] * correlation_matrix_factor(ensemble)
-
-    if partition is not None:
-        ids = partition.region_ids
-        # entries survive only inside one smooth region (diagonal always kept)
-        def band_mask(d, ids=ids):
-            return ClusterPartition.coupled(ids[: n - d], ids[d:]).astype(float)
-    else:
-        band_mask = None
-
     if bandwidth is None:
         W = F @ F.T
         if partition is not None:
@@ -240,10 +245,10 @@ def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> Weig
         np.fill_diagonal(W, diag)
         return WeightMatrix(form, W, beta, partition)
 
-    bands = _banded_gram(F, bandwidth, band_mask)
-    beta, diag = _rescale_diagonal(bands[0], config.beta_max_target)
-    bands = [diag] + [beta * b for b in bands[1:]]
-    return WeightMatrix(form, _assemble_banded(bands, n), beta, partition)
+    bands = _banded_gram(F, bandwidth, None if partition is None else partition.region_ids)
+    beta, bands[0] = _rescale_diagonal(bands[0], config.beta_max_target)
+    bands[1:] *= beta
+    return WeightMatrix(form, bands, beta, partition, banded=True)
 
 
 def _rescale_diagonal(diag: np.ndarray, target: float) -> tuple[float, np.ndarray]:
@@ -266,15 +271,10 @@ def covariance_weight(X: np.ndarray, bandwidth: int | None) -> WeightMatrix:
     ``X`` is the (already inflated) n x K anomaly matrix.  Without a mask
     (bandwidth None) the weight is the ``"lowrank"`` form that stores X
     itself, and the analysis mean is solved in the K-dimensional ensemble
-    space; bandwidth 0 gives a sparse ``"diagonal"`` weight and a finite
-    bandwidth a sparse banded ``"full"`` one.  No rescaling and no floor
-    (the analysis solve tolerates a singular W).
+    space; bandwidth 0 gives a ``"diagonal"`` weight and a finite
+    bandwidth a ``"full"`` one, both as band arrays.  No rescaling and no
+    floor (the analysis solve tolerates a singular W).
     """
-    n = X.shape[0]
     if bandwidth is None:
         return WeightMatrix("lowrank", X, 1.0)
-    if bandwidth == 0:
-        diag = np.einsum("ik,ik->i", X, X)
-        return WeightMatrix("diagonal", sp.diags([diag], [0], format="csr"), 1.0)
-    bands = _banded_gram(X, bandwidth)
-    return WeightMatrix("full", _assemble_banded(bands, n), 1.0)
+    return WeightMatrix("diagonal" if bandwidth == 0 else "full", _banded_gram(X, bandwidth), 1.0, banded=True)

@@ -84,7 +84,9 @@ class ExperimentConfig:
         self.filter_config()
         self.dam_params()
         self.solver_config()
-        self.n_steps  # validates t_end divisibility
+        if self.n_steps < self.obs_stride_steps:  # n_steps also validates t_end divisibility
+            raise ConfigError(f"t_end={self.t_end} is {self.n_steps} steps, "
+                              f"under one observation stride of {self.obs_stride_steps}")
 
     @classmethod
     def for_case(cls, case: str, **overrides) -> "ExperimentConfig":

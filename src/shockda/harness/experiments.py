@@ -161,20 +161,21 @@ def _save_truth_cache(cache_dir: Path, fingerprint: str, bundle: TruthBundle) ->
 
 
 def _load_truth_cache(cache_dir: Path, fingerprint: str, grid, dt, n_steps, obs_steps, obs_times):
+    """The cached bundle, or None on a miss: a missing, unreadable or misshapen entry is one."""
     paths = _cache_paths(cache_dir)
     if not all(p.exists() for p in paths.values()):
         return None
-    meta = {}
-    for line in paths["meta"].read_text().splitlines():
-        key, _, value = line.partition("=")
-        meta[key.strip()] = value.strip()
-    if meta.get("fingerprint") != fingerprint:
+    try:
+        meta = read_manifest(paths["meta"])
+        if meta.get("fingerprint") != fingerprint:
+            return None
+        u, h, tu = (np.load(paths[k]) for k in ("u", "h", "tu"))
+    except (OSError, ValueError, EOFError):
         return None
-    velocity = VelocityField(np.load(paths["u"]), dt)
-    return TruthBundle(
-        grid, dt, n_steps, obs_steps, obs_times, velocity,
-        np.load(paths["h"]), np.load(paths["tu"]), meta.get("kind", "analytic"),
-    )
+    rows = (obs_times.size + 1, grid.n)
+    if u.shape != (n_steps + 1, grid.n) or h.shape != rows or tu.shape != rows:
+        return None
+    return TruthBundle(grid, dt, n_steps, obs_steps, obs_times, VelocityField(u, dt), h, tu, meta.get("kind", "analytic"))
 
 
 @dataclass

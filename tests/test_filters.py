@@ -10,12 +10,17 @@ from shockda.errors import ConfigError, NumericalError
 from shockda.solver import Grid1D
 from shockda.stoker import ObservationOperator, ObservationStream
 from shockda.assimilation import (
+    ClusterPartition,
     FilterConfig,
     analysis_mean,
     build_weight,
+    cluster_partition,
+    correlation_matrix_factor,
     covariance_weight,
+    detect_discontinuity,
     ensemble_moments,
     etkf_transform,
+    gradient_second_moment,
     run_baseline_filter,
     run_weighted_filter,
 )
@@ -155,7 +160,7 @@ def test_analysis_matches_normal_equations_oracle():
         np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
 
 
-def test_analysis_accepts_weightmatrix_and_sparse():
+def test_analysis_banded_weightmatrix_matches_dense_array():
     rng = np.random.default_rng(8)
     grid = Grid1D(n=21, x_min=-1.0, x_max=1.0)
     ens = ensemble_moments(1.0 + 0.1 * rng.standard_normal((30, 21)))
@@ -164,9 +169,9 @@ def test_analysis_accepts_weightmatrix_and_sparse():
     H = ObservationOperator.every_other(21)
     y = rng.standard_normal(H.m)
     m_hat = rng.standard_normal(21)
-    out_sparse = analysis_mean(m_hat, y, H, 0.01, W)
+    out_banded = analysis_mean(m_hat, y, H, 0.01, W)
     out_dense = analysis_mean(m_hat, y, H, 0.01, W.toarray())
-    np.testing.assert_allclose(out_sparse, out_dense, atol=1e-14)
+    np.testing.assert_allclose(out_banded, out_dense, atol=1e-14)
 
 
 @pytest.mark.parametrize("gamma_kind", ["scalar"])  # Gamma = gamma^2 I, the one form the filter takes
@@ -198,7 +203,7 @@ def test_lowrank_mean_matches_dense_weight(gamma_kind, wide, n, extra, seed):
 
 
 def test_diagonal_innovation_shortcut_matches_dense_path(monkeypatch):
-    # a sparse W whose observed block H W H^T is diagonal is solved without
+    # a banded W whose observed block H W H^T is diagonal is solved without
     # Cholesky; a block with off-diagonal entries still takes the m x m path
     cholesky_calls = []
     cho_factor = scipy.linalg.cho_factor
@@ -230,6 +235,120 @@ def test_diagonal_innovation_shortcut_matches_dense_path(monkeypatch):
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
+# The reference below is the former scipy.sparse storage of banded weights:
+# diagonals assembled by sp.diags into CSR, and the mean solved through the
+# CSC columns of W H^T.  Band arrays must reproduce it bit for bit.
+
+
+def _reference_bands(F, bandwidth, band_mask=None):
+    n = F.shape[0]
+    bands = []
+    for d in range(bandwidth + 1):
+        band = np.einsum("ik,ik->i", F[: n - d], F[d:])
+        if band_mask is not None and d > 0:
+            band = band * band_mask(d)
+        bands.append(band)
+    return bands
+
+
+def _reference_csr(bands, n):
+    diagonals, offsets = [bands[0]], [0]
+    for d in range(1, len(bands)):
+        diagonals.extend([bands[d], bands[d]])
+        offsets.extend([d, -d])
+    return sp.diags(diagonals, offsets, shape=(n, n), format="csr")
+
+
+def _reference_weight(kind, ens, bandwidth, grid, target=0.003):
+    if kind == "covariance":
+        return _reference_csr(_reference_bands(1.3 * ens.centered, bandwidth), grid.n)
+    S = gradient_second_moment(ens, grid.dx)
+    n = S.size
+    if kind == "gsm" and bandwidth == 0:
+        bands = [S]
+    else:
+        F = np.sqrt(S)[:, None] * correlation_matrix_factor(ens)
+        band_mask = None
+        if kind == "gsm_clustered":
+            ids = cluster_partition(detect_discontinuity(ens.mean, grid.dx), 1, n).region_ids
+
+            def band_mask(d):
+                return ClusterPartition.coupled(ids[: n - d], ids[d:]).astype(float)
+
+        bands = _reference_bands(F, bandwidth, band_mask)
+    beta = target / bands[0].max()
+    diag = beta * bands[0]
+    diag = np.where(diag == 0.0, 1e-12 * diag.max(), diag)
+    return _reference_csr([diag] + [beta * b for b in bands[1:]], n)
+
+
+def _reference_mean(m_hat, y, H, gamma_sq, W):
+    idx = H.indices
+    innovation = y - m_hat[idx]
+    WHt = W.tocsc()[:, idx]
+    S_obs = WHt.tocsr()[idx]
+    coo = S_obs.tocoo()
+    if not np.any(coo.data[coo.row != coo.col]):
+        return m_hat + WHt @ (innovation / (S_obs.diagonal() + gamma_sq))
+    S = S_obs.toarray()
+    S[np.diag_indices_from(S)] += gamma_sq
+    try:
+        t = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S, lower=True), innovation)
+    except scipy.linalg.LinAlgError:
+        t = scipy.linalg.solve(S, innovation, assume_a="sym")
+    return m_hat + WHt @ t
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["gsm", "gsm_clustered", "covariance"]),
+    bandwidth=st.integers(0, 3),
+    obs=st.sampled_from(["dense", "every_other", "random"]),
+    n=st.integers(11, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_weight_matches_former_sparse_storage(kind, bandwidth, obs, n, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(n=n, x_min=-1.0, x_max=1.0)
+    ens = ensemble_moments(np.where(grid.points < 0.0, 1.0, 0.6) + 0.05 * rng.standard_normal((8, n)))
+    if kind == "covariance":
+        W = covariance_weight(1.3 * ens.centered, bandwidth)
+    else:
+        W = build_weight(ens, FilterConfig(variant=kind, localization_bandwidth=bandwidth, dist=1), grid)
+    ref = _reference_weight(kind, ens, bandwidth, grid)
+    assert W.banded and W.matrix.shape == (bandwidth + 1, n)
+    assert np.array_equal(W.toarray(), ref.toarray())
+    assert np.array_equal(W.diagonal(), ref.diagonal())
+    assert W.max_entry() == ref.max()
+
+    if obs == "dense":
+        H = ObservationOperator.dense(n)
+    elif obs == "every_other":
+        H = ObservationOperator.every_other(n)
+    else:
+        H = ObservationOperator(np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)), n)
+    m_hat = ens.mean + 0.01 * rng.standard_normal(n)
+    y = H.apply(ens.mean) + 0.01 * rng.standard_normal(H.m)
+    assert np.array_equal(analysis_mean(m_hat, y, H, 0.01**2, W), _reference_mean(m_hat, y, H, 0.01**2, ref))
+
+
+def test_band_width_at_least_n_minus_one_keeps_band_storage():
+    # a band array with n rows is square but still band storage
+    rng = np.random.default_rng(17)
+    n = 11
+    grid = Grid1D(n=n, x_min=-1.0, x_max=1.0)
+    ens = ensemble_moments(1.0 + 0.1 * rng.standard_normal((12, n)))
+    X = ens.centered
+    for bandwidth in (n - 1, n, 3 * n):
+        W = covariance_weight(X, bandwidth)
+        assert W.banded and W.matrix.shape == (n, n)
+        np.testing.assert_allclose(W.toarray(), X @ X.T, atol=1e-15)
+        Wg = build_weight(ens, FilterConfig(variant="gsm", localization_bandwidth=bandwidth), grid)
+        unmasked = build_weight(ens, FilterConfig(variant="gsm", localization_bandwidth=None), grid)
+        assert Wg.banded and not unmasked.banded
+        np.testing.assert_allclose(Wg.toarray(), unmasked.toarray(), rtol=1e-12, atol=1e-18)
+
+
 def test_analysis_indefinite_but_nonsingular_weight_still_solves():
     # band-masked covariances can be indefinite; the SMW identity only
     # needs the innovation system to be nonsingular
@@ -251,7 +370,7 @@ def test_analysis_singular_system_raises():
     with pytest.raises(NumericalError):
         analysis_mean(np.zeros(n), np.ones(n), H, 1.0, W)
     with pytest.raises(NumericalError):  # the same system on the diagonal path
-        analysis_mean(np.zeros(n), np.ones(n), H, 1.0, sp.csr_matrix(W))
+        analysis_mean(np.zeros(n), np.ones(n), H, 1.0, WeightMatrix("diagonal", -np.ones((1, n)), 1.0, banded=True))
 
 
 def test_clustered_analysis_leaves_unobserved_jump_cells_unchanged():

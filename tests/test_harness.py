@@ -107,6 +107,15 @@ def test_step_count_rule_is_the_solvers():
         assert str(from_config.value) == str(from_solver.value)
 
 
+def test_t_end_shorter_than_one_observation_stride_is_rejected(tmp_path):
+    # 3 solver steps against a stride of 5 would run no assimilation cycle
+    with pytest.raises(ConfigError, match="observation stride"):
+        ExperimentConfig.for_case("sparse", n=61, ensemble_size=10, t_end=0.01)
+    out = tmp_path / "run"
+    assert main(["assimilate", "--case", "sparse", "--n", "61", "--t-end", "0.01", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_observation_schedule():
     cfg = _small()
     # dt = 0.1 * 0.05, 30 steps to t_end=0.15, analysis every 5th step
@@ -206,6 +215,28 @@ def test_truth_cache_round_trip(tmp_path):
     assert not np.array_equal(other.truth_h, first.truth_h)
     meta = (cache / "truth_meta.txt").read_text()
     assert "h1=0.90000000000000002" in meta or "h1=0.9" in meta
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _wrong_shape(path):
+    np.save(path, np.load(path)[:3])
+
+
+@pytest.mark.parametrize("corrupt,name", [(_truncate, "velocity_u.npy"), (_wrong_shape, "truth_h.npy")])
+def test_corrupt_truth_cache_entry_is_recomputed(tmp_path, corrupt, name):
+    cache = tmp_path / "cache"
+    fresh = run_experiment(_small("sparse", output_dir=tmp_path / "fresh", cache_dir=cache))
+    corrupt(cache / name)
+    rerun = run_experiment(_small("sparse", output_dir=tmp_path / "rerun", cache_dir=cache))
+    for a, b in zip(fresh.written()[:-1], rerun.written()[:-1]):  # every CSV, not the manifest
+        assert a.read_bytes() == b.read_bytes(), a.name
+    assert read_manifest(rerun.manifest)["status"] == "completed"
+    # the rerun overwrote the entry with the recomputed array
+    stored = {"velocity_u.npy": fresh.truth.velocity.u_history, "truth_h.npy": fresh.truth.truth_h}[name]
+    np.testing.assert_array_equal(np.load(cache / name), stored)
 
 
 # ------------------------------------------------- manifests and config files
