@@ -20,11 +20,10 @@ import tempfile
 
 import numpy as np
 
+from shockda.assimilation.weights import VARIANTS
 from shockda.harness import ExperimentConfig, run_experiment
 from shockda.metrics import relative_error
 from shockda.stoker import stoker_solve
-
-VARIANTS = ("etkf_baseline", "gsm", "gsm_clustered")
 
 
 def shock_region_error(cfg, arts, t_lo=0.15, t_hi=0.3):

@@ -5,12 +5,12 @@ analysis mean is the Sherman-Morrison-Woodbury form
 
     m = m_hat + W H^T (H W H^T + gamma^2 I)^{-1} (y - H m_hat),
 
-which never inverts W.  ``analysis_mean`` picks one of three solve paths
-from how the weight is stored: a K x K ensemble-space solve for the
-low-rank W = X X^T of the unlocalized baseline (Bishop et al. 2001, MWR
-129:420; Hunt et al. 2007, Physica D 230:112), elementwise division when
-the observed block H W H^T is diagonal, and otherwise a Cholesky (LDL'
-fallback) solve of the dense m x m innovation matrix.
+which never inverts W.  ``analysis_mean`` picks its solve path from how
+the weight is stored: a K x K ensemble-space solve for the low-rank
+W = X X^T of the unlocalized baseline (Bishop et al. 2001, MWR 129:420;
+Hunt et al. 2007, Physica D 230:112), and for a band W the observed block
+H W H^T, solved by elementwise division when it is diagonal and
+otherwise by Cholesky (LDL' fallback) on the m x m innovation matrix.
 
 The posterior anomalies come from the symmetric square root of the
 K x K transform
@@ -95,6 +95,12 @@ def _condition(S: np.ndarray) -> float:
     return float(np.linalg.cond(np.diag(S) if S.ndim == 1 else S))
 
 
+def _plus_gamma(S: np.ndarray, gamma_sq: float) -> np.ndarray:
+    """S + gamma^2 I, in place, for a symmetric S given as a matrix or, when diagonal, as a vector."""
+    S[np.diag_indices_from(S) if S.ndim == 2 else ...] += gamma_sq
+    return S
+
+
 def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, gamma_sq: float, W) -> np.ndarray:
     """Posterior mean m_hat + W H^T (H W H^T + gamma^2 I)^{-1} (y - H m_hat).
 
@@ -104,10 +110,11 @@ def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, gamm
     - a ``"lowrank"`` WeightMatrix, W = X X^T with X n x K, is solved in
       ensemble space as m_hat + X (I + Y^T Y / gamma^2)^{-1} Y^T d / gamma^2,
       Y = H X, the same mean by the push-through identity;
-    - a banded W whose observed block H W H^T has no off-diagonal entries
-      is solved by elementwise division;
-    - every other W goes through the dense m x m innovation matrix, by
-      Cholesky with a symmetric LDL' fallback for indefinite systems.
+    - a band WeightMatrix reads its observed block H W H^T from the band
+      rows, solves it by elementwise division when it is diagonal and
+      otherwise by Cholesky with a symmetric LDL' fallback for indefinite
+      systems, and maps the result back with the band product W z;
+    - a raw dense matrix, the general reference, takes the m x m solve too.
 
     Raises NumericalError with a condition estimate if the system is
     singular.
@@ -116,7 +123,10 @@ def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, gamm
     m_hat = np.asarray(m_hat, dtype=float)
     idx = H.indices
     innovation = np.asarray(y, dtype=float) - m_hat[idx]
-    if isinstance(W, WeightMatrix) and W.form == "lowrank":
+    if not isinstance(W, WeightMatrix):
+        WHt = np.asarray(W, dtype=float)[:, idx]
+        return m_hat + WHt @ _symmetric_solve(_plus_gamma(WHt[idx], gamma_sq), innovation)
+    if W.form == "lowrank":
         X = W.matrix
         Y = X[idx]
         K = X.shape[1]
@@ -124,18 +134,8 @@ def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, gamm
         A = np.eye(K) + Y.T @ G[:, :K]
         return m_hat + X @ _symmetric_solve(A, Y.T @ G[:, K])
 
-    banded = isinstance(W, WeightMatrix) and W.banded
-    if banded and not W.couples_observations(idx):
-        t = _symmetric_solve(W.diagonal()[idx] + gamma_sq, innovation)
-    else:
-        WHt = (W.toarray() if isinstance(W, WeightMatrix) else np.asarray(W, dtype=float))[:, idx]
-        S = WHt[idx]
-        S[np.diag_indices_from(S)] += gamma_sq
-        t = _symmetric_solve(S, innovation)
-        if not banded:
-            return m_hat + WHt @ t
     z = np.zeros(m_hat.size)
-    z[idx] = t
+    z[idx] = _symmetric_solve(_plus_gamma(W.observed_block(idx), gamma_sq), innovation)
     return m_hat + W.band_product(z)
 
 

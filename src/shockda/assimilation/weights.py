@@ -1,10 +1,11 @@
 """Prior weight matrices for the analysis step.
 
 Three gradient-second-moment forms (diagonal, full, clustered) plus the
-localized sample covariance used by the baseline filter.  A banded weight
-is one (b+1) x n band array (Golub & Van Loan, Matrix Computations, 4th
-ed., sec. 4.3), computed diagonal by diagonal from the low-rank factors.
-The unlocalized sample covariance is kept as its n x K factor ("lowrank").
+localized sample covariance used by the baseline filter.  The unlocalized
+covariance is kept as its n x K factor ("lowrank"); every other weight is
+one (b+1) x n band array (Golub & Van Loan, Matrix Computations, 4th ed.,
+sec. 4.3; the full band b = n-1 when unmasked), computed diagonal by
+diagonal from the low-rank factors.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ class FilterConfig:
     ``beta_max_target`` scale only acts in the gsm variants, where the
     weight is rescaled each step so its maximum entry hits the target.
     ``localization_bandwidth`` b masks entries with |i-j| > b (b=0 keeps
-    the diagonal only); None disables masking.  The observation noise
-    Gamma = gamma^2 I is not a filter setting: the filter takes gamma^2
-    from the observation stream.
+    the diagonal only); None disables masking (full band b = n-1 for gsm,
+    low rank for the baseline).  The observation noise Gamma = gamma^2 I is
+    not a filter setting: the filter takes gamma^2 from the observations.
     """
 
     variant: str = "gsm"
@@ -87,19 +88,18 @@ class ClusterPartition:
 class WeightMatrix:
     """Symmetric prior weight with its structural form and realized scale.
 
-    ``matrix`` holds one of three storages, set by the constructor; the
-    analysis solve picks its path from it:
+    ``matrix`` holds one of two storages, set by the form; the analysis
+    solve picks its path from it:
 
-    - ``banded``: a (b+1) x n band array, row d holding W[i, i+d] in
-      column i and zeros in its last d entries (the diagonal form, and the
-      band-masked full and clustered forms; b is at most n-1);
-    - a dense n x n ndarray for the unmasked gsm forms;
     - the n x K factor X of W = X X^T for the ``"lowrank"`` form (the
       unlocalized baseline covariance), never multiplied out unless
-      ``toarray`` asks for it.
+      ``toarray`` asks for it;
+    - for every other form, a (b+1) x n band array, row d holding
+      W[i, i+d] in column i and zeros in its last d entries (b = 0 for the
+      diagonal form, at most n-1; the unmasked gsm forms are the full band).
 
     Unmasked and clustered constructions are positive semidefinite; a
-    banded mask can introduce small negative eigenvalues (the analysis
+    band mask can introduce small negative eigenvalues (the analysis
     solve tolerates that).
     """
 
@@ -107,13 +107,10 @@ class WeightMatrix:
     matrix: np.ndarray
     beta: float
     partition: ClusterPartition | None = None
-    banded: bool = False
 
     def toarray(self) -> np.ndarray:
         if self.form == "lowrank":
             return self.matrix @ self.matrix.T
-        if not self.banded:
-            return np.asarray(self.matrix)
         W = np.zeros((self.matrix.shape[1],) * 2)
         for d, band in enumerate(self.matrix):
             np.fill_diagonal(W[:, d:], band[: band.size - d])
@@ -129,16 +126,32 @@ class WeightMatrix:
     def diagonal(self) -> np.ndarray:
         if self.form == "lowrank":
             return np.einsum("ik,ik->i", self.matrix, self.matrix)
-        return self.matrix[0] if self.banded else np.diagonal(self.matrix)
+        return self.matrix[0]
 
-    def couples_observations(self, idx: np.ndarray) -> bool:
-        """Whether the observed block H W H^T of a banded W has a nonzero off-diagonal entry."""
-        obs = np.zeros(self.matrix.shape[1], dtype=bool)
-        obs[idx] = True
-        return any(np.any(band[:-d][obs[:-d] & obs[d:]]) for d, band in enumerate(self.matrix[1:], 1))
+    def observed_block(self, idx: np.ndarray) -> np.ndarray:
+        """H W H^T of a band W for strictly increasing observed cells ``idx``: its diagonal as a
+        vector when no two of them couple, otherwise the m x m block read from the band rows."""
+        bands, b = self.matrix, len(self.matrix) - 1
+
+        def couplings():  # (k, W[idx[a], idx[a+k]] for every a) while some pair k apart lies in the band
+            for k in range(1, idx.size):
+                d = idx[k:] - idx[:-k]  # at least k, and growing with k
+                if d.min() > b:
+                    return
+                yield k, np.where(d <= b, bands[np.minimum(d, b), idx[:-k]], 0.0)
+
+        if not any(np.any(c) for _, c in couplings()):
+            return bands[0][idx]
+        m = idx.size
+        block = np.diag(bands[0][idx])
+        flat = block.reshape(-1)  # block[a, a+k] is flat[k + a(m+1)], block[a+k, a] is flat[km + a(m+1)]
+        for k, c in couplings():
+            flat[k::m + 1][: m - k] = c
+            flat[k * m::m + 1] = c
+        return block
 
     def band_product(self, z: np.ndarray) -> np.ndarray:
-        """W z for a banded W; each row sums its columns in ascending order, which artifact bytes depend on."""
+        """W z for a band W; each row sums its columns in ascending order, which artifact bytes depend on."""
         bands, out = self.matrix, np.zeros(z.size)
         for d in range(len(bands) - 1, 0, -1):  # W[i, i-d] z[i-d]
             out[d:] += bands[d, :-d] * z[:-d]
@@ -183,7 +196,8 @@ def cluster_partition(xi: int, dist: int, n: int) -> ClusterPartition:
 
 
 def mask_correlations(R: np.ndarray, partition: ClusterPartition) -> np.ndarray:
-    """Zero correlations across regions and off-diagonal ones inside the jump region."""
+    """Zero correlations across regions and off-diagonal ones inside the jump region: the
+    dense reference of the cluster rule that ``_banded_gram`` applies band by band."""
     R = np.asarray(R, dtype=float)
     ids = partition.region_ids
     if R.shape != (ids.size, ids.size):
@@ -208,10 +222,10 @@ def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> Weig
     """Gradient-second-moment weight W, rescaled so max(W) hits the target.
 
     Forms: diagonal (bandwidth 0), full (sqrt(S_i) r_ij sqrt(S_j) under the
-    band mask), clustered (same with correlations masked around the jump
-    detected in the ensemble mean).  beta is chosen a posteriori from the
-    pre-scale maximum entry; zero diagonal entries then get a floor of
-    1e-12 * max(W) so W stays invertible in flat regions.
+    band mask; None is the full band n-1), clustered (same with correlations
+    masked around the jump detected in the ensemble mean).  beta is chosen
+    a posteriori from the pre-scale maximum entry; zero diagonal entries
+    then get a floor of 1e-12 * max(W) so W stays invertible in flat regions.
     """
     if config.variant not in ("gsm", "gsm_clustered"):
         raise ConfigError(f"build_weight applies to gsm variants, not '{config.variant}'")
@@ -221,34 +235,19 @@ def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> Weig
     n = S.size
     bandwidth = config.localization_bandwidth
 
-    partition = None
-    if config.variant == "gsm_clustered":
-        form = "clustered"
-        partition = cluster_partition(detect_discontinuity(ensemble.mean, grid.dx), config.dist, n)
-    elif bandwidth == 0:
-        form = "diagonal"
-    else:
-        form = "full"
-
-    if form == "diagonal":
+    if config.variant == "gsm" and bandwidth == 0:
         beta, diag = _rescale_diagonal(S, config.beta_max_target)
-        return WeightMatrix(form, diag[None, :], beta, banded=True)
+        return WeightMatrix("diagonal", diag[None, :], beta)
 
+    partition = ids = None
+    if config.variant == "gsm_clustered":
+        partition = cluster_partition(detect_discontinuity(ensemble.mean, grid.dx), config.dist, n)
+        ids = partition.region_ids
     F = np.sqrt(S)[:, None] * correlation_matrix_factor(ensemble)
-    if bandwidth is None:
-        W = F @ F.T
-        if partition is not None:
-            W = mask_correlations(W, partition)
-        # By Cauchy-Schwarz the maximum sits on the diagonal, which masking keeps.
-        beta, diag = _rescale_diagonal(W.diagonal(), config.beta_max_target)
-        W = beta * W
-        np.fill_diagonal(W, diag)
-        return WeightMatrix(form, W, beta, partition)
-
-    bands = _banded_gram(F, bandwidth, None if partition is None else partition.region_ids)
+    bands = _banded_gram(F, n - 1 if bandwidth is None else bandwidth, ids)
     beta, bands[0] = _rescale_diagonal(bands[0], config.beta_max_target)
     bands[1:] *= beta
-    return WeightMatrix(form, bands, beta, partition, banded=True)
+    return WeightMatrix("full" if partition is None else "clustered", bands, beta, partition)
 
 
 def _rescale_diagonal(diag: np.ndarray, target: float) -> tuple[float, np.ndarray]:
@@ -277,4 +276,4 @@ def covariance_weight(X: np.ndarray, bandwidth: int | None) -> WeightMatrix:
     """
     if bandwidth is None:
         return WeightMatrix("lowrank", X, 1.0)
-    return WeightMatrix("diagonal" if bandwidth == 0 else "full", _banded_gram(X, bandwidth), 1.0, banded=True)
+    return WeightMatrix("diagonal" if bandwidth == 0 else "full", _banded_gram(X, bandwidth), 1.0)

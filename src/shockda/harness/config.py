@@ -179,8 +179,6 @@ class ExperimentConfig:
 def _value_to_str(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return fmt17(value)
     if isinstance(value, tuple):

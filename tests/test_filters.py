@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shockda.errors import ConfigError, NumericalError
 from shockda.solver import Grid1D
@@ -203,8 +203,9 @@ def test_lowrank_mean_matches_dense_weight(gamma_kind, wide, n, extra, seed):
 
 
 def test_diagonal_innovation_shortcut_matches_dense_path(monkeypatch):
-    # a banded W whose observed block H W H^T is diagonal is solved without
-    # Cholesky; a block with off-diagonal entries still takes the m x m path
+    # a band W whose observed block H W H^T is diagonal is solved without
+    # Cholesky; a block with off-diagonal entries still takes the m x m
+    # path; neither densifies W
     cholesky_calls = []
     cho_factor = scipy.linalg.cho_factor
     monkeypatch.setattr(
@@ -222,16 +223,21 @@ def test_diagonal_innovation_shortcut_matches_dense_path(monkeypatch):
         (build_weight(ens, FilterConfig(variant="gsm", localization_bandwidth=0), grid), dense_obs, True),
         (covariance_weight(1.5 * ens.centered, 0), dense_obs, True),
         (build_weight(ens, FilterConfig(variant="gsm", localization_bandwidth=2), grid), every_other, False),
+        (build_weight(ens, FilterConfig(variant="gsm_clustered", localization_bandwidth=1), grid), dense_obs, False),
+        (build_weight(ens, FilterConfig(variant="gsm", localization_bandwidth=n - 1), grid), every_other, False),
+        (build_weight(ens, FilterConfig(variant="gsm_clustered", localization_bandwidth=None), grid), dense_obs, False),
     ]
     for W, H, diagonal_block in cases:
         block = W.toarray()[np.ix_(H.indices, H.indices)]
         assert np.array_equal(block, np.diag(np.diag(block))) == diagonal_block
         m_hat = ens.mean + 0.01 * rng.standard_normal(n)
         y = H.apply(ens.mean) + 0.01 * rng.standard_normal(H.m)
-        cholesky_calls.clear()
-        out = analysis_mean(m_hat, y, H, 0.01**2, W)
-        assert bool(cholesky_calls) != diagonal_block
         expected = analysis_mean(m_hat, y, H, 0.01**2, W.toarray())
+        cholesky_calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(WeightMatrix, "toarray", lambda self: pytest.fail("the band path densified W"))
+            out = analysis_mean(m_hat, y, H, 0.01**2, W)
+        assert bool(cholesky_calls) != diagonal_block
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -302,12 +308,15 @@ def _reference_mean(m_hat, y, H, gamma_sq, W):
 @settings(max_examples=150, deadline=None)
 @given(
     kind=st.sampled_from(["gsm", "gsm_clustered", "covariance"]),
-    bandwidth=st.integers(0, 3),
+    bandwidth=st.one_of(st.integers(0, 3), st.none()),
     obs=st.sampled_from(["dense", "every_other", "random"]),
     n=st.integers(11, 30),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_band_weight_matches_former_sparse_storage(kind, bandwidth, obs, n, seed):
+    # bandwidth None: the unmasked gsm weights, against the full band n-1
+    # (an unmasked covariance is the low-rank form, tested elsewhere)
+    assume(not (kind == "covariance" and bandwidth is None))
     rng = np.random.default_rng(seed)
     grid = Grid1D(n=n, x_min=-1.0, x_max=1.0)
     ens = ensemble_moments(np.where(grid.points < 0.0, 1.0, 0.6) + 0.05 * rng.standard_normal((8, n)))
@@ -315,8 +324,9 @@ def test_band_weight_matches_former_sparse_storage(kind, bandwidth, obs, n, seed
         W = covariance_weight(1.3 * ens.centered, bandwidth)
     else:
         W = build_weight(ens, FilterConfig(variant=kind, localization_bandwidth=bandwidth, dist=1), grid)
-    ref = _reference_weight(kind, ens, bandwidth, grid)
-    assert W.banded and W.matrix.shape == (bandwidth + 1, n)
+    band = n - 1 if bandwidth is None else bandwidth
+    ref = _reference_weight(kind, ens, band, grid)
+    assert W.matrix.shape == (band + 1, n)
     assert np.array_equal(W.toarray(), ref.toarray())
     assert np.array_equal(W.diagonal(), ref.diagonal())
     assert W.max_entry() == ref.max()
@@ -327,13 +337,16 @@ def test_band_weight_matches_former_sparse_storage(kind, bandwidth, obs, n, seed
         H = ObservationOperator.every_other(n)
     else:
         H = ObservationOperator(np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)), n)
+    block = W.observed_block(H.indices)
+    assert np.array_equal(np.diag(block) if block.ndim == 1 else block, ref.toarray()[np.ix_(H.indices, H.indices)])
     m_hat = ens.mean + 0.01 * rng.standard_normal(n)
     y = H.apply(ens.mean) + 0.01 * rng.standard_normal(H.m)
     assert np.array_equal(analysis_mean(m_hat, y, H, 0.01**2, W), _reference_mean(m_hat, y, H, 0.01**2, ref))
 
 
 def test_band_width_at_least_n_minus_one_keeps_band_storage():
-    # a band array with n rows is square but still band storage
+    # a band array with n rows is square but still band storage, and an
+    # unmasked gsm weight (bandwidth None) is that same full band
     rng = np.random.default_rng(17)
     n = 11
     grid = Grid1D(n=n, x_min=-1.0, x_max=1.0)
@@ -341,12 +354,14 @@ def test_band_width_at_least_n_minus_one_keeps_band_storage():
     X = ens.centered
     for bandwidth in (n - 1, n, 3 * n):
         W = covariance_weight(X, bandwidth)
-        assert W.banded and W.matrix.shape == (n, n)
+        assert W.matrix.shape == (n, n)
         np.testing.assert_allclose(W.toarray(), X @ X.T, atol=1e-15)
-        Wg = build_weight(ens, FilterConfig(variant="gsm", localization_bandwidth=bandwidth), grid)
-        unmasked = build_weight(ens, FilterConfig(variant="gsm", localization_bandwidth=None), grid)
-        assert Wg.banded and not unmasked.banded
-        np.testing.assert_allclose(Wg.toarray(), unmasked.toarray(), rtol=1e-12, atol=1e-18)
+    for variant in ("gsm", "gsm_clustered"):
+        full = build_weight(ens, FilterConfig(variant=variant, localization_bandwidth=n - 1), grid)
+        assert full.matrix.shape == (n, n)
+        for bandwidth in (None, n, 3 * n):
+            W = build_weight(ens, FilterConfig(variant=variant, localization_bandwidth=bandwidth), grid)
+            assert np.array_equal(W.matrix, full.matrix) and W.beta == full.beta
 
 
 def test_analysis_indefinite_but_nonsingular_weight_still_solves():
@@ -370,7 +385,7 @@ def test_analysis_singular_system_raises():
     with pytest.raises(NumericalError):
         analysis_mean(np.zeros(n), np.ones(n), H, 1.0, W)
     with pytest.raises(NumericalError):  # the same system on the diagonal path
-        analysis_mean(np.zeros(n), np.ones(n), H, 1.0, WeightMatrix("diagonal", -np.ones((1, n)), 1.0, banded=True))
+        analysis_mean(np.zeros(n), np.ones(n), H, 1.0, WeightMatrix("diagonal", -np.ones((1, n)), 1.0))
 
 
 def test_clustered_analysis_leaves_unobserved_jump_cells_unchanged():
