@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, NumericalError -> 3.
+The CLI maps failures onto exit codes: 0 success, ConfigError -> 2,
+NumericalError -> 3, and OSError (an I/O error, not a ShockdaError) -> 4.
 """
 
 

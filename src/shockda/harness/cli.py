@@ -3,7 +3,7 @@
 Subcommands: ``truth`` (generate and cache the truth/velocity run),
 ``moments`` (free-ensemble moment diagnostic), ``assimilate`` (run one
 filter variant end to end), ``compare`` (join summary CSVs).  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+0 success, 2 configuration error, 3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -79,11 +79,11 @@ def _assemble_config(args, extra_defaults: dict | None = None) -> ExperimentConf
         value = getattr(args, f.name, None)
         if f.name != "case" and value is not None:
             overrides[f.name] = value
-    # file values arrive as strings; reuse the manifest coercion rules
-    overrides = {k: (_str_to_value(k, v) if isinstance(v, str) else v) for k, v in overrides.items()}
     unknown = set(overrides) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    # file values arrive as strings; reuse the manifest coercion rules
+    overrides = {k: _str_to_value(k, v) for k, v in overrides.items()}
     return ExperimentConfig.for_case(case, **overrides)
 
 
@@ -133,6 +133,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

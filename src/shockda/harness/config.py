@@ -12,6 +12,7 @@ analytic solution.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -186,29 +187,26 @@ def _value_to_str(value) -> str:
     return str(value)
 
 
-_INT_KEYS = {"n", "ensemble_size", "obs_stride_steps", "dist", "seed", "fine_refine"}
-_FLOAT_KEYS = {"cfl", "t_end", "ic_perturb_std", "gamma", "alpha", "beta_max_target", "h0", "h1", "g", "x_dam"}
-_PATH_KEYS = {"output_dir", "cache_dir"}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _str_to_value(key: str, raw):
+    """A file or manifest string as ExperimentConfig field ``key``'s type; ``none`` for None."""
     if not isinstance(raw, str):
         return raw
     text = raw.strip()
+    kind = _FIELD_TYPES[key]
+    args = typing.get_args(kind)
+    if type(None) in args:
+        if text.lower() == "none":
+            return None
+        (kind,) = (a for a in args if a is not type(None))
     try:
-        if key == "localization_bandwidth":
-            return None if text.lower() == "none" else int(text)
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _PATH_KEYS:
-            return None if text.lower() == "none" else Path(text)
-        if key == "snapshot_times":
-            return tuple(float(p) for p in text.split(",") if p.strip()) if text else ()
+        if kind is tuple:
+            return tuple(float(p) for p in text.split(",") if p.strip())
+        return kind(text)
     except ValueError as exc:
         raise ConfigError(f"config key '{key}' has invalid value '{text}'") from exc
-    return text
 
 
 def parse_config_file(path) -> dict:

@@ -11,14 +11,18 @@ run bit-identically.
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
+import hashlib
+import os
+import tempfile
+import zipfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .. import __version__
-from ..errors import ConfigError, ShockdaError
+from ..errors import ConfigError
 from ..solver import Grid1D, SWEState, VelocityField, solve_coupled_swe, transport_step
 from ..stoker import ObservationStream, stoker_evaluate, stoker_solve, synthesize_observations
 from ..assimilation import Ensemble, ensemble_moments, gradient_second_moment, run_baseline_filter, run_weighted_filter, sample_variance_diag
@@ -58,9 +62,6 @@ class TruthBundle:
     """
 
     grid: Grid1D
-    dt: float
-    n_steps: int
-    obs_steps: np.ndarray
     obs_times: np.ndarray
     velocity: VelocityField
     truth_h: np.ndarray
@@ -93,17 +94,16 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path | None = None) -> T
     Dense/sparse cases evaluate the analytic dam-break solution at the
     observation times; the oscillatory case runs a ``fine_refine``-times
     finer reference and subsamples it by exact index mapping.  Results are
-    cached under ``cache_dir`` keyed by the geometry fingerprint.
+    cached under ``cache_dir``, one file per geometry fingerprint.
     """
     grid = config.grid()
-    dt = config.dt
-    n_steps = config.n_steps
     obs_steps = config.obs_step_indices
     obs_times = config.obs_times
 
     fingerprint = _truth_fingerprint(config)
     if cache_dir is not None:
-        cached = _load_truth_cache(Path(cache_dir), fingerprint, grid, dt, n_steps, obs_steps, obs_times)
+        entry = Path(cache_dir) / f"truth_{hashlib.sha256(fingerprint.encode()).hexdigest()[:16]}.npz"
+        cached = _load_truth_cache(entry, fingerprint, config)
         if cached is not None:
             return cached
 
@@ -136,46 +136,43 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path | None = None) -> T
         truth_u = np.asarray(rows_u)
         kind = "analytic"
 
-    bundle = TruthBundle(grid, dt, n_steps, obs_steps, obs_times, velocity, truth_h, truth_u, kind)
+    bundle = TruthBundle(grid, obs_times, velocity, truth_h, truth_u, kind)
     if cache_dir is not None:
-        _save_truth_cache(Path(cache_dir), fingerprint, bundle)
+        _save_truth_cache(entry, fingerprint, bundle)
     return bundle
 
 
-def _cache_paths(cache_dir: Path) -> dict:
-    return {
-        "meta": cache_dir / "truth_meta.txt",
-        "u": cache_dir / "velocity_u.npy",
-        "h": cache_dir / "truth_h.npy",
-        "tu": cache_dir / "truth_u.npy",
-    }
-
-
-def _save_truth_cache(cache_dir: Path, fingerprint: str, bundle: TruthBundle) -> None:
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    paths = _cache_paths(cache_dir)
-    np.save(paths["u"], bundle.velocity.u_history)
-    np.save(paths["h"], bundle.truth_h)
-    np.save(paths["tu"], bundle.truth_u)
-    paths["meta"].write_text(f"fingerprint = {fingerprint}\nkind = {bundle.kind}\n")
-
-
-def _load_truth_cache(cache_dir: Path, fingerprint: str, grid, dt, n_steps, obs_steps, obs_times):
-    """The cached bundle, or None on a miss: a missing, unreadable or misshapen entry is one."""
-    paths = _cache_paths(cache_dir)
-    if not all(p.exists() for p in paths.values()):
-        return None
+def _save_truth_cache(entry: Path, fingerprint: str, bundle: TruthBundle) -> None:
+    """Write a unique temporary file beside ``entry``, then rename it into place,
+    so concurrent writers and readers see one whole entry or another, never a mix."""
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=entry.parent, prefix=entry.stem, suffix=".tmp")
     try:
-        meta = read_manifest(paths["meta"])
-        if meta.get("fingerprint") != fingerprint:
-            return None
-        u, h, tu = (np.load(paths[k]) for k in ("u", "h", "tu"))
-    except (OSError, ValueError, EOFError):
+        with os.fdopen(fd, "wb") as f:
+            np.savez(f, u=bundle.velocity.u_history, h=bundle.truth_h, tu=bundle.truth_u,
+                     fingerprint=np.array(fingerprint), kind=np.array(bundle.kind))
+        os.replace(tmp, entry)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _load_truth_cache(entry: Path, fingerprint: str, config: ExperimentConfig) -> TruthBundle | None:
+    """The cached bundle, or None on a miss: a missing, unreadable or truncated
+    file, another fingerprint inside it, or a misshapen array."""
+    try:
+        with np.load(entry) as stored:
+            if str(stored["fingerprint"]) != fingerprint:
+                return None
+            u, h, tu, kind = stored["u"], stored["h"], stored["tu"], str(stored["kind"])
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
         return None
-    rows = (obs_times.size + 1, grid.n)
-    if u.shape != (n_steps + 1, grid.n) or h.shape != rows or tu.shape != rows:
+    grid = config.grid()
+    rows = (config.obs_times.size + 1, grid.n)
+    if u.shape != (config.n_steps + 1, grid.n) or h.shape != rows or tu.shape != rows:
         return None
-    return TruthBundle(grid, dt, n_steps, obs_steps, obs_times, VelocityField(u, dt), h, tu, meta.get("kind", "analytic"))
+    return TruthBundle(grid, config.obs_times, VelocityField(u, config.dt), h, tu, kind)
 
 
 @dataclass
@@ -218,17 +215,26 @@ def write_manifest(path: Path, config: ExperimentConfig, status: str, error: str
     lines.append(f"status = {status}")
     if error is not None:
         lines.append(f"error = {error.splitlines()[0]}")
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
 @contextmanager
-def _manifest_on_failure(path: Path, config: ExperimentConfig):
-    """On a ShockdaError in the body, write a status = failed manifest and re-raise."""
+def _run(config: ExperimentConfig, *names: str):
+    """Yield the RunArtifacts of a run writing ``<name>.csv`` per name; record how it ended.
+
+    The output directory is made inside the guard.  On success the manifest
+    says ``status = completed``; any exception writes ``status = failed`` (an
+    OSError from that write is suppressed) and propagates.
+    """
+    out = config.output_dir
+    paths = RunArtifacts(out / "manifest.txt", **{f"{name}_csv": out / f"{name}.csv" for name in names})
     try:
-        yield
-    except ShockdaError as exc:
-        write_manifest(path, config, status="failed", error=str(exc))
+        out.mkdir(parents=True, exist_ok=True)
+        yield paths
+        write_manifest(paths.manifest, config, status="completed")
+    except BaseException as exc:
+        with suppress(OSError):
+            write_manifest(paths.manifest, config, status="failed", error=str(exc) or type(exc).__name__)
         raise
 
 
@@ -254,19 +260,10 @@ def config_from_manifest(path) -> ExperimentConfig:
 def run_experiment(config: ExperimentConfig) -> RunArtifacts:
     """Run one filter variant end to end and write all artifacts.
 
-    Any failure still writes the manifest (status=failed plus the message)
-    before the error propagates.
+    Any failure, an I/O error included, writes ``status = failed`` and the
+    first line of its message to the manifest before the error propagates.
     """
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    paths = RunArtifacts(
-        manifest=out / "manifest.txt",
-        solution_csv=out / "solution.csv",
-        error_csv=out / "error.csv",
-        moments_csv=out / "moments.csv",
-        summary_csv=out / "summary.csv",
-    )
-    with _manifest_on_failure(paths.manifest, config):
+    with _run(config, "solution", "error", "moments", "summary") as paths:
         grid = config.grid()
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         H = config.observation_operator()
@@ -307,8 +304,6 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
             paths.moments_csv, grid, [r.t for r in snapshots],
             [r.prior_mean for r in snapshots], [r.prior_variance for r in snapshots], [r.prior_gsm for r in snapshots],
         )
-        write_manifest(paths.manifest, config, status="completed")
-
     paths.run = run
     paths.truth = bundle
     paths.series = series
@@ -391,30 +386,21 @@ def free_ensemble_moments(config: ExperimentConfig) -> tuple:
 
 def run_free_moments(config: ExperimentConfig) -> RunArtifacts:
     """The no-assimilation moment diagnostic: write moments.csv and a manifest."""
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    paths = RunArtifacts(manifest=out / "manifest.txt", moments_csv=out / "moments.csv")
-    with _manifest_on_failure(paths.manifest, config):
-        grid = config.grid()
+    with _run(config, "moments") as paths:
         times, means, variances, gsms = free_ensemble_moments(config)
-        _write_moments_csv(paths.moments_csv, grid, times, means, variances, gsms)
-        write_manifest(paths.manifest, config, status="completed")
+        _write_moments_csv(paths.moments_csv, config.grid(), times, means, variances, gsms)
     return paths
 
 
 def run_truth_only(config: ExperimentConfig) -> RunArtifacts:
     """Generate and cache the truth, writing it as a (t, x, h, u) CSV."""
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    paths = RunArtifacts(manifest=out / "manifest.txt", truth_csv=out / "truth.csv")
-    with _manifest_on_failure(paths.manifest, config):
+    with _run(config, "truth") as paths:
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         write_csv(
             paths.truth_csv,
             ("t", "x", "h", "u"),
             (*_time_x_columns(bundle.all_times, bundle.grid), bundle.truth_h.ravel(), bundle.truth_u.ravel()),
         )
-        write_manifest(paths.manifest, config, status="completed")
     paths.truth = bundle
     return paths
 

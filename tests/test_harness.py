@@ -1,11 +1,14 @@
 """Experiment configuration, truth pipeline, artifacts, and the CLI."""
 
 import csv
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
 
 from shockda.errors import ConfigError, NumericalError
+from shockda.harness import experiments
 from shockda.solver import resolve_steps
 from shockda.stoker import stoker_solve
 from shockda.harness import (
@@ -199,22 +202,40 @@ def test_truth_oscillatory_reference(tmp_path):
     assert bundle.truth_h.min() > 0.5 and bundle.truth_h.max() < 1.1
 
 
-def test_truth_cache_round_trip(tmp_path):
+def _count_coupled_solves(monkeypatch):
+    """Record each solve_coupled_swe call the truth pipeline makes from now on."""
+    calls = []
+    real = experiments.solve_coupled_swe
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_coupled_swe", counted)
+    return calls
+
+
+def test_truth_cache_round_trip(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
-    cfg = _small(cache_dir=cache)
-    first = generate_truth(cfg, cache_dir=cache)
-    assert (cache / "velocity_u.npy").exists()
-    assert (cache / "truth_meta.txt").exists()
+    configs = [_small(cache_dir=cache), _small(h1=0.9, cache_dir=cache)]
+    first = generate_truth(configs[0], cache_dir=cache)
+    (entry,) = cache.iterdir()
+    assert entry.suffix == ".npz"
 
-    second = generate_truth(cfg, cache_dir=cache)
-    np.testing.assert_array_equal(first.truth_h, second.truth_h)
-    np.testing.assert_array_equal(first.velocity.u_history, second.velocity.u_history)
-
-    # a different geometry ignores the stale cache and overwrites it
-    other = generate_truth(_small(h1=0.9, cache_dir=cache), cache_dir=cache)
+    # a second geometry adds its own file beside the first
+    other = generate_truth(configs[1], cache_dir=cache)
     assert not np.array_equal(other.truth_h, first.truth_h)
-    meta = (cache / "truth_meta.txt").read_text()
-    assert "h1=0.90000000000000002" in meta or "h1=0.9" in meta
+    assert len(list(cache.iterdir())) == 2 and entry.exists()
+
+    # and both geometries now hit: no coupled solve runs
+    calls = _count_coupled_solves(monkeypatch)
+    for cfg, fresh in zip(configs, (first, other)):
+        again = generate_truth(cfg, cache_dir=cache)
+        np.testing.assert_array_equal(again.truth_h, fresh.truth_h)
+        np.testing.assert_array_equal(again.truth_u, fresh.truth_u)
+        np.testing.assert_array_equal(again.velocity.u_history, fresh.velocity.u_history)
+        assert again.kind == fresh.kind
+    assert calls == []
 
 
 def _truncate(path):
@@ -222,21 +243,75 @@ def _truncate(path):
 
 
 def _wrong_shape(path):
-    np.save(path, np.load(path)[:3])
+    with np.load(path) as stored:
+        entry = dict(stored)
+    entry["h"] = entry["h"][:3]
+    np.savez(path, **entry)
 
 
-@pytest.mark.parametrize("corrupt,name", [(_truncate, "velocity_u.npy"), (_wrong_shape, "truth_h.npy")])
-def test_corrupt_truth_cache_entry_is_recomputed(tmp_path, corrupt, name):
+def _wrong_fingerprint(path):
+    # another geometry's entry under this geometry's file name
+    other = _small("sparse", h1=0.9)
+    experiments._save_truth_cache(path, experiments._truth_fingerprint(other), generate_truth(other))
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _wrong_shape, _wrong_fingerprint])
+def test_corrupt_truth_cache_entry_is_recomputed(tmp_path, corrupt):
     cache = tmp_path / "cache"
     fresh = run_experiment(_small("sparse", output_dir=tmp_path / "fresh", cache_dir=cache))
-    corrupt(cache / name)
+    (entry,) = cache.iterdir()
+    corrupt(entry)
     rerun = run_experiment(_small("sparse", output_dir=tmp_path / "rerun", cache_dir=cache))
     for a, b in zip(fresh.written()[:-1], rerun.written()[:-1]):  # every CSV, not the manifest
         assert a.read_bytes() == b.read_bytes(), a.name
     assert read_manifest(rerun.manifest)["status"] == "completed"
-    # the rerun overwrote the entry with the recomputed array
-    stored = {"velocity_u.npy": fresh.truth.velocity.u_history, "truth_h.npy": fresh.truth.truth_h}[name]
-    np.testing.assert_array_equal(np.load(cache / name), stored)
+    # the rerun overwrote the entry with the recomputed arrays
+    assert list(cache.iterdir()) == [entry]
+    with np.load(entry) as stored:
+        np.testing.assert_array_equal(stored["u"], fresh.truth.velocity.u_history)
+        np.testing.assert_array_equal(stored["h"], fresh.truth.truth_h)
+        np.testing.assert_array_equal(stored["tu"], fresh.truth.truth_u)
+
+
+def _save_repeatedly(barrier, entry, fingerprint, bundle, times):
+    barrier.wait(timeout=60)
+    for _ in range(times):
+        experiments._save_truth_cache(entry, fingerprint, bundle)
+
+
+def test_concurrent_writers_of_one_cache_key(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cfg = _small(cache_dir=cache)
+    fresh = generate_truth(cfg)
+    fingerprint = experiments._truth_fingerprint(cfg)
+    generate_truth(cfg, cache_dir=cache)
+    (entry,) = cache.iterdir()
+    entry.unlink()
+
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    writers = [ctx.Process(target=_save_repeatedly, args=(barrier, entry, fingerprint, fresh, 50), daemon=True)
+               for _ in range(2)]
+    for w in writers:
+        w.start()
+    # while they write, every entry a reader finds is a whole one
+    misses, deadline = 0, time.monotonic() + 120
+    while any(w.is_alive() for w in writers) and time.monotonic() < deadline:
+        if entry.exists() and experiments._load_truth_cache(entry, fingerprint, cfg) is None:
+            misses += 1
+    for w in writers:
+        w.join(timeout=10)
+    assert [w.exitcode for w in writers] == [0, 0]
+    assert misses == 0
+
+    assert list(cache.iterdir()) == [entry]  # no temporary file remains
+    calls = _count_coupled_solves(monkeypatch)
+    loaded = generate_truth(cfg, cache_dir=cache)
+    assert calls == []
+    np.testing.assert_array_equal(loaded.velocity.u_history, fresh.velocity.u_history)
+    np.testing.assert_array_equal(loaded.truth_h, fresh.truth_h)
+    np.testing.assert_array_equal(loaded.truth_u, fresh.truth_u)
+    assert loaded.kind == fresh.kind
 
 
 # ------------------------------------------------- manifests and config files
@@ -512,6 +587,36 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     summary.write_text("t,relative_error_full,relative_error_window\n0.1,0.5,0.4\n")
     assert main(["compare", str(summary), "--window", "oops", "--out", str(tmp_path / "c.csv")]) == 2
     assert main(["compare", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "c.csv")]) == 2
+
+
+def _one_line_io_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_cli_io_errors_exit_4(tmp_path, capsys):
+    small = ["--case", "dense", "--n", "41", "--ensemble-size", "8"]
+    regular = tmp_path / "file"
+    regular.write_text("not a directory\n")
+    assert main(["assimilate", *small, "--out", str(regular / "sub")]) == 4
+    _one_line_io_error(capsys)
+
+    assert main(["compare", str(tmp_path), "--out", str(tmp_path / "c.csv")]) == 4
+    _one_line_io_error(capsys)
+
+    # a seed-2 rerun into a seed-1 directory that fails on a write must not
+    # leave the seed-1 manifest claiming the directory's run completed
+    out = tmp_path / "run"
+    assert main(["assimilate", *small, "--seed", "1", "--out", str(out)]) == 0
+    (out / "error.csv").unlink()
+    (out / "error.csv").mkdir()
+    capsys.readouterr()
+    assert main(["assimilate", *small, "--seed", "2", "--out", str(out)]) == 4
+    _one_line_io_error(capsys)
+    mapping = read_manifest(out / "manifest.txt")
+    assert (mapping["status"], mapping["seed"]) == ("failed", "2")
+    assert "error.csv" in mapping["error"]
 
 
 def _write_cfg(tmp_path, text):
