@@ -7,65 +7,3 @@ analysis weight is built from the ensemble's gradient second moment.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DegenerateWeightError,
-    NumericalError,
-    ShockdaError,
-)
-from .solver import (
-    GRAVITY,
-    CoupledRun,
-    Grid1D,
-    SolverConfig,
-    SWEState,
-    VelocityField,
-    lax_friedrichs_lambda,
-    solve_coupled_swe,
-    transport_step,
-    tvdrk3_step,
-    weno5_derivative,
-)
-from .stoker import (
-    DamBreakParams,
-    ObservationOperator,
-    ObservationStream,
-    StokerIntermediate,
-    stoker_evaluate,
-    stoker_solve,
-    synthesize_observations,
-)
-from .metrics import ErrorSeries, pointwise_error, relative_error
-from . import assimilation
-
-__all__ = [
-    "GRAVITY",
-    "ConfigError",
-    "ConvergenceError",
-    "CoupledRun",
-    "DamBreakParams",
-    "DegenerateWeightError",
-    "ErrorSeries",
-    "Grid1D",
-    "NumericalError",
-    "ObservationOperator",
-    "ObservationStream",
-    "ShockdaError",
-    "SolverConfig",
-    "StokerIntermediate",
-    "SWEState",
-    "VelocityField",
-    "assimilation",
-    "lax_friedrichs_lambda",
-    "pointwise_error",
-    "relative_error",
-    "solve_coupled_swe",
-    "stoker_evaluate",
-    "stoker_solve",
-    "synthesize_observations",
-    "transport_step",
-    "tvdrk3_step",
-    "weno5_derivative",
-]

@@ -8,8 +8,6 @@ from .ensemble import (
     sample_variance_diag,
 )
 from .filters import (
-    AnalysisRecord,
-    FilterRun,
     analysis_mean,
     etkf_transform,
     run_baseline_filter,
@@ -26,26 +24,3 @@ from .weights import (
     mask_correlations,
     toeplitz_band_mask,
 )
-
-__all__ = [
-    "AnalysisRecord",
-    "ClusterPartition",
-    "Ensemble",
-    "FilterConfig",
-    "FilterRun",
-    "WeightMatrix",
-    "analysis_mean",
-    "build_weight",
-    "cluster_partition",
-    "correlation_matrix_factor",
-    "covariance_weight",
-    "detect_discontinuity",
-    "ensemble_moments",
-    "etkf_transform",
-    "gradient_second_moment",
-    "mask_correlations",
-    "run_baseline_filter",
-    "run_weighted_filter",
-    "sample_variance_diag",
-    "toeplitz_band_mask",
-]

@@ -18,15 +18,7 @@ class NumericalError(ShockdaError):
 
 
 class ConvergenceError(NumericalError):
-    """An iterative solve did not reach its tolerance.
-
-    Carries the last residual so callers can report how far off the
-    iteration stopped.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """An iterative solve did not reach its tolerance; the message gives the last residual."""
 
 
 class DegenerateWeightError(NumericalError):

@@ -3,12 +3,9 @@
 from .config import CASES, ExperimentConfig, parse_config_file
 from .experiments import (
     SMOOTH_WINDOW,
-    RunArtifacts,
-    TruthBundle,
     build_initial_ensemble,
     compare_runs,
     config_from_manifest,
-    free_ensemble_moments,
     generate_truth,
     initial_condition,
     read_manifest,
@@ -17,23 +14,3 @@ from .experiments import (
     run_truth_only,
     write_manifest,
 )
-
-__all__ = [
-    "CASES",
-    "ExperimentConfig",
-    "parse_config_file",
-    "SMOOTH_WINDOW",
-    "RunArtifacts",
-    "TruthBundle",
-    "build_initial_ensemble",
-    "compare_runs",
-    "config_from_manifest",
-    "free_ensemble_moments",
-    "generate_truth",
-    "initial_condition",
-    "read_manifest",
-    "run_experiment",
-    "run_free_moments",
-    "run_truth_only",
-    "write_manifest",
-]

@@ -65,10 +65,6 @@ class ExperimentConfig:
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
-        if self.n < 11:
-            raise ConfigError("n must be at least 11")
-        if not 0.0 < self.cfl < 1.0:
-            raise ConfigError("cfl must lie in (0, 1)")
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
         if self.ensemble_size < 2:
@@ -81,7 +77,7 @@ class ExperimentConfig:
             raise ConfigError("obs_stride_steps must be at least 1")
         if self.fine_refine < 1:
             raise ConfigError("fine_refine must be at least 1")
-        # delegate the remaining range checks
+        # delegate the remaining range checks: cfl to SolverConfig, n to Grid1D (through n_steps)
         self.filter_config()
         self.dam_params()
         self.solver_config()

@@ -49,7 +49,7 @@ def initial_condition(config: ExperimentConfig, grid: Grid1D) -> SWEState:
         )
     else:
         h = np.where(x < config.x_dam, config.h0, config.h1)
-    return SWEState(h, np.zeros_like(h), config.g)
+    return SWEState(h, np.zeros_like(h))
 
 
 @dataclass
@@ -267,9 +267,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         grid = config.grid()
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         H = config.observation_operator()
-        observations = synthesize_observations(
-            bundle.h_at_time, grid, bundle.obs_times, H, config.gamma, config.seed
-        )
+        observations = synthesize_observations(bundle.h_at_time, bundle.obs_times, H, config.gamma, config.seed)
         ens0 = build_initial_ensemble(config, grid, config.seed)
         solver_cfg = config.solver_config()
 
@@ -280,7 +278,6 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         runner = run_baseline_filter if config.variant == "etkf_baseline" else run_weighted_filter
         run = runner(ens0.members, dynamics, observations, fc, grid, steps_per_obs=config.obs_stride_steps)
 
-        label = f"{config.case}_{config.variant}"
         truth_rows = bundle.truth_h[1:]
         rel_full = [relative_error(r.posterior_mean, truth_rows[j]) for j, r in enumerate(run.records)]
         rel_win = [
@@ -288,8 +285,8 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
             for j, r in enumerate(run.records)
         ]
         series = [
-            ErrorSeries(run.times, rel_full, label=label),
-            ErrorSeries(run.times, rel_win, label=label, spatial_window=SMOOTH_WINDOW),
+            ErrorSeries(run.times, rel_full),
+            ErrorSeries(run.times, rel_win, spatial_window=SMOOTH_WINDOW),
         ]
 
         _write_solution_csv(paths.solution_csv, grid, run, observations, truth_rows)
@@ -347,48 +344,43 @@ def _write_moments_csv(path, grid, times, means, variances, gsms) -> None:
     )
 
 
-def free_ensemble_moments(config: ExperimentConfig) -> tuple:
-    """Propagate the initial ensemble with no assimilation; moments at snapshots.
-
-    Returns (times, means, variances, gsms) at the snapshot times, which
-    must land on solver steps.
-    """
-    grid = config.grid()
-    bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
-    members = build_initial_ensemble(config, grid, config.seed).members
-    solver_cfg = config.solver_config()
-    dt = config.dt
-
-    snap_steps = []
-    for t in config.snapshot_times:
-        s = int(round(t / dt))
-        if abs(s * dt - t) > 1e-9 * max(1.0, t) or not 0 <= s <= config.n_steps:
-            raise ConfigError(f"snapshot time {t} does not land on a solver step inside the run")
-        snap_steps.append(s)
-
-    times, means, variances, gsms = [], [], [], []
-
-    def record(t):
-        ens = ensemble_moments(members)
-        times.append(t)
-        means.append(ens.mean)
-        variances.append(sample_variance_diag(ens))
-        gsms.append(gradient_second_moment(ens, grid.dx))
-
-    if 0 in snap_steps:
-        record(0.0)
-    for step in range(max(snap_steps)):
-        members = transport_step(members, bundle.velocity, step, grid, solver_cfg)
-        if (step + 1) in snap_steps:
-            record((step + 1) * dt)
-    return np.asarray(times), means, variances, gsms
-
-
 def run_free_moments(config: ExperimentConfig) -> RunArtifacts:
-    """The no-assimilation moment diagnostic: write moments.csv and a manifest."""
+    """The no-assimilation moment diagnostic: write moments.csv and a manifest.
+
+    The initial ensemble is propagated with no analysis, and its mean,
+    variance and gradient second moment are written at the snapshot times,
+    which must land on solver steps.
+    """
     with _run(config, "moments") as paths:
-        times, means, variances, gsms = free_ensemble_moments(config)
-        _write_moments_csv(paths.moments_csv, config.grid(), times, means, variances, gsms)
+        grid = config.grid()
+        bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
+        members = build_initial_ensemble(config, grid, config.seed).members
+        solver_cfg = config.solver_config()
+        dt = config.dt
+
+        snap_steps = []
+        for t in config.snapshot_times:
+            s = int(round(t / dt))
+            if abs(s * dt - t) > 1e-9 * max(1.0, t) or not 0 <= s <= config.n_steps:
+                raise ConfigError(f"snapshot time {t} does not land on a solver step inside the run")
+            snap_steps.append(s)
+
+        times, means, variances, gsms = [], [], [], []
+
+        def record(t):
+            ens = ensemble_moments(members)
+            times.append(t)
+            means.append(ens.mean)
+            variances.append(sample_variance_diag(ens))
+            gsms.append(gradient_second_moment(ens, grid.dx))
+
+        if 0 in snap_steps:
+            record(0.0)
+        for step in range(max(snap_steps)):
+            members = transport_step(members, bundle.velocity, step, grid, solver_cfg)
+            if (step + 1) in snap_steps:
+                record((step + 1) * dt)
+        _write_moments_csv(paths.moments_csv, grid, times, means, variances, gsms)
     return paths
 
 
@@ -409,7 +401,10 @@ def compare_runs(summary_paths, out_path=None, windows=None, labels=None, column
     """Join summary CSVs on their (shared) time grid and aggregate over windows.
 
     Returns (times, {label: values}, {window: {label: mean}}); mismatched
-    time grids are rejected naming the first offending time.
+    time grids are rejected naming the first offending time.  A summary
+    whose sibling ``manifest.txt`` does not say ``status = completed`` is
+    left over from an earlier run and is rejected; one with no manifest
+    beside it is read as it is.
     """
     summary_paths = [Path(p) for p in summary_paths]
     if not summary_paths:
@@ -429,6 +424,9 @@ def compare_runs(summary_paths, out_path=None, windows=None, labels=None, column
     for label, path in zip(labels, summary_paths):
         if not path.exists():
             raise ConfigError(f"summary not found: {path}")
+        manifest = path.parent / "manifest.txt"
+        if manifest.exists() and (status := read_manifest(manifest).get("status")) != "completed":
+            raise ConfigError(f"{path}: the run beside it did not complete ({manifest} says status = {status})")
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
             if reader.fieldnames is None or column not in reader.fieldnames:

@@ -64,11 +64,10 @@ class Grid1D:
 
 @dataclass
 class SWEState:
-    """Depth and momentum on a grid, with the gravity constant."""
+    """Depth and momentum on a grid."""
 
     h: np.ndarray
     hu: np.ndarray
-    g: float = GRAVITY
 
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=float)
@@ -90,14 +89,13 @@ class SWEState:
 class VelocityField:
     """Velocity history u(x, t_step) recorded at every solver step.
 
-    Row s of ``u_history`` is the grid velocity at time t0 + s*dt.  The
+    Row s of ``u_history`` is the grid velocity at time s*dt.  The
     transport model looks these rows up by step index, so the history must
     cover the whole assimilation window with no gaps.
     """
 
     u_history: np.ndarray
     dt: float
-    t0: float = 0.0
 
     def __post_init__(self):
         self.u_history = np.asarray(self.u_history, dtype=float)
@@ -353,13 +351,11 @@ class CoupledRun:
     when recording was disabled to bound memory on very fine grids.
     """
 
-    grid: Grid1D
     dt: float
     n_steps: int
     recorded_steps: np.ndarray
     h: np.ndarray
     hu: np.ndarray
-    g: float = GRAVITY
     velocity: VelocityField | None = None
 
 
@@ -430,7 +426,7 @@ def solve_coupled_swe(
             hu_rec[r] = state[1]
 
     velocity = VelocityField(u_hist, dt) if store_velocity else None
-    return CoupledRun(grid, dt, n_steps, keep, h_rec, hu_rec, config.g, velocity)
+    return CoupledRun(dt, n_steps, keep, h_rec, hu_rec, velocity)
 
 
 def transport_step(h, velocity: VelocityField, step_index: int, grid: Grid1D, config: SolverConfig):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .solver import GRAVITY, Grid1D
+from .solver import GRAVITY
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,7 @@ def stoker_solve(params: DamBreakParams, tol: float = 1e-14, max_iter: int = 100
     else:
         raise ConvergenceError(
             f"dam-break compatibility root did not converge in {max_iter} iterations "
-            f"(last residual {fx:.3e})",
-            residual=float(fx),
+            f"(last residual {fx:.3e})"
         )
 
     h_m = float(x)
@@ -188,7 +187,6 @@ class ObservationStream:
     operator: ObservationOperator
     gamma: float
     values: np.ndarray
-    seed: int
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -202,7 +200,7 @@ class ObservationStream:
         return self.gamma**2
 
 
-def synthesize_observations(truth_fn, grid: Grid1D, times, H: ObservationOperator, gamma: float, seed: int) -> ObservationStream:
+def synthesize_observations(truth_fn, times, H: ObservationOperator, gamma: float, seed: int) -> ObservationStream:
     """Draw y_j = H truth(t_j) + eta_j, eta_j ~ N(0, gamma^2 I), seeded.
 
     Noise is drawn in one row-major block over (time, observation index),
@@ -214,5 +212,5 @@ def synthesize_observations(truth_fn, grid: Grid1D, times, H: ObservationOperato
     rng = np.random.default_rng(seed)
     noise = gamma * rng.standard_normal((times.size, H.m))
     clean = np.stack([H.apply(np.asarray(truth_fn(float(t)))) for t in times]) if times.size else np.zeros((0, H.m))
-    return ObservationStream(times, H, gamma, clean + noise, seed)
+    return ObservationStream(times, H, gamma, clean + noise)
 

@@ -281,7 +281,7 @@ def test_oscillatory_weighted_filters_beat_baseline(tmp_path):
             for rec in arts[v].run.records:
                 cells = _shock_cells(cfg, rec.t)
                 errs.append(relative_error(rec.posterior_mean[cells], arts[v].truth.h_at_time(rec.t)[cells]))
-            shock[v] = ErrorSeries(arts[v].run.times, errs, label="shock_region").mean_over(0.15, 0.3)
+            shock[v] = ErrorSeries(arts[v].run.times, errs).mean_over(0.15, 0.3)
         assert shock["gsm_clustered"] < shock["gsm"], f"seed {seed} shock-region errors: {shock}"
         if seed == 1:
             window = {v: a.series[1].mean_over(0.15, 0.3) for v, a in arts.items()}

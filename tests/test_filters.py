@@ -423,7 +423,7 @@ def _make_stream(truth, times, H, gamma, rng=None, exact=False):
         values = np.tile(H.apply(truth), (len(times), 1))
     else:
         values = H.apply(truth) + gamma * rng.standard_normal((len(times), H.m))
-    return ObservationStream(times=np.asarray(times), operator=H, gamma=gamma, values=values, seed=0)
+    return ObservationStream(times=np.asarray(times), operator=H, gamma=gamma, values=values)
 
 
 def test_static_estimation_converges_monotonically():

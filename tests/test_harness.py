@@ -619,6 +619,26 @@ def test_cli_io_errors_exit_4(tmp_path, capsys):
     assert "error.csv" in mapping["error"]
 
 
+def test_compare_rejects_summary_of_failed_rerun(tmp_path, capsys):
+    # the failed seed-2 rerun leaves the seed-1 summary.csv behind it
+    small = ["--case", "dense", "--n", "41", "--ensemble-size", "8"]
+    out = tmp_path / "run"
+    assert main(["assimilate", *small, "--seed", "1", "--out", str(out)]) == 0
+    (out / "error.csv").unlink()
+    (out / "error.csv").mkdir()
+    assert main(["assimilate", *small, "--seed", "2", "--out", str(out)]) == 4
+    assert read_manifest(out / "manifest.txt")["status"] == "failed"
+    summary = out / "summary.csv"
+    assert summary.exists()
+
+    with pytest.raises(ConfigError, match=r"summary\.csv.*status = failed"):
+        compare_runs([summary])
+    capsys.readouterr()
+    assert main(["compare", str(summary), "--out", str(tmp_path / "c.csv")]) == 2
+    assert "status = failed" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def _write_cfg(tmp_path, text):
     path = tmp_path / "override.cfg"
     path.write_text(text)

@@ -99,13 +99,13 @@ def test_relative_error_zero_truth_rejected():
 
 
 def test_error_series_validation_and_mean():
-    s = ErrorSeries(times=[0.1, 0.2, 0.3], values=[0.3, 0.2, 0.1], label="demo")
+    s = ErrorSeries(times=[0.1, 0.2, 0.3], values=[0.3, 0.2, 0.1])
     assert s.mean_over(0.1, 0.2) == pytest.approx(0.25)
     assert s.mean_over(0.1, 0.3) == pytest.approx(0.2)
     with pytest.raises(ConfigError):
         s.mean_over(0.5, 0.9)
     with pytest.raises(ConfigError):
-        ErrorSeries(times=[0.1], values=[0.1, 0.2], label="bad")
+        ErrorSeries(times=[0.1], values=[0.1, 0.2])
     with pytest.raises(ConfigError):
-        ErrorSeries(times=[0.1], values=[-0.1], label="bad")
+        ErrorSeries(times=[0.1], values=[-0.1])
 

@@ -79,7 +79,7 @@ def test_lax_friedrichs_lambda_value():
 
 
 def test_velocity_field_step_range():
-    vel = VelocityField(u_history=np.zeros((3, 5)), dt=0.1, t0=0.0)
+    vel = VelocityField(u_history=np.zeros((3, 5)), dt=0.1)
     vel.at(2)
     with pytest.raises(ConfigError):
         vel.at(3)
@@ -520,7 +520,7 @@ def test_coupled_determinism():
 def test_transport_zero_velocity_keeps_constant_depth():
     grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
     cfg = SolverConfig(cfl=0.1)
-    vel = VelocityField(u_history=np.zeros((2, 51)), dt=cfg.cfl * grid.dx, t0=0.0)
+    vel = VelocityField(u_history=np.zeros((2, 51)), dt=cfg.cfl * grid.dx)
     h = np.full(51, 0.9)
     out = transport_step(h, vel, 0, grid, cfg)
     assert np.array_equal(out, h)
@@ -533,7 +533,7 @@ def test_transport_translation_accuracy_and_order():
         dt = cfg.cfl * grid.dx
         x = grid.points
         h = 1.0 + 0.1 * np.exp(-((x / 0.3) ** 2))
-        vel = VelocityField(u_history=np.full((2, n), c), dt=dt, t0=0.0)
+        vel = VelocityField(u_history=np.full((2, n), c), dt=dt)
         out = transport_step(h, vel, 0, grid, cfg)
         exact = 1.0 + 0.1 * np.exp(-(((x - c * dt) / 0.3) ** 2))
         return np.max(np.abs(out - exact)[5 : n - 5])
@@ -551,7 +551,7 @@ def test_transport_batched_members_match_individual():
     rng = np.random.default_rng(5)
     members = 1.0 + 0.05 * rng.standard_normal((6, 41))
     u = 0.3 * np.sin(np.pi * grid.points)
-    vel = VelocityField(u_history=np.stack([u, u]), dt=cfg.cfl * grid.dx, t0=0.0)
+    vel = VelocityField(u_history=np.stack([u, u]), dt=cfg.cfl * grid.dx)
     batch = transport_step(members, vel, 0, grid, cfg)
     for k in range(6):
         np.testing.assert_array_equal(batch[k], transport_step(members[k], vel, 0, grid, cfg))
@@ -560,7 +560,7 @@ def test_transport_batched_members_match_individual():
 def test_transport_step_index_out_of_range():
     grid = Grid1D(n=41, x_min=-1.0, x_max=1.0)
     cfg = SolverConfig(cfl=0.1)
-    vel = VelocityField(u_history=np.zeros((3, 41)), dt=cfg.cfl * grid.dx, t0=0.0)
+    vel = VelocityField(u_history=np.zeros((3, 41)), dt=cfg.cfl * grid.dx)
     with pytest.raises(ConfigError):
         transport_step(np.ones(41), vel, 3, grid, cfg)
 

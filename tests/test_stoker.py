@@ -205,39 +205,36 @@ def test_observation_operator_validates_indices():
 
 
 def test_synthesize_observations_deterministic():
-    grid = Grid1D(n=41, x_min=-1.0, x_max=1.0)
     H = ObservationOperator.dense(41)
     times = np.linspace(0.01, 0.1, 10)
 
     def truth(t):
         return np.full(41, 1.0 + t)
 
-    a = synthesize_observations(truth, grid, times, H, gamma=0.01, seed=42)
-    b = synthesize_observations(truth, grid, times, H, gamma=0.01, seed=42)
+    a = synthesize_observations(truth, times, H, gamma=0.01, seed=42)
+    b = synthesize_observations(truth, times, H, gamma=0.01, seed=42)
     np.testing.assert_array_equal(a.values, b.values)
-    c = synthesize_observations(truth, grid, times, H, gamma=0.01, seed=43)
+    c = synthesize_observations(truth, times, H, gamma=0.01, seed=43)
     assert not np.array_equal(a.values, c.values)
 
 
 def test_synthesize_observations_tiny_gamma_recovers_truth():
-    grid = Grid1D(n=21, x_min=-1.0, x_max=1.0)
     H = ObservationOperator.dense(21)
 
     def truth(t):
         return np.linspace(0.8, 1.0, 21)
 
-    stream = synthesize_observations(truth, grid, [0.1], H, gamma=1e-300, seed=1)
+    stream = synthesize_observations(truth, [0.1], H, gamma=1e-300, seed=1)
     np.testing.assert_allclose(stream.values[0], truth(0.1), atol=1e-290)
 
 
 def test_synthesize_observations_noise_variance():
     # m * J = 101 * 1000 > 1e5 samples, sample variance within 10%
-    grid = Grid1D(n=101, x_min=-1.0, x_max=1.0)
     H = ObservationOperator.dense(101)
     times = np.linspace(1e-3, 1.0, 1000)
     truth_vec = np.linspace(0.8, 1.0, 101)
 
-    stream = synthesize_observations(lambda t: truth_vec, grid, times, H, gamma=0.01, seed=7)
+    stream = synthesize_observations(lambda t: truth_vec, times, H, gamma=0.01, seed=7)
     noise = stream.values - truth_vec
     assert 0.9 * 0.01**2 <= np.var(noise) <= 1.1 * 0.01**2
 
@@ -245,5 +242,5 @@ def test_synthesize_observations_noise_variance():
 def test_observation_stream_shape_validation():
     H = ObservationOperator.dense(5)
     with pytest.raises(ConfigError):
-        ObservationStream(times=np.array([0.1, 0.2]), operator=H, gamma=0.01, values=np.zeros((3, 5)), seed=0)
+        ObservationStream(times=np.array([0.1, 0.2]), operator=H, gamma=0.01, values=np.zeros((3, 5)))
 
