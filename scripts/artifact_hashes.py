@@ -6,12 +6,15 @@ the acceptance test) at n=201, K=50 this writes, under ``<out>/<case>/``:
 
 - ``<variant>/``: one ``run_experiment`` per filter variant (solution,
   error, summary and prior moments CSVs);
+- ``<variant>_unmasked/``: the same with ``localization_bandwidth`` None,
+  the low-rank-plus-diagonal weight, for dense gsm and sparse
+  gsm_clustered;
 - ``truth/truth.csv`` from ``run_truth_only``;
 - ``moments/moments.csv`` from ``run_free_moments``;
 - ``comparison.csv``: ``compare_runs`` over the variants' summaries with
   one time window, so the quoted ``mean[lo,hi]`` row is written too.
 
-It prints ``sha256  relative/path`` per CSV, sorted by path.
+It prints ``sha256  relative/path`` per CSV (53 in all), sorted by path.
 ``manifest.txt`` is left out because it records absolute paths. Two
 commits wrote byte-identical artifacts when their outputs are equal:
 
@@ -27,6 +30,8 @@ from shockda.assimilation.weights import VARIANTS
 from shockda.harness import CASES, ExperimentConfig, compare_runs, run_experiment, run_free_moments, run_truth_only
 
 COMPARE_WINDOW = (0.05, 0.15)
+# (case, variant) pairs also run without a localization mask
+UNMASKED = (("dense", "gsm"), ("sparse", "gsm_clustered"))
 
 
 def main(argv=None):
@@ -46,6 +51,8 @@ def main(argv=None):
 
         for variant in VARIANTS:
             run_experiment(config(variant, variant=variant))
+        for variant in (v for c, v in UNMASKED if c == case):
+            run_experiment(config(f"{variant}_unmasked", variant=variant, localization_bandwidth=None))
         run_truth_only(config("truth"))
         run_free_moments(config("moments"))
         compare_runs(

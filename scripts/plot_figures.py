@@ -4,12 +4,13 @@
 Reads the CSV files written by the ``shockda`` CLI and renders the standard
 views: solution snapshots (truth vs posterior), relative-error curves across
 runs, and the free-ensemble moment panels.  Matplotlib is imported lazily so
-the package itself never depends on it.
+the package itself never depends on it.  A CSV whose run did not complete
+(its sibling ``manifest.txt`` says otherwise) is refused before plotting.
 
 Usage:
-    python3 scripts/plot_figures.py solution runs/dense_gsm/solution.csv --times 0.05 0.15
-    python3 scripts/plot_figures.py errors runs/*/summary.csv --column relative_error_full
-    python3 scripts/plot_figures.py moments runs/moments/moments.csv
+    PYTHONPATH=src python3 scripts/plot_figures.py solution runs/dense_gsm/solution.csv --times 0.05 0.15
+    PYTHONPATH=src python3 scripts/plot_figures.py errors runs/*/summary.csv --column relative_error_full
+    PYTHONPATH=src python3 scripts/plot_figures.py moments runs/moments/moments.csv
 """
 
 import argparse
@@ -17,6 +18,9 @@ import csv
 import sys
 from collections import defaultdict
 from pathlib import Path
+
+from shockda.errors import ConfigError
+from shockda.harness import require_completed
 
 
 def _require_matplotlib():
@@ -130,6 +134,11 @@ def main(argv=None):
     p.set_defaults(func=cmd_moments)
 
     args = parser.parse_args(argv)
+    try:
+        for path in args.csvs if args.command == "errors" else [args.csv]:
+            require_completed(path)
+    except ConfigError as exc:
+        sys.exit(str(exc))
     args.func(args)
 
 

@@ -6,8 +6,8 @@ analysis mean is the Sherman-Morrison-Woodbury form
     m = m_hat + W H^T (H W H^T + gamma^2 I)^{-1} (y - H m_hat),
 
 which never inverts W.  ``analysis_mean`` picks its solve path from how
-the weight is stored: a K x K ensemble-space solve for the low-rank
-W = X X^T of the unlocalized baseline (Bishop et al. 2001, MWR 129:420;
+the weight is stored: a K x K ensemble-space solve for the low-rank-plus-
+diagonal W of every unmasked weight (Bishop et al. 2001, MWR 129:420;
 Hunt et al. 2007, Physica D 230:112), and for a band W the observed block
 H W H^T, solved by elementwise division when it is diagonal and
 otherwise by Cholesky (LDL' fallback) on the m x m innovation matrix.
@@ -107,9 +107,10 @@ def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, gamm
     ``W`` may be a WeightMatrix or a raw dense matrix.  The solve path
     follows its storage:
 
-    - a ``"lowrank"`` WeightMatrix, W = X X^T with X n x K, is solved in
-      ensemble space as m_hat + X (I + Y^T Y / gamma^2)^{-1} Y^T d / gamma^2,
-      Y = H X, the same mean by the push-through identity;
+    - a ``"lowrank"`` WeightMatrix, W = beta G G^T + diag(D), is solved in
+      ensemble space by the Woodbury identity: with Y = H G and diagonal
+      Lambda = H D H^T + gamma^2 I, u = (I/beta + Y^T Lambda^-1 Y)^-1 Y^T Lambda^-1 d
+      and m = m_hat + G u + D H^T Lambda^-1 (d - Y u);
     - a band WeightMatrix reads its observed block H W H^T from the band
       rows, solves it by elementwise division when it is diagonal and
       otherwise by Cholesky with a symmetric LDL' fallback for indefinite
@@ -127,12 +128,15 @@ def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, gamm
         WHt = np.asarray(W, dtype=float)[:, idx]
         return m_hat + WHt @ _symmetric_solve(_plus_gamma(WHt[idx], gamma_sq), innovation)
     if W.form == "lowrank":
-        X = W.matrix
-        Y = X[idx]
-        K = X.shape[1]
-        G = np.column_stack([Y, innovation]) / gamma_sq  # [Y d] / gamma^2
-        A = np.eye(K) + Y.T @ G[:, :K]
-        return m_hat + X @ _symmetric_solve(A, Y.T @ G[:, K])
+        G = W.matrix
+        Y = G[idx]
+        lam = W.D[idx] + gamma_sq
+        Z = np.column_stack([Y, innovation]) / lam[:, None]  # Lambda^{-1} [Y d]
+        A = np.eye(G.shape[1]) / W.beta + Y.T @ Z[:, :-1]
+        u = _symmetric_solve(A, Y.T @ Z[:, -1])
+        m = m_hat + G @ u
+        m[idx] += W.D[idx] * ((innovation - Y @ u) / lam)
+        return m
 
     z = np.zeros(m_hat.size)
     z[idx] = _symmetric_solve(_plus_gamma(W.observed_block(idx), gamma_sq), innovation)

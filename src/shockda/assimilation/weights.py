@@ -1,11 +1,11 @@
 """Prior weight matrices for the analysis step.
 
 Three gradient-second-moment forms (diagonal, full, clustered) plus the
-localized sample covariance used by the baseline filter.  The unlocalized
-covariance is kept as its n x K factor ("lowrank"); every other weight is
-one (b+1) x n band array (Golub & Van Loan, Matrix Computations, 4th ed.,
-sec. 4.3; the full band b = n-1 when unmasked), computed diagonal by
-diagonal from the low-rank factors.
+localized sample covariance used by the baseline filter.  Every unmasked
+weight is low rank plus a diagonal, W = beta G G^T + diag(D), kept as G, beta
+and D ("lowrank"); a weight masked to a band b < n-1 is one (b+1) x n band
+array (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.3), computed
+diagonal by diagonal from the low-rank factor.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ class FilterConfig:
     ``beta_max_target`` scale only acts in the gsm variants, where the
     weight is rescaled each step so its maximum entry hits the target.
     ``localization_bandwidth`` b masks entries with |i-j| > b (b=0 keeps
-    the diagonal only); None disables masking (full band b = n-1 for gsm,
-    low rank for the baseline).  The observation noise Gamma = gamma^2 I is
-    not a filter setting: the filter takes gamma^2 from the observations.
+    the diagonal only); None disables masking, as does any b >= n-1.  The
+    observation noise Gamma = gamma^2 I is not a filter setting: the filter
+    takes gamma^2 from the observations.
     """
 
     variant: str = "gsm"
@@ -91,12 +91,12 @@ class WeightMatrix:
     ``matrix`` holds one of two storages, set by the form; the analysis
     solve picks its path from it:
 
-    - the n x K factor X of W = X X^T for the ``"lowrank"`` form (the
-      unlocalized baseline covariance), never multiplied out unless
-      ``toarray`` asks for it;
+    - the factor G of W = beta G G^T + diag(D), n x K (n x 2K when
+      clustered), for the ``"lowrank"`` form (every unmasked weight), never
+      multiplied out unless ``toarray`` asks for it;
     - for every other form, a (b+1) x n band array, row d holding
       W[i, i+d] in column i and zeros in its last d entries (b = 0 for the
-      diagonal form, at most n-1; the unmasked gsm forms are the full band).
+      diagonal form, at most n-2).
 
     Unmasked and clustered constructions are positive semidefinite; a
     band mask can introduce small negative eigenvalues (the analysis
@@ -107,10 +107,11 @@ class WeightMatrix:
     matrix: np.ndarray
     beta: float
     partition: ClusterPartition | None = None
+    D: np.ndarray | None = None
 
     def toarray(self) -> np.ndarray:
         if self.form == "lowrank":
-            return self.matrix @ self.matrix.T
+            return self.beta * (self.matrix @ self.matrix.T) + np.diag(self.D)
         W = np.zeros((self.matrix.shape[1],) * 2)
         for d, band in enumerate(self.matrix):
             np.fill_diagonal(W[:, d:], band[: band.size - d])
@@ -119,35 +120,28 @@ class WeightMatrix:
 
     def max_entry(self) -> float:
         if self.form == "lowrank":
-            # by Cauchy-Schwarz a Gram matrix peaks on its diagonal
+            # by Cauchy-Schwarz a Gram matrix peaks on its diagonal, and D >= 0
             return float(self.diagonal().max())
         return float(self.matrix.max())
 
     def diagonal(self) -> np.ndarray:
         if self.form == "lowrank":
-            return np.einsum("ik,ik->i", self.matrix, self.matrix)
+            return self.beta * np.einsum("ik,ik->i", self.matrix, self.matrix) + self.D
         return self.matrix[0]
 
     def observed_block(self, idx: np.ndarray) -> np.ndarray:
-        """H W H^T of a band W for strictly increasing observed cells ``idx``: its diagonal as a
-        vector when no two of them couple, otherwise the m x m block read from the band rows."""
-        bands, b = self.matrix, len(self.matrix) - 1
-
-        def couplings():  # (k, W[idx[a], idx[a+k]] for every a) while some pair k apart lies in the band
-            for k in range(1, idx.size):
-                d = idx[k:] - idx[:-k]  # at least k, and growing with k
-                if d.min() > b:
-                    return
-                yield k, np.where(d <= b, bands[np.minimum(d, b), idx[:-k]], 0.0)
-
-        if not any(np.any(c) for _, c in couplings()):
+        """H W H^T of a band W for distinct observed cells ``idx``: its diagonal as a vector
+        when no two of them couple, otherwise the m x m block scattered from the band rows."""
+        bands = self.matrix
+        pos = np.full(bands.shape[1], -1)  # row and column of each observed cell in the block
+        pos[idx] = np.arange(idx.size)
+        # for each band row d >= 1, the cells i with both i and i+d observed
+        pairs = [np.flatnonzero((pos[:-d] >= 0) & (pos[d:] >= 0)) for d in range(1, len(bands))]
+        if not any(np.any(bands[d, i]) for d, i in enumerate(pairs, 1)):
             return bands[0][idx]
-        m = idx.size
         block = np.diag(bands[0][idx])
-        flat = block.reshape(-1)  # block[a, a+k] is flat[k + a(m+1)], block[a+k, a] is flat[km + a(m+1)]
-        for k, c in couplings():
-            flat[k::m + 1][: m - k] = c
-            flat[k * m::m + 1] = c
+        for d, i in enumerate(pairs, 1):
+            block[pos[i], pos[i + d]] = block[pos[i + d], pos[i]] = bands[d, i]
         return block
 
     def band_product(self, z: np.ndarray) -> np.ndarray:
@@ -207,10 +201,10 @@ def mask_correlations(R: np.ndarray, partition: ClusterPartition) -> np.ndarray:
 
 
 def _banded_gram(F: np.ndarray, bandwidth: int, ids: np.ndarray | None = None) -> np.ndarray:
-    """Band array of diagonals 0..min(bandwidth, n-1) of F @ F.T; given cluster
+    """Band array of diagonals 0..bandwidth (< n-1) of F @ F.T; given cluster
     region ``ids``, off-diagonal entries survive only inside one smooth region."""
     n = F.shape[0]
-    bands = np.zeros((min(bandwidth, n - 1) + 1, n))
+    bands = np.zeros((bandwidth + 1, n))
     for d in range(bands.shape[0]):
         bands[d, : n - d] = np.einsum("ik,ik->i", F[: n - d], F[d:])
         if ids is not None and d > 0:
@@ -222,10 +216,11 @@ def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> Weig
     """Gradient-second-moment weight W, rescaled so max(W) hits the target.
 
     Forms: diagonal (bandwidth 0), full (sqrt(S_i) r_ij sqrt(S_j) under the
-    band mask; None is the full band n-1), clustered (same with correlations
-    masked around the jump detected in the ensemble mean).  beta is chosen
-    a posteriori from the pre-scale maximum entry; zero diagonal entries
-    then get a floor of 1e-12 * max(W) so W stays invertible in flat regions.
+    band mask), clustered (same with correlations masked around the jump
+    detected in the ensemble mean), and lowrank without a mask: G = F =
+    sqrt(S) o C, or [P_s1 F, P_s2 F] when clustered.  beta is chosen a
+    posteriori from the pre-scale maximum entry; zero diagonal entries then
+    get a floor of 1e-12 * max(W) so W stays invertible in flat regions.
     """
     if config.variant not in ("gsm", "gsm_clustered"):
         raise ConfigError(f"build_weight applies to gsm variants, not '{config.variant}'")
@@ -244,9 +239,16 @@ def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> Weig
         partition = cluster_partition(detect_discontinuity(ensemble.mean, grid.dx), config.dist, n)
         ids = partition.region_ids
     F = np.sqrt(S)[:, None] * correlation_matrix_factor(ensemble)
-    bands = _banded_gram(F, n - 1 if bandwidth is None else bandwidth, ids)
-    beta, bands[0] = _rescale_diagonal(bands[0], config.beta_max_target)
-    bands[1:] *= beta
+    diag = np.einsum("ik,ik->i", F, F)
+    beta, w_diag = _rescale_diagonal(diag, config.beta_max_target)
+    if bandwidth is None or bandwidth >= n - 1:
+        # couplings survive inside one region: the whole grid, or each smooth region when clustered
+        regions = [np.ones(n, dtype=bool)] if partition is None else [ids == 0, ids == 2]
+        G = np.hstack([F * r[:, None] for r in regions])
+        # D: the floor, and the diagonal of the cells in no region (the discontinuity region)
+        return WeightMatrix("lowrank", G, beta, partition, w_diag - beta * diag * sum(regions))
+    bands = beta * _banded_gram(F, bandwidth, ids)
+    bands[0] = w_diag
     return WeightMatrix("full" if partition is None else "clustered", bands, beta, partition)
 
 
@@ -268,12 +270,11 @@ def covariance_weight(X: np.ndarray, bandwidth: int | None) -> WeightMatrix:
     """Localized sample covariance (X @ X.T) o T for the baseline filter.
 
     ``X`` is the (already inflated) n x K anomaly matrix.  Without a mask
-    (bandwidth None) the weight is the ``"lowrank"`` form that stores X
-    itself, and the analysis mean is solved in the K-dimensional ensemble
-    space; bandwidth 0 gives a ``"diagonal"`` weight and a finite
-    bandwidth a ``"full"`` one, both as band arrays.  No rescaling and no
-    floor (the analysis solve tolerates a singular W).
+    (bandwidth None or at least n-1) the weight is the ``"lowrank"`` form
+    G = X, beta = 1, D = 0; bandwidth 0 gives a ``"diagonal"`` weight and a
+    narrower band a ``"full"`` one, both as band arrays.  No rescaling and
+    no floor (the analysis solve tolerates a singular W).
     """
-    if bandwidth is None:
-        return WeightMatrix("lowrank", X, 1.0)
+    if bandwidth is None or bandwidth >= X.shape[0] - 1:
+        return WeightMatrix("lowrank", X, 1.0, D=np.zeros(X.shape[0]))
     return WeightMatrix("diagonal" if bandwidth == 0 else "full", _banded_gram(X, bandwidth), 1.0)

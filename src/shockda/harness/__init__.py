@@ -9,6 +9,7 @@ from .experiments import (
     generate_truth,
     initial_condition,
     read_manifest,
+    require_completed,
     run_experiment,
     run_free_moments,
     run_truth_only,

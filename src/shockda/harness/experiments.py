@@ -251,6 +251,14 @@ def read_manifest(path) -> dict:
     return mapping
 
 
+def require_completed(path) -> None:
+    """Reject a file whose sibling ``manifest.txt`` exists and does not say ``status = completed``:
+    it is left over from an earlier run.  A file with no manifest beside it passes."""
+    manifest = Path(path).parent / "manifest.txt"
+    if manifest.exists() and (status := read_manifest(manifest).get("status")) != "completed":
+        raise ConfigError(f"{path}: the run beside it did not complete ({manifest} says status = {status})")
+
+
 def config_from_manifest(path) -> ExperimentConfig:
     mapping = read_manifest(path)
     mapping = {k: v for k, v in mapping.items() if k not in ("shockda_version", "status", "error")}
@@ -286,7 +294,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         ]
         series = [
             ErrorSeries(run.times, rel_full),
-            ErrorSeries(run.times, rel_win, spatial_window=SMOOTH_WINDOW),
+            ErrorSeries(run.times, rel_win),
         ]
 
         _write_solution_csv(paths.solution_csv, grid, run, observations, truth_rows)
@@ -402,9 +410,8 @@ def compare_runs(summary_paths, out_path=None, windows=None, labels=None, column
 
     Returns (times, {label: values}, {window: {label: mean}}); mismatched
     time grids are rejected naming the first offending time.  A summary
-    whose sibling ``manifest.txt`` does not say ``status = completed`` is
-    left over from an earlier run and is rejected; one with no manifest
-    beside it is read as it is.
+    left over from a run that did not complete is rejected
+    (``require_completed``).
     """
     summary_paths = [Path(p) for p in summary_paths]
     if not summary_paths:
@@ -424,9 +431,7 @@ def compare_runs(summary_paths, out_path=None, windows=None, labels=None, column
     for label, path in zip(labels, summary_paths):
         if not path.exists():
             raise ConfigError(f"summary not found: {path}")
-        manifest = path.parent / "manifest.txt"
-        if manifest.exists() and (status := read_manifest(manifest).get("status")) != "completed":
-            raise ConfigError(f"{path}: the run beside it did not complete ({manifest} says status = {status})")
+        require_completed(path)
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
             if reader.fieldnames is None or column not in reader.fieldnames:

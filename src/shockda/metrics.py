@@ -49,11 +49,10 @@ def relative_error(estimate, truth, window=None, x=None) -> float:
 
 @dataclass
 class ErrorSeries:
-    """An error curve over time, optionally window-restricted."""
+    """An error curve over time."""
 
     times: np.ndarray
     values: np.ndarray
-    spatial_window: tuple | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

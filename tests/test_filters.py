@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shockda.errors import ConfigError, NumericalError
 from shockda.solver import Grid1D
@@ -308,15 +308,13 @@ def _reference_mean(m_hat, y, H, gamma_sq, W):
 @settings(max_examples=150, deadline=None)
 @given(
     kind=st.sampled_from(["gsm", "gsm_clustered", "covariance"]),
-    bandwidth=st.one_of(st.integers(0, 3), st.none()),
+    bandwidth=st.integers(0, 3),
     obs=st.sampled_from(["dense", "every_other", "random"]),
     n=st.integers(11, 30),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_band_weight_matches_former_sparse_storage(kind, bandwidth, obs, n, seed):
-    # bandwidth None: the unmasked gsm weights, against the full band n-1
-    # (an unmasked covariance is the low-rank form, tested elsewhere)
-    assume(not (kind == "covariance" and bandwidth is None))
+    # every bandwidth drawn is below n-1 (unmasked weights are low rank, tested below)
     rng = np.random.default_rng(seed)
     grid = Grid1D(n=n, x_min=-1.0, x_max=1.0)
     ens = ensemble_moments(np.where(grid.points < 0.0, 1.0, 0.6) + 0.05 * rng.standard_normal((8, n)))
@@ -324,9 +322,8 @@ def test_band_weight_matches_former_sparse_storage(kind, bandwidth, obs, n, seed
         W = covariance_weight(1.3 * ens.centered, bandwidth)
     else:
         W = build_weight(ens, FilterConfig(variant=kind, localization_bandwidth=bandwidth, dist=1), grid)
-    band = n - 1 if bandwidth is None else bandwidth
-    ref = _reference_weight(kind, ens, band, grid)
-    assert W.matrix.shape == (band + 1, n)
+    ref = _reference_weight(kind, ens, bandwidth, grid)
+    assert W.matrix.shape == (bandwidth + 1, n)
     assert np.array_equal(W.toarray(), ref.toarray())
     assert np.array_equal(W.diagonal(), ref.diagonal())
     assert W.max_entry() == ref.max()
@@ -344,24 +341,59 @@ def test_band_weight_matches_former_sparse_storage(kind, bandwidth, obs, n, seed
     assert np.array_equal(analysis_mean(m_hat, y, H, 0.01**2, W), _reference_mean(m_hat, y, H, 0.01**2, ref))
 
 
-def test_band_width_at_least_n_minus_one_keeps_band_storage():
-    # a band array with n rows is square but still band storage, and an
-    # unmasked gsm weight (bandwidth None) is that same full band
+def test_band_width_at_least_n_minus_one_is_the_unmasked_lowrank_weight():
+    # a mask at least n-1 wide masks nothing: every variant gives the weight
+    # of bandwidth None, the low-rank factor (n x K, n x 2K when clustered)
+    # plus a diagonal, and no band array is built
     rng = np.random.default_rng(17)
-    n = 11
+    n, K = 11, 12
     grid = Grid1D(n=n, x_min=-1.0, x_max=1.0)
-    ens = ensemble_moments(1.0 + 0.1 * rng.standard_normal((12, n)))
-    X = ens.centered
-    for bandwidth in (n - 1, n, 3 * n):
-        W = covariance_weight(X, bandwidth)
-        assert W.matrix.shape == (n, n)
-        np.testing.assert_allclose(W.toarray(), X @ X.T, atol=1e-15)
-    for variant in ("gsm", "gsm_clustered"):
-        full = build_weight(ens, FilterConfig(variant=variant, localization_bandwidth=n - 1), grid)
-        assert full.matrix.shape == (n, n)
-        for bandwidth in (None, n, 3 * n):
-            W = build_weight(ens, FilterConfig(variant=variant, localization_bandwidth=bandwidth), grid)
-            assert np.array_equal(W.matrix, full.matrix) and W.beta == full.beta
+    ens = ensemble_moments(np.where(grid.points < 0.0, 1.0, 0.6) + 0.1 * rng.standard_normal((K, n)))
+    X = 1.3 * ens.centered
+    for variant, factor_shape in (("etkf_baseline", (n, K)), ("gsm", (n, K)), ("gsm_clustered", (n, 2 * K))):
+
+        def weight(bandwidth):
+            if variant == "etkf_baseline":
+                return covariance_weight(X, bandwidth)
+            return build_weight(ens, FilterConfig(variant=variant, localization_bandwidth=bandwidth), grid)
+
+        unmasked = weight(None)
+        assert unmasked.form == "lowrank" and unmasked.matrix.shape == factor_shape
+        assert (unmasked.partition is not None) == (variant == "gsm_clustered")
+        for bandwidth in (n - 1, n, 3 * n):
+            W = weight(bandwidth)
+            assert W.form == "lowrank"
+            assert np.array_equal(W.matrix, unmasked.matrix) and W.beta == unmasked.beta
+            assert np.array_equal(W.D, unmasked.D)
+    np.testing.assert_array_equal(covariance_weight(X, n).D, np.zeros(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=st.sampled_from(["gsm", "gsm_clustered"]),
+    obs=st.sampled_from(["dense", "every_other", "random"]),
+    n=st.integers(11, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lowrank_plus_diagonal_mean_matches_dense_weight(variant, obs, n, seed):
+    # the K-space Woodbury solve of W = beta G G^T + diag(D) against the
+    # m x m solve on the materialized W, relative tolerance 1e-12
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(n=n, x_min=-1.0, x_max=1.0)
+    ens = ensemble_moments(np.where(grid.points < 0.0, 1.0, 0.6) + 0.05 * rng.standard_normal((8, n)))
+    W = build_weight(ens, FilterConfig(variant=variant, localization_bandwidth=None, dist=1), grid)
+    assert W.form == "lowrank"
+    if obs == "dense":
+        H = ObservationOperator.dense(n)
+    elif obs == "every_other":
+        H = ObservationOperator.every_other(n)
+    else:
+        H = ObservationOperator(np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)), n)
+    m_hat = ens.mean + 0.01 * rng.standard_normal(n)
+    y = H.apply(ens.mean) + 0.01 * rng.standard_normal(H.m)
+    out = analysis_mean(m_hat, y, H, 0.01**2, W)
+    dense = analysis_mean(m_hat, y, H, 0.01**2, W.toarray())
+    np.testing.assert_allclose(out, dense, rtol=1e-12, atol=0.0)
 
 
 def test_analysis_indefinite_but_nonsingular_weight_still_solves():

@@ -28,6 +28,7 @@ from shockda.harness import (
     write_manifest,
 )
 from shockda.harness.cli import main
+from shockda.metrics import relative_error
 
 
 def _small(case="dense", **kw):
@@ -415,9 +416,12 @@ def test_run_experiment_sparse_blanks_unobserved_points(tmp_path):
     assert rows[1]["obs"] == ""
     assert float(rows[0]["truth"]) == 1.0
 
-    # every curve in the series pair is over the same analysis times
+    # every curve in the series pair is over the same analysis times, and
+    # the second is the error restricted to the smooth window
     full, windowed = arts.series
-    assert windowed.spatial_window == SMOOTH_WINDOW
+    first = arts.run.records[0]
+    x = cfg.grid().points
+    assert windowed.values[0] == relative_error(first.posterior_mean, arts.truth.truth_h[1], window=SMOOTH_WINDOW, x=x)
     np.testing.assert_array_equal(full.times, windowed.times)
 
 
