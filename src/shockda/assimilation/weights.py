@@ -124,6 +124,12 @@ class WeightMatrix:
             return float(self.diagonal().max())
         return float(self.matrix.max())
 
+    def column_blocks(self) -> list[slice]:
+        """Column blocks of a ``"lowrank"`` G on disjoint rows: all of G, or one block per
+        smooth region when clustered (``build_weight``), so G^T diag(v) G is block diagonal."""
+        width = self.matrix.shape[1] // (1 if self.partition is None else 2)
+        return [slice(lo, lo + width) for lo in range(0, self.matrix.shape[1], width)]
+
     def diagonal(self) -> np.ndarray:
         if self.form == "lowrank":
             return self.beta * np.einsum("ik,ik->i", self.matrix, self.matrix) + self.D
@@ -242,7 +248,8 @@ def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> Weig
     diag = np.einsum("ik,ik->i", F, F)
     beta, w_diag = _rescale_diagonal(diag, config.beta_max_target)
     if bandwidth is None or bandwidth >= n - 1:
-        # couplings survive inside one region: the whole grid, or each smooth region when clustered
+        # couplings survive inside one region: the whole grid, or each smooth region when
+        # clustered, one column block of G each (column_blocks)
         regions = [np.ones(n, dtype=bool)] if partition is None else [ids == 0, ids == 2]
         G = np.hstack([F * r[:, None] for r in regions])
         # D: the floor, and the diagonal of the cells in no region (the discontinuity region)

@@ -11,19 +11,22 @@ run bit-identically.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
+import mmap
 import os
+import signal
 import tempfile
 import zipfile
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .. import __version__
+from .. import __version__, solver
 from ..errors import ConfigError
-from ..solver import Grid1D, SWEState, VelocityField, solve_coupled_swe, transport_step
+from ..solver import Grid1D, SolverConfig, SWEState, VelocityField, solve_coupled_swe, transport_step
 from ..stoker import ObservationStream, stoker_evaluate, stoker_solve, synthesize_observations
 from ..assimilation import Ensemble, ensemble_moments, gradient_second_moment, run_baseline_filter, run_weighted_filter, sample_variance_diag
 from ..assimilation.filters import FilterRun
@@ -191,6 +194,8 @@ class RunArtifacts:
     run: FilterRun | None = None
     truth: TruthBundle | None = None
     series: list | None = None
+    # how the run was executed, recorded in the manifest and ignored by config_from_manifest
+    environment: dict = field(default_factory=dict)
 
     def written(self) -> list[Path]:
         paths = [self.solution_csv, self.error_csv, self.moments_csv, self.summary_csv, self.truth_csv, self.manifest]
@@ -209,33 +214,186 @@ def build_initial_ensemble(config: ExperimentConfig, grid: Grid1D, seed: int) ->
     return ensemble_moments(members)
 
 
-def write_manifest(path: Path, config: ExperimentConfig, status: str, error: str | None = None) -> None:
+def write_manifest(path: Path, config: ExperimentConfig, status: str, error: str | None = None,
+                   environment: dict | None = None) -> None:
     lines = [f"shockda_version = {__version__}"]
     lines += [f"{k} = {v}" for k, v in config.to_items()]
+    lines += [f"{k} = {v}" for k, v in (environment or {}).items()]
     lines.append(f"status = {status}")
     if error is not None:
         lines.append(f"error = {error.splitlines()[0]}")
     path.write_text("\n".join(lines) + "\n")
 
 
+# OpenBLAS names its thread-count functions <prefix>get_num_threads<suffix> and
+# <prefix>set_num_threads<suffix>: numpy's build (64-bit integers) with
+# scipy_openblas_ and 64_, scipy's with scipy_openblas_ alone
+_OPENBLAS_AFFIXES = [(prefix, suffix) for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")]
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run every OpenBLAS in the process on one thread; yield 1, or ``"unpinned"`` if none was found.
+
+    A loaded library is set through its set_num_threads function and gets
+    its previous count back on exit.  A library loaded later (scipy's, on
+    a run's first full-matrix solve) reads OPENBLAS_NUM_THREADS as it
+    loads, so that variable is 1 meanwhile and restored after.  One thread
+    makes the bytes independent of the machine's BLAS default, and leaves
+    the other CPUs to the forecast workers: an idle OpenBLAS thread
+    spin-waits on its core after every call.
+    """
+    try:
+        with open("/proc/self/maps") as maps:  # the libraries mapped into this process
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    restore = []
+    for lib in map(ctypes.CDLL, paths):
+        for prefix, suffix in _OPENBLAS_AFFIXES:
+            get_threads = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_threads = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get_threads is not None and set_threads is not None:
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                restore.append((set_threads, get_threads()))
+                set_threads(1)
+                break
+    previous = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield 1 if restore else "unpinned"
+    finally:
+        if previous is None:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = previous
+        for set_threads, threads in restore:
+            set_threads(threads)
+
+
 @contextmanager
 def _run(config: ExperimentConfig, *names: str):
     """Yield the RunArtifacts of a run writing ``<name>.csv`` per name; record how it ended.
 
-    The output directory is made inside the guard.  On success the manifest
-    says ``status = completed``; any exception writes ``status = failed`` (an
-    OSError from that write is suppressed) and propagates.
+    The output directory is made inside the guard, and the run goes on one
+    BLAS thread (``_one_blas_thread``).  On success the manifest says
+    ``status = completed``; any exception writes ``status = failed`` (an
+    OSError from that write is suppressed) and propagates.  Either way the
+    manifest also records ``paths.environment``.
     """
     out = config.output_dir
     paths = RunArtifacts(out / "manifest.txt", **{f"{name}_csv": out / f"{name}.csv" for name in names})
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        yield paths
-        write_manifest(paths.manifest, config, status="completed")
+        with _one_blas_thread() as threads:
+            paths.environment["blas_threads"] = threads
+            out.mkdir(parents=True, exist_ok=True)
+            yield paths
+        write_manifest(paths.manifest, config, status="completed", environment=paths.environment)
     except BaseException as exc:
         with suppress(OSError):
-            write_manifest(paths.manifest, config, status="failed", error=str(exc) or type(exc).__name__)
+            write_manifest(paths.manifest, config, status="failed", error=str(exc) or type(exc).__name__,
+                           environment=paths.environment)
         raise
+
+
+def _forecast_worker(conn, parent_ends, buffer, rows: int, velocity: VelocityField, grid: Grid1D,
+                     solver_cfg: SolverConfig) -> None:
+    """Advance the ``rows`` members the parent puts in ``buffer`` by the step each message names,
+    in place, and answer None or the exception raised; stop when the parent closes the pipe.
+
+    ``parent_ends`` are the parent's pipe ends this fork inherited; they are
+    closed first, so the parent's close reads as EOF here."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    for end in parent_ends:
+        end.close()
+    with suppress(EOFError, BrokenPipeError):
+        while True:
+            step, order = conn.recv()
+            block = np.ndarray((rows, grid.n), buffer=buffer, order=order)
+            try:
+                block[...] = transport_step(block, velocity, step, grid, solver_cfg)
+            except Exception as exc:
+                conn.send(exc)
+            else:
+                conn.send(None)
+
+
+@contextmanager
+def _forecast(velocity: VelocityField, grid: Grid1D, solver_cfg: SolverConfig, rows: int):
+    """Yield ``dynamics(members, step)``, one ``transport_step`` of a (rows, n) stack, and its process count.
+
+    The count is w = min(CPUs this process may run on, rows, rows (n + 1) //
+    ``solver._FACE_BLOCK``): a process gets at least one face block of work.
+    At w <= 1 the step runs here.  Otherwise w - 1 workers are forked once
+    (they inherit the velocity history); each step hands each one a
+    contiguous block of member rows through shared memory, advances the
+    first block here meanwhile, and assembles the result in the stack's
+    own memory layout.  Each row sees the same operations whatever the
+    block (the splitting speed is per row, and ``weno5_derivative`` does
+    not depend on its block size), so the bytes do not depend on w.  A
+    worker's exception is raised here with its type; a worker that dies
+    raises ChildProcessError.  Every worker is joined on exit.  The workers
+    are forked, not spawned, to inherit the history without a copy; the run
+    has put OpenBLAS on one thread by then, and OpenBLAS stops its thread
+    pool before a fork.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, rows, rows * (grid.n + 1) // solver._FACE_BLOCK)
+
+    def step_rows(members, step):
+        return transport_step(members, velocity, step, grid, solver_cfg)
+
+    if workers <= 1:
+        yield step_rows, 1
+        return
+    import multiprocessing  # 0.7 MB of modules that an in-process forecast does without
+
+    bounds = [rows * i // workers for i in range(workers + 1)]
+    context = multiprocessing.get_context("fork")
+    procs, conns, buffers = [], [], []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            buffers.append(mmap.mmap(-1, (hi - lo) * grid.n * np.dtype(float).itemsize))
+            conn, child_conn = context.Pipe()
+            conns.append(conn)
+            procs.append(context.Process(target=_forecast_worker, daemon=True,
+                                         args=(child_conn, conns, buffers[-1], hi - lo, velocity, grid, solver_cfg)))
+            procs[-1].start()
+            child_conn.close()  # the worker holds the only other end, so its death reads as EOF here
+
+        def died(proc):
+            proc.join()
+            return ChildProcessError(f"forecast worker {proc.pid} died (exit code {proc.exitcode})")
+
+        def dynamics(members, step):
+            order = "F" if members.flags.f_contiguous and not members.flags.c_contiguous else "C"
+            out = np.empty_like(members)
+            blocks = []
+            for lo, hi, buffer, conn, proc in zip(bounds[1:-1], bounds[2:], buffers, conns, procs):
+                blocks.append(np.ndarray((hi - lo, grid.n), buffer=buffer, order=order))
+                blocks[-1][...] = members[lo:hi]
+                try:
+                    conn.send((step, order))
+                except BrokenPipeError:
+                    raise died(proc) from None
+            out[: bounds[1]] = step_rows(np.array(members[: bounds[1]], order=order), step)
+            for lo, hi, block, conn, proc in zip(bounds[1:-1], bounds[2:], blocks, conns, procs):
+                try:
+                    reply = conn.recv()
+                except EOFError:
+                    raise died(proc) from None
+                if reply is not None:
+                    raise reply
+                out[lo:hi] = block
+            return out
+
+        yield dynamics, workers
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
 
 
 def read_manifest(path) -> dict:
@@ -261,7 +419,8 @@ def require_completed(path) -> None:
 
 def config_from_manifest(path) -> ExperimentConfig:
     mapping = read_manifest(path)
-    mapping = {k: v for k, v in mapping.items() if k not in ("shockda_version", "status", "error")}
+    run_keys = ("shockda_version", "status", "error", "blas_threads", "forecast_workers")
+    mapping = {k: v for k, v in mapping.items() if k not in run_keys}
     return ExperimentConfig.from_mapping(mapping)
 
 
@@ -277,14 +436,11 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         H = config.observation_operator()
         observations = synthesize_observations(bundle.h_at_time, bundle.obs_times, H, config.gamma, config.seed)
         ens0 = build_initial_ensemble(config, grid, config.seed)
-        solver_cfg = config.solver_config()
-
-        def dynamics(members, step):
-            return transport_step(members, bundle.velocity, step, grid, solver_cfg)
-
-        fc = config.filter_config()
         runner = run_baseline_filter if config.variant == "etkf_baseline" else run_weighted_filter
-        run = runner(ens0.members, dynamics, observations, fc, grid, steps_per_obs=config.obs_stride_steps)
+        with _forecast(bundle.velocity, grid, config.solver_config(), config.ensemble_size) as (dynamics, workers):
+            paths.environment["forecast_workers"] = workers
+            run = runner(ens0.members, dynamics, observations, config.filter_config(), grid,
+                         steps_per_obs=config.obs_stride_steps)
 
         truth_rows = bundle.truth_h[1:]
         rel_full = [relative_error(r.posterior_mean, truth_rows[j]) for j, r in enumerate(run.records)]
@@ -363,7 +519,6 @@ def run_free_moments(config: ExperimentConfig) -> RunArtifacts:
         grid = config.grid()
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         members = build_initial_ensemble(config, grid, config.seed).members
-        solver_cfg = config.solver_config()
         dt = config.dt
 
         snap_steps = []
@@ -384,10 +539,12 @@ def run_free_moments(config: ExperimentConfig) -> RunArtifacts:
 
         if 0 in snap_steps:
             record(0.0)
-        for step in range(max(snap_steps)):
-            members = transport_step(members, bundle.velocity, step, grid, solver_cfg)
-            if (step + 1) in snap_steps:
-                record((step + 1) * dt)
+        with _forecast(bundle.velocity, grid, config.solver_config(), config.ensemble_size) as (dynamics, workers):
+            paths.environment["forecast_workers"] = workers
+            for step in range(max(snap_steps)):
+                members = dynamics(members, step)
+                if (step + 1) in snap_steps:
+                    record((step + 1) * dt)
         _write_moments_csv(paths.moments_csv, grid, times, means, variances, gsms)
     return paths
 

@@ -152,14 +152,26 @@ def lax_friedrichs_lambda(u, h, g: float = GRAVITY):
     return np.max(speed, axis=-1, keepdims=True)
 
 
-def _weno5_face(a, b, c, d, e, out, work):
+def _curvature_terms(x, y, z, out):
+    """13/12 ((x - 2y) + z)^2 into ``out``: the first term of a WENO5 smoothness indicator.
+
+    Over a face's stencil window (two grid steps longer than the face),
+    three shifts of it are the first terms of beta0, beta1 and beta2.
+    """
+    np.add(np.subtract(x, np.multiply(2.0, y, out=out), out=out), z, out=out)
+    return np.multiply(13.0 / 12.0, np.multiply(out, out, out=out), out=out)
+
+
+def _weno5_face(a, b, c, d, e, curvature, out, work):
     """Left-biased fifth-order WENO value at the interface right of c.
 
     Arguments are the five stencil values f[i-2..i+2]; mirroring the
     argument order gives the right-biased reconstruction at the same
-    interface.  The value is written into ``out``; ``work`` holds five
-    scratch arrays of ``out``'s shape.  Each line performs the IEEE
-    operations of the expression form
+    interface.  ``curvature`` holds the first terms 13/12 (a - 2b + c)^2,
+    13/12 (b - 2c + d)^2 and 13/12 (c - 2d + e)^2 of beta0..beta2, shifts
+    of one ``_curvature_terms`` array.  The value is written into ``out``;
+    ``work`` holds four scratch arrays of ``out``'s shape.  Each line
+    performs the IEEE operations of the expression form
 
         beta0 = 13/12 (a - 2b + c)^2 + 1/4 (a - 4b + 3c)^2   (beta1, beta2 alike)
         alpha_k = C_k / (eps + beta_k)^2,  C = (0.1, 0.6, 0.3)
@@ -168,26 +180,22 @@ def _weno5_face(a, b, c, d, e, out, work):
 
     in the same order, so the result is bit-identical to it.
     """
-    w0, w1, w2, t, s = work
+    w0, w1, w2, s = work
     mul, add, sub = np.multiply, np.add, np.subtract
 
-    def alpha(w, weight):
+    def alpha(w, weight, t):
         # w = t + s is beta_k with t, s its two squared terms
-        mul(13.0 / 12.0, mul(t, t, out=t), out=t)
         mul(0.25, mul(s, s, out=s), out=s)
         add(WENO_EPS, add(t, s, out=w), out=w)
         np.divide(weight, mul(w, w, out=w), out=w)
 
-    add(sub(a, mul(2.0, b, out=t), out=t), c, out=t)
     add(sub(a, mul(4.0, b, out=s), out=s), mul(3.0, c, out=w0), out=s)
-    alpha(w0, 0.1)
-    add(sub(b, mul(2.0, c, out=t), out=t), d, out=t)
+    alpha(w0, 0.1, curvature[0])
     sub(b, d, out=s)
-    alpha(w1, 0.6)
-    add(sub(c, mul(2.0, d, out=t), out=t), e, out=t)
+    alpha(w1, 0.6, curvature[1])
     add(sub(mul(3.0, c, out=s), mul(4.0, d, out=w2), out=s), e, out=s)
-    alpha(w2, 0.3)
-    add(add(w0, w1, out=t), w2, out=t)  # total
+    alpha(w2, 0.3, curvature[2])
+    t = add(add(w0, w1, out=curvature[0]), w2, out=curvature[0])  # total, over the spent curvature terms
 
     np.divide(add(sub(mul(2.0, a, out=s), mul(7.0, b, out=out), out=s), mul(11.0, c, out=out), out=s), 6.0, out=s)
     mul(w0, s, out=w0)
@@ -278,11 +286,17 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate")
             if inner.stop < width:
                 split_block[..., inner.stop :] = split_block[..., inner.stop - 1 : inner.stop]
 
-        fhat, minus, *work = (buf[:span] for buf in faces)
-        # plus flux: left-biased stencil f[i-2..i+2] about interface i+1/2
-        _weno5_face(*(flat_p[s * d : s * d + span] for s in range(5)), fhat, work)
-        # minus flux: mirrored stencil f[i+3..i-1]
-        _weno5_face(*(flat_m[s * d : s * d + span] for s in range(5, 0, -1)), minus, work)
+        fhat, minus, *work = (buf[:span] for buf in faces[:6])
+        curv = faces[6][: span + 2 * d]  # a face's curvature terms, on a window two grid steps longer
+        # plus flux: left-biased stencil f[i-2..i+2] about interface i+1/2; minus flux: mirrored
+        # stencil f[i+3..i-1], its curvature terms (x, y, z) and their shifts mirrored too
+        for flat, stencil, window, shifts, face in (
+            (flat_p, range(5), (0, 1, 2), (0, 1, 2), fhat),
+            (flat_m, range(5, 0, -1), (3, 2, 1), (2, 1, 0), minus),
+        ):
+            _curvature_terms(*(flat[s * d : s * d + span + 2 * d] for s in window), out=curv)
+            curvature = [curv[s * d : s * d + span] for s in shifts]
+            _weno5_face(*(flat[s * d : s * d + span] for s in stencil), curvature, face, work)
         np.add(fhat, minus, out=fhat)
         fhat = faces[0][: n_rows * width].reshape(lead + (width,), order=order)  # interface i at column i
         deriv = np.subtract(fhat[..., 1 : k + 1], fhat[..., :k], out=out[..., j : j + k])
