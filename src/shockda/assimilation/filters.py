@@ -10,7 +10,7 @@ the weight is stored: a K x K ensemble-space solve for the low-rank-plus-
 diagonal W of every unmasked weight (Bishop et al. 2001, MWR 129:420;
 Hunt et al. 2007, Physica D 230:112), and for a band W the observed block
 H W H^T, solved by elementwise division when it is diagonal and
-otherwise by Cholesky (LDL' fallback) on the m x m innovation matrix.
+otherwise by one LU solve of the m x m innovation matrix.
 
 The posterior anomalies come from the symmetric square root of the
 K x K transform
@@ -64,10 +64,10 @@ def etkf_transform(X: np.ndarray, H: ObservationOperator, gamma_sq: float) -> np
 def _symmetric_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """S^{-1} rhs for a symmetric S, given as a vector when S is diagonal.
 
-    A full S is factored by Cholesky first; band-masked covariance
-    weights can make the innovation matrix indefinite, so a symmetric
-    LDL' solve is kept as the fallback.  Raises with a condition estimate
-    if the system is singular.
+    A full S is solved by LU with partial pivoting (``np.linalg.solve``),
+    which also covers the indefinite innovation matrices that band-masked
+    covariance weights can give.  Raises with a condition estimate if the
+    system is singular or the solution is not finite.
     """
     try:
         if S.ndim == 1:
@@ -75,11 +75,7 @@ def _symmetric_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                 raise np.linalg.LinAlgError("zero diagonal entry")
             t = rhs / S
         else:
-            import scipy.linalg  # only full-matrix solves need scipy, so band-weight runs never load it
-            try:
-                t = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S, lower=True), rhs)
-            except np.linalg.LinAlgError:
-                t = scipy.linalg.solve(S, rhs, assume_a="sym")
+            t = np.linalg.solve(S, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"innovation system singular (condition estimate {_condition(S):.3e})"
@@ -113,8 +109,8 @@ def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, gamm
       and m = m_hat + G u + D H^T Lambda^-1 (d - Y u);
     - a band WeightMatrix reads its observed block H W H^T from the band
       rows, solves it by elementwise division when it is diagonal and
-      otherwise by Cholesky with a symmetric LDL' fallback for indefinite
-      systems, and maps the result back with the band product W z;
+      otherwise by one LU solve, and maps the result back with the band
+      product W z;
     - a raw dense matrix, the general reference, takes the m x m solve too.
 
     Raises NumericalError with a condition estimate if the system is

@@ -226,8 +226,9 @@ def write_manifest(path: Path, config: ExperimentConfig, status: str, error: str
 
 
 # OpenBLAS names its thread-count functions <prefix>get_num_threads<suffix> and
-# <prefix>set_num_threads<suffix>: numpy's build (64-bit integers) with
-# scipy_openblas_ and 64_, scipy's with scipy_openblas_ alone
+# <prefix>set_num_threads<suffix>: numpy's wheel build (64-bit integers) with
+# scipy_openblas_ and 64_; builds with 32-bit integers drop the suffix, and
+# other distributions use openblas_
 _OPENBLAS_AFFIXES = [(prefix, suffix) for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")]
 
 
@@ -235,13 +236,12 @@ _OPENBLAS_AFFIXES = [(prefix, suffix) for prefix in ("scipy_openblas_", "openbla
 def _one_blas_thread():
     """Run every OpenBLAS in the process on one thread; yield 1, or ``"unpinned"`` if none was found.
 
-    A loaded library is set through its set_num_threads function and gets
-    its previous count back on exit.  A library loaded later (scipy's, on
-    a run's first full-matrix solve) reads OPENBLAS_NUM_THREADS as it
-    loads, so that variable is 1 meanwhile and restored after.  One thread
-    makes the bytes independent of the machine's BLAS default, and leaves
-    the other CPUs to the forecast workers: an idle OpenBLAS thread
-    spin-waits on its core after every call.
+    Each library mapped into the process is set through its
+    set_num_threads function and gets its previous count back on exit; a
+    run loads no other.  One thread makes the bytes independent of the
+    machine's BLAS default, and leaves the other CPUs to the forecast
+    workers: an idle OpenBLAS thread spin-waits on its core after every
+    call.
     """
     try:
         with open("/proc/self/maps") as maps:  # the libraries mapped into this process
@@ -259,15 +259,9 @@ def _one_blas_thread():
                 restore.append((set_threads, get_threads()))
                 set_threads(1)
                 break
-    previous = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         yield 1 if restore else "unpinned"
     finally:
-        if previous is None:
-            os.environ.pop("OPENBLAS_NUM_THREADS", None)
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = previous
         for set_threads, threads in restore:
             set_threads(threads)
 
@@ -512,21 +506,23 @@ def run_free_moments(config: ExperimentConfig) -> RunArtifacts:
     """The no-assimilation moment diagnostic: write moments.csv and a manifest.
 
     The initial ensemble is propagated with no analysis, and its mean,
-    variance and gradient second moment are written at the snapshot times,
-    which must land on solver steps.
+    variance and gradient second moment are written at the snapshot times:
+    at least one, each on a solver step.
     """
     with _run(config, "moments") as paths:
-        grid = config.grid()
-        bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
-        members = build_initial_ensemble(config, grid, config.seed).members
         dt = config.dt
-
+        if not config.snapshot_times:
+            raise ConfigError("the moment diagnostic needs at least one snapshot time")
         snap_steps = []
         for t in config.snapshot_times:
             s = int(round(t / dt))
             if abs(s * dt - t) > 1e-9 * max(1.0, t) or not 0 <= s <= config.n_steps:
                 raise ConfigError(f"snapshot time {t} does not land on a solver step inside the run")
             snap_steps.append(s)
+
+        grid = config.grid()
+        bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
+        members = build_initial_ensemble(config, grid, config.seed).members
 
         times, means, variances, gsms = [], [], [], []
 
@@ -591,12 +587,16 @@ def compare_runs(summary_paths, out_path=None, windows=None, labels=None, column
         require_completed(path)
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
-            if reader.fieldnames is None or column not in reader.fieldnames:
-                raise ConfigError(f"{path} has no '{column}' column")
+            for name in ("t", column):
+                if reader.fieldnames is None or name not in reader.fieldnames:
+                    raise ConfigError(f"{path} has no '{name}' column")
             t_list, v_list = [], []
             for row in reader:
-                t_list.append(float(row["t"]))
-                v_list.append(float(row[column]))
+                try:
+                    t_list.append(float(row["t"]))
+                    v_list.append(float(row[column]))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{path} row {reader.line_num}: {exc}") from exc
         times = np.asarray(t_list)
         if times_ref is None:
             times_ref = times

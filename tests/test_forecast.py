@@ -154,8 +154,8 @@ for case, variant in (("dense", "etkf_baseline"), ("sparse", "gsm_clustered")):
 def test_reference_cycle_bytes_do_not_depend_on_the_blas_environment(tmp_path):
     """One reference-size cycle (n=1001, K=100) under OPENBLAS_NUM_THREADS=1 and =2.
 
-    The dense baseline loads scipy's OpenBLAS on its first K x K solve, in
-    mid-run; the pin covers that library too.
+    numpy's OpenBLAS reads the variable as it loads; the pin puts it on one
+    thread for the run whatever the variable said.
     """
     src = str(Path(shockda.__file__).resolve().parents[1])
     for threads in ("1", "2"):

@@ -570,6 +570,34 @@ def test_cli_moments_defaults(tmp_path, capsys):
     assert (out / "moments.csv").exists()
 
 
+def test_cli_moments_without_snapshot_times_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "moments"
+    cfg = _write_cfg(tmp_path, "snapshot_times =\n")
+    assert main(["moments", "--n", "41", "--cfl", "0.01", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "snapshot time" in err
+    assert read_manifest(out / "manifest.txt")["status"] == "failed"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("time,relative_error_full\n0.1,0.5\n", r"s\.csv has no 't' column"),
+        ("t,relative_error_full\n0.1,0.5\n0.2,oops\n", r"s\.csv row 3: .*'oops'"),
+        ("t,relative_error_full\n0.1,0.5\n0.2\n", r"s\.csv row 3"),
+    ],
+    ids=["no t column", "non-numeric cell", "short row"],
+)
+def test_compare_rejects_a_malformed_summary(tmp_path, capsys, text, message):
+    summary = tmp_path / "s.csv"
+    summary.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        compare_runs([summary])
+    assert main(["compare", str(summary), "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("inflation = 1.5\n")
