@@ -20,11 +20,20 @@ commits wrote byte-identical artifacts when their outputs are equal:
 
     PYTHONPATH=src python3 scripts/artifact_hashes.py --out runs/hashes --seed 1 > after.txt
     diff before.txt after.txt
+
+With ``--against DIR`` (the ``--out`` of an earlier run, say of the parent
+commit) it also prints to stderr, for each CSV whose bytes differ from
+DIR's copy, the largest |difference| of each numeric column relative to
+the max |value| of DIR's column, and a text column whose cells differ.
 """
 
 import argparse
+import csv
 import hashlib
+import sys
 from pathlib import Path
+
+import numpy as np
 
 from shockda.assimilation.weights import VARIANTS
 from shockda.harness import CASES, ExperimentConfig, compare_runs, run_experiment, run_free_moments, run_truth_only
@@ -38,6 +47,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="artifact directory (each run gets a subdirectory)")
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--against", type=Path, help="artifact directory to report the drift of differing CSVs against")
     args = p.parse_args(argv)
     out = Path(args.out)
 
@@ -62,6 +72,64 @@ def main(argv=None):
         )
     for path in sorted(out.rglob("*.csv")):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}")
+    if args.against is not None:
+        for line in drift_report(out, args.against):
+            print(line, file=sys.stderr)
+
+
+def _floats(cells):
+    """The cells as floats, an empty cell as NaN; None if a cell is text."""
+    try:
+        return np.array([float(c) if c else np.nan for c in cells])
+    except ValueError:
+        return None
+
+
+def column_drift(path, reference) -> dict:
+    """Per column of two CSVs with one header: max |a - b| / max |b| of a numeric column (b from
+    ``reference``; an empty cell against a number counts as inf), or "text differs" for a text column."""
+    tables = []
+    for p in (path, reference):
+        with open(p, newline="") as f:
+            tables.append(list(csv.reader(f)))
+    (header, *rows), (ref_header, *ref_rows) = tables
+    if header != ref_header or len(rows) != len(ref_rows):
+        raise ValueError(f"{path}: header or row count differs from {reference}")
+    drift = {}
+    for j, name in enumerate(header):
+        cells, ref_cells = [r[j] for r in rows], [r[j] for r in ref_rows]
+        a, b = _floats(cells), _floats(ref_cells)
+        if a is None or b is None:
+            if cells != ref_cells:
+                drift[name] = "text differs"
+            continue
+        with np.errstate(invalid="ignore"):
+            delta = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
+        scale = np.nanmax(np.abs(b), initial=0.0)
+        worst = np.max(np.where(np.isnan(delta), np.inf, delta), initial=0.0)
+        drift[name] = worst / scale if scale > 0 else (np.inf if worst else 0.0)
+    return drift
+
+
+def drift_report(out, against) -> list[str]:
+    """One line per CSV under ``out`` whose bytes differ from its copy under ``against``, then a count."""
+    out, against = Path(out), Path(against)
+    paths = sorted({p.relative_to(root) for root in (out, against) for p in root.rglob("*.csv")})
+    lines = []
+    for rel in paths:
+        path, reference = out / rel, against / rel
+        if not (path.exists() and reference.exists()):
+            lines.append(f"{rel.as_posix()}: only in {out if path.exists() else against}")
+        elif path.read_bytes() != reference.read_bytes():
+            try:
+                drift = column_drift(path, reference)
+            except ValueError as exc:
+                lines.append(str(exc))
+                continue
+            cells = ", ".join(f"{k} {v}" if isinstance(v, str) else f"{k} {v:.2g}" for k, v in drift.items())
+            lines.append(f"{rel.as_posix()}: {cells}")
+    lines.append(f"{len(lines)} of {len(paths)} CSVs differ from {against}")
+    return lines
 
 
 if __name__ == "__main__":

@@ -206,12 +206,14 @@ def build_initial_ensemble(config: ExperimentConfig, grid: Grid1D, seed: int) ->
     """Case initial depth plus i.i.d. Gaussian point noise, seeded.
 
     The generator is keyed on (seed, 1) so the ensemble stream stays
-    independent of the observation noise stream keyed on seed alone.
+    independent of the observation noise stream keyed on seed alone.  The
+    member stack is F-ordered, the layout of every analysed stack, so each
+    cycle's member reductions sum in one order.
     """
     base = initial_condition(config, grid).h
     rng = np.random.default_rng([seed, 1])
     members = base + config.ic_perturb_std * rng.standard_normal((config.ensemble_size, grid.n))
-    return ensemble_moments(members)
+    return ensemble_moments(np.asfortranarray(members))
 
 
 def write_manifest(path: Path, config: ExperimentConfig, status: str, error: str | None = None,
@@ -562,9 +564,9 @@ def compare_runs(summary_paths, out_path=None, windows=None, labels=None, column
     """Join summary CSVs on their (shared) time grid and aggregate over windows.
 
     Returns (times, {label: values}, {window: {label: mean}}); mismatched
-    time grids are rejected naming the first offending time.  A summary
-    left over from a run that did not complete is rejected
-    (``require_completed``).
+    time grids are rejected naming the first offending time, and so is a
+    label given twice.  A summary left over from a run that did not
+    complete is rejected (``require_completed``).
     """
     summary_paths = [Path(p) for p in summary_paths]
     if not summary_paths:
@@ -578,6 +580,8 @@ def compare_runs(summary_paths, out_path=None, windows=None, labels=None, column
             labels.append(label)
     elif len(labels) != len(summary_paths):
         raise ConfigError("labels must match the number of summaries")
+    elif len(set(labels)) != len(labels):
+        raise ConfigError(f"labels must be distinct, got {labels}")
 
     times_ref = None
     columns: dict = {}

@@ -1,8 +1,9 @@
 """Uniform-grid solver for the 1D shallow-water system and depth transport.
 
 Spatial discretization is fifth-order finite-difference WENO (Jiang-Shu
-smoothness indicators, epsilon = 1e-6) with global Lax-Friedrichs flux
-splitting; time integration is the three-stage TVD Runge-Kutta scheme.
+smoothness indicators, epsilon = 1e-6, evaluated in first differences of
+the split flux) with global Lax-Friedrichs flux splitting; time
+integration is the three-stage TVD Runge-Kutta scheme.
 Two right-hand sides are provided: the coupled conservative system
 
     h_t + (hu)_x = 0,    (hu)_t + (hu^2 + g h^2 / 2)_x = 0,
@@ -32,10 +33,11 @@ WENO_EPS = 1e-6
 _NGHOST = 3
 
 # elements (rows x interface columns) per block of weno5_derivative: about
-# 128 KiB of float64 in each of its nine flat scratch arrays (two split, seven
-# face; each holds the block's stencil window, five columns wider), so they
-# stay in a per-core L2 cache (on a 2-vCPU Xeon with 2 MiB L2 per core, 8192
-# and 32768 measured slower at (100, 1001))
+# 128 KiB of float64 in each of its twelve flat scratch arrays (two split, four
+# difference, six face; each holds the block's stencil window, five columns
+# wider), 1.5 MiB in all, so they stay in a per-core L2 cache (on a 2-vCPU
+# Xeon with 2 MiB L2 per core, 32768 measured slower at (100, 1001) and
+# 8192 not measurably faster)
 _FACE_BLOCK = 16384
 
 
@@ -152,58 +154,72 @@ def lax_friedrichs_lambda(u, h, g: float = GRAVITY):
     return np.max(speed, axis=-1, keepdims=True)
 
 
-def _curvature_terms(x, y, z, out):
-    """13/12 ((x - 2y) + z)^2 into ``out``: the first term of a WENO5 smoothness indicator.
+def _weno5_split_face(flat, d, span, mirrored, out, scratch):
+    """Fifth-order WENO value of one split flux at ``span`` interfaces, written into ``out``.
 
-    Over a face's stencil window (two grid steps longer than the face),
-    three shifts of it are the first terms of beta0, beta1 and beta2.
+    ``flat`` is a flat block of the split flux whose grid axis has flat step
+    ``d``.  Element p of ``out`` has the stencil a..e = flat[p + s d] for
+    s = 0..4, left-biased (plus flux), or s = 5..1 when ``mirrored`` (minus
+    flux, right-biased at the same interface).  The kernel works in first
+    differences D_j = f_{j+1} - f_j: it builds D, the curvature window
+    13/3 (D_{j+1} - D_j)^2, 3D and 2D once per split flux in ``scratch``
+    (eight flat arrays at least span + 4d long) and reads each at shifts of
+    d.  A mirrored stencil reads them at mirrored shifts, where every
+    difference has the opposite sign.  Each line performs the IEEE
+    operations of the expression form
+
+        Da, Db, Dc, Dd = b - a, c - b, d - c, e - d
+        4 beta0 = 13/3 (Db - Da)^2 + (3 Db - Da)^2
+        4 beta1 = 13/3 (Dc - Db)^2 + (Db + Dc)^2
+        4 beta2 = 13/3 (Dd - Dc)^2 + (3 Dc - Dd)^2
+        alpha_k = C_k / (4 eps + 4 beta_k)^2,  C = (0.1, 0.6, 0.3)
+        out = c + (alpha0 (5 Db - 2 Da) + alpha1 (Db + 2 Dc) + alpha2 (4 Dc - Dd))
+                  / (6 (alpha0 + alpha1 + alpha2))
+
+    in the same order (negated exactly where mirrored), so the result is
+    bit-identical to it.  That is the Jiang-Shu scheme in differences: its
+    beta_k times 4, its alpha_k over 16 (the factor cancels in the
+    weights), and its candidate values (2a - 7b + 11c)/6, (-b + 5c + 2d)/6
+    and (2c + 5d - e)/6 as c plus a difference over 6.  The values agree
+    with the Jiang-Shu form up to rounding.
     """
-    np.add(np.subtract(x, np.multiply(2.0, y, out=out), out=out), z, out=out)
-    return np.multiply(13.0 / 12.0, np.multiply(out, out, out=out), out=out)
-
-
-def _weno5_face(a, b, c, d, e, curvature, out, work):
-    """Left-biased fifth-order WENO value at the interface right of c.
-
-    Arguments are the five stencil values f[i-2..i+2]; mirroring the
-    argument order gives the right-biased reconstruction at the same
-    interface.  ``curvature`` holds the first terms 13/12 (a - 2b + c)^2,
-    13/12 (b - 2c + d)^2 and 13/12 (c - 2d + e)^2 of beta0..beta2, shifts
-    of one ``_curvature_terms`` array.  The value is written into ``out``;
-    ``work`` holds four scratch arrays of ``out``'s shape.  Each line
-    performs the IEEE operations of the expression form
-
-        beta0 = 13/12 (a - 2b + c)^2 + 1/4 (a - 4b + 3c)^2   (beta1, beta2 alike)
-        alpha_k = C_k / (eps + beta_k)^2,  C = (0.1, 0.6, 0.3)
-        q0 = (2a - 7b + 11c)/6,  q1 = (-b + 5c + 2d)/6,  q2 = (2c + 5d - e)/6
-        out = (alpha0 q0 + alpha1 q1 + alpha2 q2) / (alpha0 + alpha1 + alpha2)
-
-    in the same order, so the result is bit-identical to it.
-    """
-    w0, w1, w2, s = work
     mul, add, sub = np.multiply, np.add, np.subtract
+    diff, curv, diff3, diff2, w0, w1, w2, s = scratch
+    m = span + 4 * d
+    diff = sub(flat[d : d + m], flat[:m], out=diff[:m])
+    curv = sub(diff[d:], diff[:-d], out=curv[: m - d])
+    mul(13.0 / 3.0, mul(curv, curv, out=curv), out=curv)
+    diff3, diff2 = mul(3.0, diff, out=diff3[:m]), mul(2.0, diff, out=diff2[:m])
+    w0, w1, w2, s = (w[:span] for w in (w0, w1, w2, s))
 
-    def alpha(w, weight, t):
-        # w = t + s is beta_k with t, s its two squared terms
-        mul(0.25, mul(s, s, out=s), out=s)
-        add(WENO_EPS, add(t, s, out=w), out=w)
+    def at(arr, shift):
+        return arr[shift * d : shift * d + span]
+
+    sa, sb, sc, sd = (4, 3, 2, 1) if mirrored else (0, 1, 2, 3)
+    Da, Db, Dc, Dd = (at(diff, k) for k in (sa, sb, sc, sd))
+
+    def alpha(w, weight, k):
+        # s holds the root of the second term of 4 beta_k; its first term is the curvature window at shift k
+        add(at(curv, k), mul(s, s, out=s), out=w)
+        add(4.0 * WENO_EPS, w, out=w)
         np.divide(weight, mul(w, w, out=w), out=w)
 
-    add(sub(a, mul(4.0, b, out=s), out=s), mul(3.0, c, out=w0), out=s)
-    alpha(w0, 0.1, curvature[0])
-    sub(b, d, out=s)
-    alpha(w1, 0.6, curvature[1])
-    add(sub(mul(3.0, c, out=s), mul(4.0, d, out=w2), out=s), e, out=s)
-    alpha(w2, 0.3, curvature[2])
-    t = add(add(w0, w1, out=curvature[0]), w2, out=curvature[0])  # total, over the spent curvature terms
+    sub(at(diff3, sb), Da, out=s)
+    alpha(w0, 0.1, min(sa, sb))
+    add(Db, Dc, out=s)
+    alpha(w1, 0.6, min(sb, sc))
+    sub(at(diff3, sc), Dd, out=s)
+    alpha(w2, 0.3, min(sc, sd))
+    total = add(add(w0, w1, out=curv[:span]), w2, out=curv[:span])  # over the spent curvature window
 
-    np.divide(add(sub(mul(2.0, a, out=s), mul(7.0, b, out=out), out=s), mul(11.0, c, out=out), out=s), 6.0, out=s)
+    sub(mul(5.0, Db, out=s), at(diff2, sa), out=s)
     mul(w0, s, out=w0)
-    np.divide(add(add(np.negative(b, out=s), mul(5.0, c, out=out), out=s), mul(2.0, d, out=out), out=s), 6.0, out=s)
+    add(Db, at(diff2, sc), out=s)
     add(w0, mul(w1, s, out=w1), out=w0)
-    np.divide(sub(add(mul(2.0, c, out=s), mul(5.0, d, out=out), out=s), e, out=s), 6.0, out=s)
+    sub(mul(4.0, Dc, out=s), Dd, out=s)
     add(w0, mul(w2, s, out=w2), out=w0)
-    return np.divide(w0, t, out=out)
+    np.divide(w0, mul(6.0, total, out=total), out=w0)
+    return (sub if mirrored else add)(at(flat, 2 + mirrored), w0, out=out)
 
 
 def _first_bad_index(arr) -> int:
@@ -231,15 +247,17 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate")
     flat step is then one number d (1, or the row count), so each stencil
     operand of the block's faces is one contiguous slice, shifted by d per
     stencil point, and numpy runs the face arithmetic on its contiguous
-    fast path.  In C order this also computes the five interfaces per row
-    whose stencils straddle two rows; they are never read.  On a (100, 1001)
-    ensemble a whole-array temporary per operation would be 0.8 MB, handed
-    back to the OS and faulted in again on every call, and streamed
-    through memory; a block's scratch stays in cache.  Every element sees
-    the same operations as in the whole-array pad-then-split form, so the
-    result is bit-identical to it for any block size, and inputs under
+    fast path; ``_weno5_split_face`` builds the first differences of each
+    split flux once per block and reads them at shifts of d.  In C order
+    this also computes the five interfaces per row whose stencils straddle
+    two rows; they are never read.  On a (100, 1001) ensemble a whole-array
+    temporary per operation would be 0.8 MB, handed back to the OS and
+    faulted in again on every call, and streamed through memory; a block's
+    scratch stays in cache.  Every element sees the same operations as in
+    the whole-array pad-then-split form of the difference-form faces, so
+    the result is bit-identical to it for any block size, and inputs under
     one block (desk grids, the coupled solve) run as one.  The result
-    keeps ``field``'s memory layout: analysed members are F-ordered, and
+    keeps ``field``'s memory layout: member stacks are F-ordered, and
     ensemble reductions sum in a layout-dependent order.
     """
     field = np.asarray(field, dtype=float)
@@ -260,8 +278,10 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate")
     n_rows = math.prod(lead)
     cells = min(n, max(1, _FACE_BLOCK // max(1, n_rows) - 1))  # cells + 1 interfaces fill one block
     order = "F" if field.flags.f_contiguous and not field.flags.c_contiguous else "C"
-    split = [np.empty(n_rows * (cells + 2 * g)) for _ in range(2)]
-    faces = [np.empty(n_rows * (cells + 2 * g)) for _ in range(7)]
+    # the twelve scratch arrays are rows of one allocation, which glibc serves from its heap after the
+    # first call; as twelve blocks they went back to the OS and were faulted in again on every call
+    # (211 minor faults per (50, 201) call, about a third of its time)
+    split_p, split_m, *faces = np.empty((12, n_rows * (cells + 2 * g)))
     out = np.empty_like(field)
     for j in range(0, n, cells):
         k = min(cells, n - j)
@@ -270,7 +290,7 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate")
         # d: flat step along the grid axis; span: flat length of one face operand
         d, row_step = (n_rows, 1) if order == "F" else (1, width)
         span = k * d + (n_rows - 1) * row_step + 1
-        flat_p, flat_m = (buf[: n_rows * width] for buf in split)
+        flat_p, flat_m = split_p[: n_rows * width], split_m[: n_rows * width]
         fp, fm = (buf.reshape(lead + (width,), order=order) for buf in (flat_p, flat_m))
         if boundary == "periodic" and (lo < 0 or hi > n):
             cols, inner = np.arange(lo, hi) % n, slice(0, width)
@@ -286,17 +306,9 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate")
             if inner.stop < width:
                 split_block[..., inner.stop :] = split_block[..., inner.stop - 1 : inner.stop]
 
-        fhat, minus, *work = (buf[:span] for buf in faces[:6])
-        curv = faces[6][: span + 2 * d]  # a face's curvature terms, on a window two grid steps longer
-        # plus flux: left-biased stencil f[i-2..i+2] about interface i+1/2; minus flux: mirrored
-        # stencil f[i+3..i-1], its curvature terms (x, y, z) and their shifts mirrored too
-        for flat, stencil, window, shifts, face in (
-            (flat_p, range(5), (0, 1, 2), (0, 1, 2), fhat),
-            (flat_m, range(5, 0, -1), (3, 2, 1), (2, 1, 0), minus),
-        ):
-            _curvature_terms(*(flat[s * d : s * d + span + 2 * d] for s in window), out=curv)
-            curvature = [curv[s * d : s * d + span] for s in shifts]
-            _weno5_face(*(flat[s * d : s * d + span] for s in stencil), curvature, face, work)
+        fhat, minus = faces[0][:span], faces[1][:span]
+        _weno5_split_face(flat_p, d, span, False, fhat, faces[2:])
+        _weno5_split_face(flat_m, d, span, True, minus, faces[2:])
         np.add(fhat, minus, out=fhat)
         fhat = faces[0][: n_rows * width].reshape(lead + (width,), order=order)  # interface i at column i
         deriv = np.subtract(fhat[..., 1 : k + 1], fhat[..., :k], out=out[..., j : j + k])

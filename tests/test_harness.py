@@ -520,6 +520,19 @@ def test_compare_runs_self_and_mismatch(tmp_path):
         compare_runs([a, b], labels=["only-one"])
 
 
+def test_compare_rejects_duplicate_labels(tmp_path, capsys):
+    # a repeated label would key both summaries to one column and write the later one twice
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("t,relative_error_full\n0.1,0.5\n")
+    b.write_text("t,relative_error_full\n0.1,0.9\n")
+    with pytest.raises(ConfigError, match="distinct"):
+        compare_runs([a, b], labels=["x", "x"])
+    out = tmp_path / "c.csv"
+    assert main(["compare", str(a), str(b), "--label", "x", "--label", "x", "--out", str(out)]) == 2
+    assert "distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------- CLI
 
 

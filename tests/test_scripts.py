@@ -1,5 +1,6 @@
 """Each script under scripts/ imports and parses its arguments against the package."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -48,3 +49,23 @@ def test_plot_figures_refuses_csvs_of_a_failed_rerun(tmp_path):
     assert "status = failed" in result.stderr
     assert "Traceback" not in result.stderr + result.stdout
     assert not (tmp_path / "errors.png").exists()
+
+
+def test_artifact_hashes_reports_the_drift_of_differing_csvs(tmp_path):
+    spec = importlib.util.spec_from_file_location("artifact_hashes", ROOT / "scripts" / "artifact_hashes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    new, old = tmp_path / "new", tmp_path / "old"
+    for root, value, label in ((new, "2.5", "b"), (old, "2", "a")):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "same.csv").write_text("t,h\n0,1\n")
+        (root / "run" / "moved.csv").write_text(f"t,h,obs,name\n0,-4,,{label}\n1,{value},7,c\n")
+    (new / "extra.csv").write_text("t\n0\n")
+
+    assert script.column_drift(new / "run" / "moved.csv", old / "run" / "moved.csv") == {
+        "t": 0.0, "h": 0.125, "obs": 0.0, "name": "text differs"}
+    assert script.drift_report(new, old) == [
+        f"extra.csv: only in {new}",
+        "run/moved.csv: t 0, h 0.12, obs 0, name text differs",
+        f"2 of 3 CSVs differ from {old}",
+    ]

@@ -168,7 +168,21 @@ def test_weno_batched_rows_match_individual_calls():
 
 
 def _weno5_face_expression(a, b, c, d, e):
-    """Reference: the whole-array expression form of solver._weno5_face."""
+    """Reference: the whole-array expression form of solver._weno5_split_face (first differences)."""
+    Da, Db, Dc, Dd = b - a, c - b, d - c, e - d
+    beta0 = 13.0 / 3.0 * (Db - Da) ** 2 + (3.0 * Db - Da) ** 2  # 4 beta_k
+    beta1 = 13.0 / 3.0 * (Dc - Db) ** 2 + (Db + Dc) ** 2
+    beta2 = 13.0 / 3.0 * (Dd - Dc) ** 2 + (3.0 * Dc - Dd) ** 2
+
+    alpha0 = 0.1 / (4.0 * WENO_EPS + beta0) ** 2
+    alpha1 = 0.6 / (4.0 * WENO_EPS + beta1) ** 2
+    alpha2 = 0.3 / (4.0 * WENO_EPS + beta2) ** 2
+    total = alpha0 + alpha1 + alpha2
+    return c + (alpha0 * (5.0 * Db - 2.0 * Da) + alpha1 * (Db + 2.0 * Dc) + alpha2 * (4.0 * Dc - Dd)) / (6.0 * total)
+
+
+def _weno5_face_jiang_shu(a, b, c, d, e):
+    """Reference: the Jiang-Shu form of the WENO5 face, equal to the difference form up to rounding."""
     beta0 = 13.0 / 12.0 * (a - 2.0 * b + c) ** 2 + 0.25 * (a - 4.0 * b + 3.0 * c) ** 2
     beta1 = 13.0 / 12.0 * (b - 2.0 * c + d) ** 2 + 0.25 * (b - d) ** 2
     beta2 = 13.0 / 12.0 * (c - 2.0 * d + e) ** 2 + 0.25 * (3.0 * c - 4.0 * d + e) ** 2
@@ -184,17 +198,17 @@ def _weno5_face_expression(a, b, c, d, e):
     return (alpha0 * q0 + alpha1 * q1 + alpha2 * q2) / total
 
 
-def _weno5_derivative_padded(field, flux, lam, dx, boundary="extrapolate"):
-    """Reference: pad field and flux with np.pad, split, then whole-array faces."""
+def _weno5_derivative_padded(field, flux, lam, dx, boundary="extrapolate", face=_weno5_face_expression):
+    """Reference: pad field and flux with np.pad, split, then whole-array ``face`` values."""
     mode = {"extrapolate": "edge", "periodic": "wrap"}[boundary]
     pad = [(0, 0)] * (field.ndim - 1) + [(_NGHOST, _NGHOST)]
     fp = 0.5 * (np.pad(flux, pad, mode=mode) + lam * np.pad(field, pad, mode=mode))
     fm = 0.5 * (np.pad(flux, pad, mode=mode) - lam * np.pad(field, pad, mode=mode))
     m = field.shape[-1] + 1
-    fhat = _weno5_face_expression(
+    fhat = face(
         fp[..., 0:m], fp[..., 1 : m + 1], fp[..., 2 : m + 2], fp[..., 3 : m + 3], fp[..., 4 : m + 4]
     )
-    fhat += _weno5_face_expression(
+    fhat += face(
         fm[..., 5 : m + 5], fm[..., 4 : m + 4], fm[..., 3 : m + 3], fm[..., 2 : m + 2], fm[..., 1 : m + 1]
     )
     return -np.diff(fhat, axis=-1) / dx
@@ -211,6 +225,24 @@ def _assert_layout_kept(got, field):
     # a C- or F-ordered field gives a result in its layout, a strided view of a C array a C-ordered one
     want = field if field.flags.c_contiguous or field.flags.f_contiguous else np.ascontiguousarray(field)
     assert (got.flags.c_contiguous, got.flags.f_contiguous) == (want.flags.c_contiguous, want.flags.f_contiguous)
+
+
+def _weno_case(layout, n, rows, data, seed, per_row_lam):
+    """Field, flux and splitting speed of one drawn case: smooth, jump or rough data in ``layout``."""
+    shape = (n,) if layout == "1d" else (rows, 2, n) if layout.startswith("stacked") else (rows, n)
+    order = {"members_f": "F", "members_strided": "strided", "stacked_f": "F"}.get(layout, "C")
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-1.0, 1.0, n)
+    if data == "smooth":
+        field = 1.0 + 0.2 * np.sin(np.pi * rng.uniform(1.0, 4.0, shape[:-1] + (1,)) * x + rng.uniform(0.0, 6.3))
+    elif data == "jump":
+        field = np.where(x < rng.uniform(-1.0, 1.0), 1.0, rng.uniform(0.1, 0.9, shape[:-1] + (1,)))
+    else:
+        field = rng.lognormal(0.0, 0.5, shape)
+    field = np.broadcast_to(field, shape)
+    field, flux = _layout([field, field * rng.standard_normal(n) + 0.5 * 9.81 * field**2], order)
+    lam = rng.uniform(0.0, 5.0, shape[:-1] + (1,)) if per_row_lam else rng.uniform(0.0, 5.0)
+    return field, flux, lam
 
 
 @settings(max_examples=200, deadline=None)
@@ -234,24 +266,32 @@ def _assert_layout_kept(got, field):
 def test_weno_matches_padded_reference_bitwise_and_keeps_layout(layout, n, rows, boundary, per_row_lam, data, seed):
     # the C-ordered face scratch also computes 5 interfaces per row that
     # straddle two rows; a leak of one would break equality here
-    shape = (n,) if layout == "1d" else (rows, 2, n) if layout.startswith("stacked") else (rows, n)
-    order = {"members_f": "F", "members_strided": "strided", "stacked_f": "F"}.get(layout, "C")
-    rng = np.random.default_rng(seed)
-    x = np.linspace(-1.0, 1.0, n)
-    if data == "smooth":
-        field = 1.0 + 0.2 * np.sin(np.pi * rng.uniform(1.0, 4.0, shape[:-1] + (1,)) * x + rng.uniform(0.0, 6.3))
-    elif data == "jump":
-        field = np.where(x < rng.uniform(-1.0, 1.0), 1.0, rng.uniform(0.1, 0.9, shape[:-1] + (1,)))
-    else:
-        field = rng.lognormal(0.0, 0.5, shape)
-    field = np.broadcast_to(field, shape)
-    field, flux = _layout([field, field * rng.standard_normal(n) + 0.5 * 9.81 * field**2], order)
-    lam = rng.uniform(0.0, 5.0, shape[:-1] + (1,)) if per_row_lam else rng.uniform(0.0, 5.0)
-
+    field, flux, lam = _weno_case(layout, n, rows, data, seed, per_row_lam)
     expected = _weno5_derivative_padded(field, flux, lam, 0.01, boundary)
     got = weno5_derivative(field, flux, lam, 0.01, boundary)
     np.testing.assert_array_equal(got, expected)
     _assert_layout_kept(got, field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layout=st.sampled_from(["1d", "members_c", "members_f", "members_strided", "stacked", "stacked_f"]),
+    n=st.integers(1, 40),
+    rows=st.integers(1, 5),
+    boundary=st.sampled_from(["extrapolate", "periodic"]),
+    per_row_lam=st.booleans(),
+    data=st.sampled_from(["smooth", "jump", "rough"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the fine coupled solve of oscillatory_cold_desk, and the reference-scale member forecast
+@example(layout="members_c", n=2001, rows=2, boundary="extrapolate", per_row_lam=True, data="jump", seed=1)
+@example(layout="members_f", n=1001, rows=100, boundary="extrapolate", per_row_lam=True, data="rough", seed=2)
+def test_weno_matches_jiang_shu_form_to_roundoff(layout, n, rows, boundary, per_row_lam, data, seed):
+    # the difference form is the Jiang-Shu scheme with different rounding; the bound was set before measuring
+    field, flux, lam = _weno_case(layout, n, rows, data, seed, per_row_lam)
+    expected = _weno5_derivative_padded(field, flux, lam, 0.01, boundary, face=_weno5_face_jiang_shu)
+    got = weno5_derivative(field, flux, lam, 0.01, boundary)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64, 1000])
