@@ -46,6 +46,8 @@ class FilterConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}', expected one of {VARIANTS}")
+        if not np.isfinite([self.alpha, self.beta_max_target]).all():  # a NaN passes every comparison below
+            raise ConfigError(f"alpha and beta_max_target must be finite, got {self.alpha}, {self.beta_max_target}")
         if self.alpha <= 1.0 and self.variant == "etkf_baseline":
             raise ConfigError("inflation alpha must exceed 1")
         if self.beta_max_target <= 0.0:

@@ -65,6 +65,9 @@ class ExperimentConfig:
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
+        for name, kind in _FIELD_TYPES.items():  # a NaN fails every comparison below
+            if kind in (float, tuple) and not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
         if self.ensemble_size < 2:

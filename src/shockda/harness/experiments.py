@@ -303,12 +303,13 @@ def _forecast_worker(conn, parent_ends, buffer, rows: int, velocity: VelocityFie
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
     for end in parent_ends:
         end.close()
+    workspace = solver.Workspace()
     with suppress(EOFError, BrokenPipeError):
         while True:
             step, order = conn.recv()
             block = np.ndarray((rows, grid.n), buffer=buffer, order=order)
             try:
-                block[...] = transport_step(block, velocity, step, grid, solver_cfg)
+                block[...] = transport_step(block, velocity, step, grid, solver_cfg, workspace=workspace)
             except Exception as exc:
                 conn.send(exc)
             else:
@@ -329,16 +330,18 @@ def _forecast(velocity: VelocityField, grid: Grid1D, solver_cfg: SolverConfig, r
     block (the splitting speed is per row, and ``weno5_derivative`` does
     not depend on its block size), so the bytes do not depend on w.  A
     worker's exception is raised here with its type; a worker that dies
-    raises ChildProcessError.  Every worker is joined on exit.  The workers
-    are forked, not spawned, to inherit the history without a copy; the run
-    has put OpenBLAS on one thread by then, and OpenBLAS stops its thread
-    pool before a fork.
+    raises ChildProcessError.  Every worker is joined on exit.  Each process
+    keeps one ``solver.Workspace``, sized to its rows.  The workers are
+    forked, not spawned, to inherit the history without a copy; the run has
+    put OpenBLAS on one thread by then, and OpenBLAS stops its thread pool
+    before a fork.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, rows, rows * (grid.n + 1) // solver._FACE_BLOCK)
+    workspace = solver.Workspace()  # the workers build their own
 
     def step_rows(members, step):
-        return transport_step(members, velocity, step, grid, solver_cfg)
+        return transport_step(members, velocity, step, grid, solver_cfg, workspace=workspace)
 
     if workers <= 1:
         yield step_rows, 1

@@ -14,6 +14,8 @@ and the scalar transport of depth by a prescribed velocity history,
 
 All kernels operate on the trailing axis, so an ensemble of states can be
 advanced in one vectorized call by stacking members along a leading axis.
+
+A time loop keeps one ``Workspace`` (WENO5 plan, right-hand-side and RK arrays) per run.
 """
 
 from __future__ import annotations
@@ -139,33 +141,54 @@ class SolverConfig:
             raise ConfigError("g must be positive")
 
 
-def lax_friedrichs_lambda(u, h, g: float = GRAVITY):
+class Workspace(dict):
+    """The WENO5 plans and arrays one time loop reuses at every step, each built on first use.
+
+    Key ("weno5", shape, layout, boundary) holds a plan; key (name, shape,
+    layout, count) holds that many arrays.  A step function given no
+    workspace uses a fresh one, and never returns a workspace array.
+    """
+
+    def __missing__(self, key):
+        name, shape, order, arg = key
+        value = self[key] = (_weno5_plan(shape, order, arg) if name == "weno5"
+                             else [np.empty(shape, order=order) for _ in range(arg)])
+        return value
+
+
+def _order(a) -> str:  # the layout a result keeps
+    return "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+
+
+def lax_friedrichs_lambda(u, h, g: float = GRAVITY, workspace: Workspace | None = None):
     """max(|u| + sqrt(g h)) over the grid, per leading row if batched.
 
     ``u`` broadcasts to the shape of ``h`` (one velocity row for a member
-    stack); g h is formed once and the rest is done in place.  Negative
-    depths yield NaN here without warning; the step routines turn the
-    resulting non-finite state into a NumericalError with context, which
-    is more useful than a RuntimeWarning at this level.
+    stack); g h is formed once, in a workspace array, and the rest is done
+    in place.  Negative depths yield NaN here without warning; the step
+    routines turn the resulting non-finite state into a NumericalError with
+    context, which is more useful than a RuntimeWarning at this level.
     """
+    h = np.asarray(h, dtype=float)
+    (speed,) = (Workspace() if workspace is None else workspace)["speed", h.shape, _order(h), 1]
     with np.errstate(invalid="ignore"):
-        speed = np.multiply(g, h)
+        np.multiply(g, h, out=speed)
         np.add(np.abs(u), np.sqrt(speed, out=speed), out=speed)
     return np.max(speed, axis=-1, keepdims=True)
 
 
-def _weno5_split_face(flat, d, span, mirrored, out, scratch):
-    """Fifth-order WENO value of one split flux at ``span`` interfaces, written into ``out``.
+def _weno5_split_face_ops(flat, d, span, mirrored, out, scratch) -> list:
+    """(ufunc, operand, operand, out) calls of the WENO5 value of one split flux at ``span`` faces, into ``out``.
 
     ``flat`` is a flat block of the split flux whose grid axis has flat step
     ``d``.  Element p of ``out`` has the stencil a..e = flat[p + s d] for
     s = 0..4, left-biased (plus flux), or s = 5..1 when ``mirrored`` (minus
-    flux, right-biased at the same interface).  The kernel works in first
-    differences D_j = f_{j+1} - f_j: it builds D, the curvature window
+    flux, right-biased at the same interface).  The calls work in first
+    differences D_j = f_{j+1} - f_j: they build D, the curvature window
     13/3 (D_{j+1} - D_j)^2, 3D and 2D once per split flux in ``scratch``
-    (eight flat arrays at least span + 4d long) and reads each at shifts of
+    (eight flat arrays at least span + 4d long) and read each at shifts of
     d.  A mirrored stencil reads them at mirrored shifts, where every
-    difference has the opposite sign.  Each line performs the IEEE
+    difference has the opposite sign.  The calls perform the IEEE
     operations of the expression form
 
         Da, Db, Dc, Dd = b - a, c - b, d - c, e - d
@@ -183,43 +206,68 @@ def _weno5_split_face(flat, d, span, mirrored, out, scratch):
     and (2c + 5d - e)/6 as c plus a difference over 6.  The values agree
     with the Jiang-Shu form up to rounding.
     """
-    mul, add, sub = np.multiply, np.add, np.subtract
-    diff, curv, diff3, diff2, w0, w1, w2, s = scratch
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     m = span + 4 * d
-    diff = sub(flat[d : d + m], flat[:m], out=diff[:m])
-    curv = sub(diff[d:], diff[:-d], out=curv[: m - d])
-    mul(13.0 / 3.0, mul(curv, curv, out=curv), out=curv)
-    diff3, diff2 = mul(3.0, diff, out=diff3[:m]), mul(2.0, diff, out=diff2[:m])
-    w0, w1, w2, s = (w[:span] for w in (w0, w1, w2, s))
+    diff, curv, diff3, diff2 = (w[:length] for w, length in zip(scratch, (m, m - d, m, m)))
+    w0, w1, w2, s = (w[:span] for w in scratch[4:])
 
     def at(arr, shift):
         return arr[shift * d : shift * d + span]
 
     sa, sb, sc, sd = (4, 3, 2, 1) if mirrored else (0, 1, 2, 3)
     Da, Db, Dc, Dd = (at(diff, k) for k in (sa, sb, sc, sd))
+    total = curv[:span]  # the sum of the alphas goes over the spent curvature window
+    ops = [(sub, flat[d : d + m], flat[:m], diff), (sub, diff[d:], diff[:-d], curv), (mul, curv, curv, curv),
+           (mul, 13.0 / 3.0, curv, curv), (mul, 3.0, diff, diff3), (mul, 2.0, diff, diff2)]
+    # s holds the root of the second term of 4 beta_k; its first term is the curvature window at shift k
+    for w, weight, root, k in ((w0, 0.1, (sub, at(diff3, sb), Da), min(sa, sb)),
+                               (w1, 0.6, (add, Db, Dc), min(sb, sc)),
+                               (w2, 0.3, (sub, at(diff3, sc), Dd), min(sc, sd))):
+        ops += [root + (s,), (mul, s, s, s), (add, at(curv, k), s, w), (add, 4.0 * WENO_EPS, w, w),
+                (mul, w, w, w), (div, weight, w, w)]
+    ops += [(add, w0, w1, total), (add, total, w2, total),
+            (mul, 5.0, Db, s), (sub, s, at(diff2, sa), s), (mul, w0, s, w0),
+            (add, Db, at(diff2, sc), s), (mul, w1, s, w1), (add, w0, w1, w0),
+            (mul, 4.0, Dc, s), (sub, s, Dd, s), (mul, w2, s, w2), (add, w0, w2, w0),
+            (mul, 6.0, total, total), (div, w0, total, w0),
+            (sub if mirrored else add, at(flat, 2 + mirrored), w0, out)]
+    return ops
 
-    def alpha(w, weight, k):
-        # s holds the root of the second term of 4 beta_k; its first term is the curvature window at shift k
-        add(at(curv, k), mul(s, s, out=s), out=w)
-        add(4.0 * WENO_EPS, w, out=w)
-        np.divide(weight, mul(w, w, out=w), out=w)
 
-    sub(at(diff3, sb), Da, out=s)
-    alpha(w0, 0.1, min(sa, sb))
-    add(Db, Dc, out=s)
-    alpha(w1, 0.6, min(sb, sc))
-    sub(at(diff3, sc), Dd, out=s)
-    alpha(w2, 0.3, min(sc, sd))
-    total = add(add(w0, w1, out=curv[:span]), w2, out=curv[:span])  # over the spent curvature window
-
-    sub(mul(5.0, Db, out=s), at(diff2, sa), out=s)
-    mul(w0, s, out=w0)
-    add(Db, at(diff2, sc), out=s)
-    add(w0, mul(w1, s, out=w1), out=w0)
-    sub(mul(4.0, Dc, out=s), Dd, out=s)
-    add(w0, mul(w2, s, out=w2), out=w0)
-    np.divide(w0, mul(6.0, total, out=total), out=w0)
-    return (sub if mirrored else add)(at(flat, 2 + mirrored), w0, out=out)
+def _weno5_plan(shape: tuple, order: str, boundary: str) -> list:
+    """``weno5_derivative``'s blocks for one (shape, layout, boundary) over one scratch allocation:
+    each block's column window, split and ghost slices, face calls, face slices and result columns."""
+    n, g, lead = shape[-1], _NGHOST, shape[:-1]
+    n_rows = math.prod(lead)
+    cells = min(n, max(1, _FACE_BLOCK // max(1, n_rows) - 1))  # cells + 1 interfaces fill one block
+    # the twelve scratch arrays (two split, four difference, six face) are rows of one allocation
+    split_p, split_m, *faces = np.empty((12, n_rows * (cells + 2 * g)))
+    blocks = []
+    for j in range(0, n, cells):
+        k = min(cells, n - j)
+        # grid columns j-3 .. j+k+2 hold the stencils of interfaces j-1/2 .. j+k-1/2
+        lo, hi, width = j - g, j + k + g, k + 2 * g
+        # d: flat step along the grid axis; span: flat length of one face operand
+        d, row_step = (n_rows, 1) if order == "F" else (1, width)
+        span = k * d + (n_rows - 1) * row_step + 1
+        flat_p, flat_m = split_p[: n_rows * width], split_m[: n_rows * width]
+        fp, fm = (buf.reshape(lead + (width,), order=order) for buf in (flat_p, flat_m))
+        if boundary == "periodic" and (lo < 0 or hi > n):
+            cols, inner = np.arange(lo, hi) % n, slice(0, width)
+        else:
+            cols, inner = slice(max(lo, 0), min(hi, n)), slice(max(lo, 0) - lo, min(hi, n) - lo)
+        # "extrapolate" ghosts repeat the end columns' split
+        ghosts = [(b[..., : inner.start], b[..., inner.start : inner.start + 1]) for b in (fp, fm) if inner.start]
+        ghosts += [(b[..., inner.stop :], b[..., inner.stop - 1 : inner.stop]) for b in (fp, fm) if inner.stop < width]
+        fhat, minus = faces[0][:span], faces[1][:span]
+        ops = (_weno5_split_face_ops(flat_p, d, span, False, fhat, faces[2:])
+               + _weno5_split_face_ops(flat_m, d, span, True, minus, faces[2:]) + [(np.add, fhat, minus, fhat)])
+        # a constant as a 0-d float64 array: the same value, without a Python float's conversion per call
+        ops = [tuple(np.array(x) if isinstance(x, float) else x for x in op) for op in ops]
+        fhat = faces[0][: n_rows * width].reshape(lead + (width,), order=order)  # interface i at column i
+        blocks.append(((..., cols), fp[..., inner], fm[..., inner], ghosts, ops,
+                       fhat[..., :k], fhat[..., 1 : k + 1], (..., slice(j, j + k))))
+    return blocks
 
 
 def _first_bad_index(arr) -> int:
@@ -227,13 +275,17 @@ def _first_bad_index(arr) -> int:
     return int(np.argmax(flat_bad))
 
 
-def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate"):
+def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate",
+                     workspace: Workspace | None = None, out=None):
     """-d(flux)/dx by WENO5 with Lax-Friedrichs splitting, trailing axis.
 
     ``lam`` is the splitting parameter (scalar, or shaped to broadcast
     against ``field`` with a trailing size-1 axis for batched input); it
     must dominate the characteristic speeds.  ``boundary`` selects the
     ghost-point fill: "extrapolate" repeats end values, "periodic" wraps.
+    The result goes into the caller's ``out`` if given, else into a new
+    array in ``field``'s memory layout: member stacks are F-ordered, and
+    ensemble reductions sum in a layout-dependent order.
 
     The derivative is computed in blocks of grid cells whose interfaces
     hold at most ``_FACE_BLOCK`` elements (rows x columns).  Each block
@@ -242,23 +294,19 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate")
     columns; "extrapolate" ghost columns are copies of the end columns'
     split, and a periodic window that leaves the grid gathers wrapped
     columns.  The split and face scratch are flat arrays of one block,
-    reused across blocks, that hold the block in C order, or in F order
-    when ``field`` is F- and not C-contiguous.  Along the grid axis the
-    flat step is then one number d (1, or the row count), so each stencil
-    operand of the block's faces is one contiguous slice, shifted by d per
-    stencil point, and numpy runs the face arithmetic on its contiguous
-    fast path; ``_weno5_split_face`` builds the first differences of each
-    split flux once per block and reads them at shifts of d.  In C order
-    this also computes the five interfaces per row whose stencils straddle
-    two rows; they are never read.  On a (100, 1001) ensemble a whole-array
-    temporary per operation would be 0.8 MB, handed back to the OS and
-    faulted in again on every call, and streamed through memory; a block's
-    scratch stays in cache.  Every element sees the same operations as in
-    the whole-array pad-then-split form of the difference-form faces, so
-    the result is bit-identical to it for any block size, and inputs under
-    one block (desk grids, the coupled solve) run as one.  The result
-    keeps ``field``'s memory layout: member stacks are F-ordered, and
-    ensemble reductions sum in a layout-dependent order.
+    reused across blocks, in C order, or in F order when ``field`` is F-
+    and not C-contiguous.  Along the grid axis the flat step is then one
+    number d (1, or the row count), so each stencil operand of a face is
+    one contiguous slice, shifted by d per stencil point, on numpy's
+    contiguous fast path, and a block's scratch stays in cache.  In C
+    order this also computes the five interfaces per row whose stencils
+    straddle two rows; they are never read.  The blocks, the scratch and
+    every face operand are a plan kept in ``workspace``, so a call in a
+    time loop checks its inputs and then makes ufunc calls only.  Every
+    element sees the same operations as in the whole-array pad-then-split
+    form of the difference-form faces, so the result is bit-identical to
+    it for any block size, reused plan or not, and inputs under one block
+    (desk grids, the coupled solve) run as one.
     """
     field = np.asarray(field, dtype=float)
     flux = np.asarray(flux, dtype=float)
@@ -274,49 +322,24 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate")
     if len(lam_shape) > len(rows) or any(a not in (1, b) for a, b in zip(lam_shape[::-1], rows[::-1])):
         raise ConfigError(f"lam of shape {lam_shape} does not broadcast to {rows} for field of shape {field.shape}")
 
-    n, g, lead = field.shape[-1], _NGHOST, field.shape[:-1]
-    n_rows = math.prod(lead)
-    cells = min(n, max(1, _FACE_BLOCK // max(1, n_rows) - 1))  # cells + 1 interfaces fill one block
-    order = "F" if field.flags.f_contiguous and not field.flags.c_contiguous else "C"
-    # the twelve scratch arrays are rows of one allocation, which glibc serves from its heap after the
-    # first call; as twelve blocks they went back to the OS and were faulted in again on every call
-    # (211 minor faults per (50, 201) call, about a third of its time)
-    split_p, split_m, *faces = np.empty((12, n_rows * (cells + 2 * g)))
-    out = np.empty_like(field)
-    for j in range(0, n, cells):
-        k = min(cells, n - j)
-        # grid columns j-3 .. j+k+2 hold the stencils of interfaces j-1/2 .. j+k-1/2
-        lo, hi, width = j - g, j + k + g, k + 2 * g
-        # d: flat step along the grid axis; span: flat length of one face operand
-        d, row_step = (n_rows, 1) if order == "F" else (1, width)
-        span = k * d + (n_rows - 1) * row_step + 1
-        flat_p, flat_m = split_p[: n_rows * width], split_m[: n_rows * width]
-        fp, fm = (buf.reshape(lead + (width,), order=order) for buf in (flat_p, flat_m))
-        if boundary == "periodic" and (lo < 0 or hi > n):
-            cols, inner = np.arange(lo, hi) % n, slice(0, width)
-        else:
-            cols, inner = slice(max(lo, 0), min(hi, n)), slice(max(lo, 0) - lo, min(hi, n) - lo)
-        block_flux, fp_in, fm_in = flux[..., cols], fp[..., inner], fm[..., inner]
-        lam_field = np.multiply(lam, field[..., cols], out=fm_in)
+    order = _order(field)
+    out = np.empty(field.shape, order=order) if out is None else out
+    plan = (Workspace() if workspace is None else workspace)["weno5", field.shape, order, boundary]
+    for cols, fp_in, fm_in, ghosts, ops, left, right, target in plan:
+        block_flux = flux[cols]
+        lam_field = np.multiply(lam, field[cols], out=fm_in)
         np.multiply(0.5, np.add(block_flux, lam_field, out=fp_in), out=fp_in)
         np.multiply(0.5, np.subtract(block_flux, lam_field, out=fm_in), out=fm_in)
-        for split_block in (fp, fm):  # "extrapolate" ghosts repeat the end columns' split
-            if inner.start > 0:
-                split_block[..., : inner.start] = split_block[..., inner.start : inner.start + 1]
-            if inner.stop < width:
-                split_block[..., inner.stop :] = split_block[..., inner.stop - 1 : inner.stop]
-
-        fhat, minus = faces[0][:span], faces[1][:span]
-        _weno5_split_face(flat_p, d, span, False, fhat, faces[2:])
-        _weno5_split_face(flat_m, d, span, True, minus, faces[2:])
-        np.add(fhat, minus, out=fhat)
-        fhat = faces[0][: n_rows * width].reshape(lead + (width,), order=order)  # interface i at column i
-        deriv = np.subtract(fhat[..., 1 : k + 1], fhat[..., :k], out=out[..., j : j + k])
-        np.divide(np.negative(deriv, out=deriv), dx, out=deriv)
+        for ghost, end in ghosts:
+            np.copyto(ghost, end)
+        for ufunc, a, b, result in ops:
+            ufunc(a, b, out=result)
+        deriv = out[target]  # -(right - left) / dx, with the negation exact as left - right
+        np.divide(np.subtract(left, right, out=deriv), dx, out=deriv)
     return out
 
 
-def tvdrk3_step(state, rhs_evaluator, dt: float, step_index: int | None = None):
+def tvdrk3_step(state, rhs_evaluator, dt: float, step_index: int | None = None, workspace: Workspace | None = None):
     """One step of the three-stage TVD Runge-Kutta scheme.
 
     Written in increment form (algebraically the usual convex
@@ -326,9 +349,10 @@ def tvdrk3_step(state, rhs_evaluator, dt: float, step_index: int | None = None):
         s2 = state + 1/4 ((s1 - state) + dt L(s1))
         s3 = state + 2/3 ((s2 - state) + dt L(s2))
 
-    The stages are formed in place in two arrays allocated here, in
-    ``state``'s layout; neither ``state`` nor an array returned by
-    ``rhs_evaluator`` is written.  Aborts with stage and step information
+    The stages are formed in place in two ``workspace`` arrays in
+    ``state``'s layout, the last one into a new array that is returned;
+    neither ``state`` nor an array returned by ``rhs_evaluator`` is
+    written.  Aborts with stage and step information
     if any stage goes non-finite.
     """
 
@@ -338,30 +362,32 @@ def tvdrk3_step(state, rhs_evaluator, dt: float, step_index: int | None = None):
             raise NumericalError(f"non-finite state in RK stage {stage_no}{where} (CFL violation or blowup)")
 
     state = np.asarray(state, dtype=float)
-    stage, dt_rhs = np.empty_like(state), np.empty_like(state)
+    stage, dt_rhs = (Workspace() if workspace is None else workspace)["rk3", state.shape, _order(state), 2]
+    result = np.empty_like(state)
     np.add(state, np.multiply(dt, rhs_evaluator(state), out=stage), out=stage)
     check(stage, 1)
-    for stage_no, weight in ((2, 0.25), (3, 2.0 / 3.0)):
+    for stage_no, weight, target in ((2, 0.25, stage), (3, 2.0 / 3.0, result)):
         np.multiply(dt, rhs_evaluator(stage), out=dt_rhs)
         np.add(np.subtract(stage, state, out=stage), dt_rhs, out=stage)
-        np.add(state, np.multiply(weight, stage, out=stage), out=stage)
-        check(stage, stage_no)
-    return stage
+        np.add(state, np.multiply(weight, stage, out=stage), out=target)
+        check(target, stage_no)
+    return result
 
 
-def _swe_rhs(stacked, g: float, dx: float):
-    """Semi-discrete RHS for the coupled system on a (..., 2, n) stack."""
+def _swe_rhs(stacked, g: float, dx: float, workspace: Workspace | None = None):
+    """Semi-discrete RHS for the coupled system on a (..., 2, n) stack, in a ``workspace`` array."""
+    workspace = Workspace() if workspace is None else workspace
+    flux, out = workspace["swe_rhs", stacked.shape, _order(stacked), 2]
     h = stacked[..., 0, :]
     hu = stacked[..., 1, :]
-    u = hu / h
-    lam = lax_friedrichs_lambda(u, h, g)[..., None, :]
+    u = np.divide(hu, h, out=out[..., 0, :])  # out is free until weno5_derivative writes it
+    lam = lax_friedrichs_lambda(u, h, g, workspace)[..., None, :]
     # flux = (hu, hu u + 0.5 g h h), the second row in that operation order
-    flux = np.empty_like(stacked)
     flux[..., 0, :] = hu
     momentum_flux = np.multiply(hu, u, out=flux[..., 1, :])
     pressure = np.multiply(np.multiply(0.5 * g, h, out=u), h, out=u)
     np.add(momentum_flux, pressure, out=momentum_flux)
-    out = weno5_derivative(stacked, flux, lam, dx)
+    weno5_derivative(stacked, flux, lam, dx, workspace=workspace, out=out)
     # frozen end values realize the non-reflecting Dirichlet closure
     out[..., 0] = 0.0
     out[..., -1] = 0.0
@@ -439,13 +465,14 @@ def solve_coupled_swe(
     if store_velocity:
         u_hist[0] = state[1] / state[0]
 
+    workspace = Workspace()
     for step in range(1, n_steps + 1):
-        state = tvdrk3_step(state, lambda s: _swe_rhs(s, config.g, grid.dx), dt, step_index=step)
+        state = tvdrk3_step(state, lambda s: _swe_rhs(s, config.g, grid.dx, workspace), dt, step, workspace)
         if np.any(state[0] <= 0.0):
             i = int(np.argmax(state[0] <= 0.0))
             raise NumericalError(f"vacuum: depth <= 0 at index {i}, step {step}")
         if store_velocity:
-            u_hist[step] = state[1] / state[0]
+            np.divide(state[1], state[0], out=u_hist[step])
         r = keep_set.get(step)
         if r is not None:
             h_rec[r] = state[0]
@@ -455,23 +482,27 @@ def solve_coupled_swe(
     return CoupledRun(dt, n_steps, keep, h_rec, hu_rec, velocity)
 
 
-def transport_step(h, velocity: VelocityField, step_index: int, grid: Grid1D, config: SolverConfig):
+def transport_step(h, velocity: VelocityField, step_index: int, grid: Grid1D, config: SolverConfig,
+                   workspace: Workspace | None = None):
     """Advance depth by one step of h_t + (h u)_x = 0 with stored u.
 
     ``h`` may be a single profile (n,) or a member stack (K, n); the
-    velocity row at ``step_index`` is used for all three RK stages.
+    velocity row at ``step_index`` is used for all three RK stages.  The
+    result is a new array; a forecast passes its run's ``workspace``.
     """
     u = velocity.at(step_index)
     h = np.asarray(h, dtype=float)
     if h.shape[-1] != grid.n or u.shape[-1] != grid.n:
         raise ConfigError("depth/velocity length does not match the grid")
     dt = config.cfl * grid.dx
+    workspace = Workspace() if workspace is None else workspace
+    flux, out = workspace["transport_rhs", h.shape, _order(h), 2]
 
     def rhs(hc):
-        lam = lax_friedrichs_lambda(u, hc, config.g)
-        out = weno5_derivative(hc, hc * u, lam, grid.dx)
+        lam = lax_friedrichs_lambda(u, hc, config.g, workspace)
+        weno5_derivative(hc, np.multiply(hc, u, out=flux), lam, grid.dx, workspace=workspace, out=out)
         out[..., 0] = 0.0
         out[..., -1] = 0.0
         return out
 
-    return tvdrk3_step(h, rhs, dt, step_index=step_index)
+    return tvdrk3_step(h, rhs, dt, step_index=step_index, workspace=workspace)

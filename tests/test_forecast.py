@@ -1,7 +1,10 @@
-"""The member forecast split over forked workers, and the one-thread BLAS pin.
+"""The member forecast split over forked workers, the one-thread BLAS pin, and the solver loops.
 
 Desk grids are under one face block, so they forecast in-process; the
 tests force the split by shrinking ``solver._FACE_BLOCK`` and the CPU set.
+The coupled solve and the forecast reuse one solver workspace per run;
+the last tests check that each right-hand side still goes through
+``solver.weno5_derivative`` and that a failure still names its RK stage.
 """
 
 import multiprocessing
@@ -14,9 +17,11 @@ import numpy as np
 import pytest
 
 import shockda
+from shockda import solver
 from shockda.errors import NumericalError
 from shockda.harness import ExperimentConfig, config_from_manifest, experiments, generate_truth, read_manifest, run_experiment
 from shockda.harness.cli import main
+from shockda.harness.experiments import initial_condition
 
 CSVS = ("solution_csv", "error_csv", "moments_csv", "summary_csv")
 
@@ -108,10 +113,10 @@ def test_parent_exception_mid_forecast_joins_the_workers(tmp_path, monkeypatch):
     _force_split(monkeypatch, 2)
     parent, transport = os.getpid(), experiments.transport_step
 
-    def failing_in_parent(members, velocity, step, grid, cfg):
+    def failing_in_parent(members, velocity, step, grid, cfg, **kwargs):
         if os.getpid() == parent and step == 3:
             raise _Interrupt("stop")
-        return transport(members, velocity, step, grid, cfg)
+        return transport(members, velocity, step, grid, cfg, **kwargs)
 
     monkeypatch.setattr(experiments, "transport_step", failing_in_parent)
     with pytest.raises(_Interrupt):
@@ -124,10 +129,10 @@ def test_dead_worker_fails_the_run_with_one_line_and_exit_4(tmp_path, monkeypatc
     _force_split(monkeypatch, 2)
     parent, transport = os.getpid(), experiments.transport_step
 
-    def dying_in_worker(members, velocity, step, grid, cfg):
+    def dying_in_worker(members, velocity, step, grid, cfg, **kwargs):
         if os.getpid() != parent and step == 2:
             os._exit(7)
-        return transport(members, velocity, step, grid, cfg)
+        return transport(members, velocity, step, grid, cfg, **kwargs)
 
     monkeypatch.setattr(experiments, "transport_step", dying_in_worker)
     out = tmp_path / "run"
@@ -137,6 +142,59 @@ def test_dead_worker_fails_the_run_with_one_line_and_exit_4(tmp_path, monkeypatc
     assert err.startswith("I/O error: forecast worker ") and err.endswith("died (exit code 7)\n"), err
     assert err.count("\n") == 1
     assert read_manifest(out / "manifest.txt")["status"] == "failed"
+
+
+def _counted_weno5(monkeypatch, nan_at_call=None):
+    """Replace ``solver.weno5_derivative`` as perfbench's tracer replaces a layer: record each call's
+    field size (the tracer's cell count), and fill the result of call ``nan_at_call`` (from 1) with NaN."""
+    real, cells = solver.weno5_derivative, []
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        cells.append(args[0].size)
+        if len(cells) == nan_at_call:
+            out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(solver, "weno5_derivative", counted)
+    return cells
+
+
+def _coupled_run(cfg, n_steps):
+    grid = cfg.grid()
+    return solver.solve_coupled_swe(initial_condition(cfg, grid), grid, cfg.solver_config(),
+                                    n_steps * cfg.dt, record="ends")
+
+
+def _desk_forecast(cfg, velocity, n_steps):
+    members = np.asfortranarray(1.0 + 0.05 * np.random.default_rng(5).standard_normal((8, cfg.n)))
+    with experiments._forecast(velocity, cfg.grid(), cfg.solver_config(), len(members)) as (dynamics, workers):
+        assert workers == 1
+        for step in range(n_steps):
+            members = dynamics(members, step)
+    return members
+
+
+def test_every_rhs_evaluation_calls_weno5_derivative_through_the_module(tmp_path, monkeypatch):
+    cfg = _config(tmp_path, "unused")
+    cells = _counted_weno5(monkeypatch)
+    run = _coupled_run(cfg, 12)
+    assert cells == [2 * cfg.n] * (3 * 12)
+    cells.clear()
+    _desk_forecast(cfg, run.velocity, 7)
+    assert cells == [8 * cfg.n] * (3 * 7)
+
+
+def test_a_nan_mid_loop_names_its_rk_stage_and_step(tmp_path, monkeypatch):
+    cfg = _config(tmp_path, "unused")
+    velocity = _coupled_run(cfg, 8).velocity
+    _counted_weno5(monkeypatch, nan_at_call=3 * 41 + 1)  # the first evaluation of step 42
+    with pytest.raises(NumericalError, match="stage 1 at step 42"):
+        _coupled_run(cfg, 50)
+    monkeypatch.undo()
+    _counted_weno5(monkeypatch, nan_at_call=3 * 6 + 2)  # the second evaluation of step 6 (steps from 0)
+    with pytest.raises(NumericalError, match="stage 2 at step 6"):
+        _desk_forecast(cfg, velocity, 8)
 
 
 _ONE_CYCLE = """

@@ -120,6 +120,21 @@ def test_t_end_shorter_than_one_observation_stride_is_rejected(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("assimilate", ["--t-end", "nan"]), ("assimilate", ["--t-end", "inf"]),
+    ("assimilate", ["--variant", "etkf_baseline", "--alpha", "nan"]),
+    ("assimilate", ["--beta-max", "nan"]), ("assimilate", ["--beta-max", "inf"]),
+    ("assimilate", ["--gamma=-inf"]), ("moments", ["--ic-std", "nan"]),
+])
+def test_a_non_finite_setting_is_a_config_error_before_any_truth(tmp_path, capsys, command, flags):
+    # a NaN fails every range comparison, so it used to reach the solver or the filter
+    argv = [command, "--case", "dense", "--n", "41", "--ensemble-size", "5", *flags, "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "must be finite" in err and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []  # no run directory, no truth cache
+
+
 def test_observation_schedule():
     cfg = _small()
     # dt = 0.1 * 0.05, 30 steps to t_end=0.15, analysis every 5th step

@@ -14,6 +14,7 @@ from shockda.solver import (
     SolverConfig,
     SWEState,
     VelocityField,
+    Workspace,
     lax_friedrichs_lambda,
     solve_coupled_swe,
     transport_step,
@@ -265,12 +266,22 @@ def _weno_case(layout, n, rows, data, seed, per_row_lam):
 @example(layout="stacked_f", n=300, rows=40, boundary="periodic", per_row_lam=True, data="jump", seed=7)
 def test_weno_matches_padded_reference_bitwise_and_keeps_layout(layout, n, rows, boundary, per_row_lam, data, seed):
     # the C-ordered face scratch also computes 5 interfaces per row that
-    # straddle two rows; a leak of one would break equality here
-    field, flux, lam = _weno_case(layout, n, rows, data, seed, per_row_lam)
-    expected = _weno5_derivative_padded(field, flux, lam, 0.01, boundary)
-    got = weno5_derivative(field, flux, lam, 0.01, boundary)
-    np.testing.assert_array_equal(got, expected)
-    _assert_layout_kept(got, field)
+    # straddle two rows; a leak of one would break equality here.  A second,
+    # different input goes through the same workspace, so the same plan and
+    # scratch: it must carry nothing over from the first call, and must not
+    # write into the first call's result, which belongs to the caller
+    workspace = Workspace()
+    results = []
+    for case_seed, case_data in ((seed, data), (seed + 1, "rough")):
+        field, flux, lam = _weno_case(layout, n, rows, case_data, case_seed, per_row_lam)
+        expected = _weno5_derivative_padded(field, flux, lam, 0.01, boundary)
+        got = weno5_derivative(field, flux, lam, 0.01, boundary, workspace=workspace)
+        np.testing.assert_array_equal(got, expected)
+        _assert_layout_kept(got, field)
+        results.append((got, expected))
+    (first, first_expected), (second, _) = results
+    assert not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, first_expected)
 
 
 @settings(max_examples=200, deadline=None)
