@@ -14,7 +14,13 @@ the acceptance test) at n=201, K=50 this writes, under ``<out>/<case>/``:
 - ``comparison.csv``: ``compare_runs`` over the variants' summaries with
   one time window, so the quoted ``mean[lo,hi]`` row is written too.
 
-It prints ``sha256  relative/path`` per CSV (53 in all), sorted by path.
+Every desk forecast runs in one process (K (n + 1) is under one WENO5 face
+block), so one reference-scale run is added under
+``<out>/reference/sparse_gsm_clustered/``: sparse gsm_clustered at n=1001,
+K=100, t_end=0.05, whose forecast is split over two processes on a machine
+with two CPUs (its bytes do not depend on the split).
+
+It prints ``sha256  relative/path`` per CSV (57 in all), sorted by path.
 ``manifest.txt`` is left out because it records absolute paths. Two
 commits wrote byte-identical artifacts when their outputs are equal:
 
@@ -70,6 +76,10 @@ def main(argv=None):
             out_path=out / case / "comparison.csv",
             windows=[COMPARE_WINDOW],
         )
+    run_experiment(ExperimentConfig.for_case(
+        "sparse", variant="gsm_clustered", n=1001, ensemble_size=100, t_end=0.05, seed=args.seed,
+        output_dir=out / "reference" / "sparse_gsm_clustered",
+    ))
     for path in sorted(out.rglob("*.csv")):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}")
     if args.against is not None:

@@ -30,12 +30,7 @@ class Ensemble:
 
 
 def ensemble_moments(members) -> Ensemble:
-    """Build an Ensemble from a (K, n) stack or a list of equal-length vectors."""
-    if not isinstance(members, np.ndarray):
-        members = list(members)
-        lengths = {np.asarray(m).shape for m in members}
-        if len(lengths) > 1:
-            raise ConfigError(f"members have mismatched shapes: {sorted(lengths)}")
+    """Build an Ensemble from a (K, n) member stack."""
     members = np.asarray(members, dtype=float)
     if members.ndim != 2:
         raise ConfigError("members must form a (K, n) array")

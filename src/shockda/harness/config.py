@@ -12,6 +12,7 @@ analytic solution.
 from __future__ import annotations
 
 import dataclasses
+import re
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,6 +73,8 @@ class ExperimentConfig:
             raise ConfigError("t_end must be positive")
         if self.ensemble_size < 2:
             raise ConfigError("ensemble size must be at least 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.ic_perturb_std < 0.0:
             raise ConfigError("ic_perturb_std must be nonnegative")
         if self.gamma <= 0.0:
@@ -209,13 +212,14 @@ def _str_to_value(key: str, raw):
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` file; '#' starts a comment, blank lines skipped."""
+    """Flat ``key = value`` file; a '#' at the start of a line or after whitespace starts a comment
+    (so ``run#1`` is a value), blank lines skipped."""
     mapping = {}
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:

@@ -293,10 +293,9 @@ def _run(config: ExperimentConfig, *names: str):
         raise
 
 
-def _forecast_worker(conn, parent_ends, buffer, rows: int, velocity: VelocityField, grid: Grid1D,
-                     solver_cfg: SolverConfig) -> None:
-    """Advance the ``rows`` members the parent puts in ``buffer`` by the step each message names,
-    in place, and answer None or the exception raised; stop when the parent closes the pipe.
+def _forecast_worker(conn, parent_ends, block, velocity: VelocityField, grid: Grid1D, solver_cfg: SolverConfig) -> None:
+    """Advance the members the parent puts in ``block``, a view of shared memory, by the step each
+    message names, in place, and answer None or the exception raised; stop when the parent closes the pipe.
 
     ``parent_ends`` are the parent's pipe ends this fork inherited; they are
     closed first, so the parent's close reads as EOF here."""
@@ -306,8 +305,7 @@ def _forecast_worker(conn, parent_ends, buffer, rows: int, velocity: VelocityFie
     workspace = solver.Workspace()
     with suppress(EOFError, BrokenPipeError):
         while True:
-            step, order = conn.recv()
-            block = np.ndarray((rows, grid.n), buffer=buffer, order=order)
+            step = conn.recv()
             try:
                 block[...] = transport_step(block, velocity, step, grid, solver_cfg, workspace=workspace)
             except Exception as exc:
@@ -323,10 +321,11 @@ def _forecast(velocity: VelocityField, grid: Grid1D, solver_cfg: SolverConfig, r
     The count is w = min(CPUs this process may run on, rows, rows (n + 1) //
     ``solver._FACE_BLOCK``): a process gets at least one face block of work.
     At w <= 1 the step runs here.  Otherwise w - 1 workers are forked once
-    (they inherit the velocity history); each step hands each one a
-    contiguous block of member rows through shared memory, advances the
-    first block here meanwhile, and assembles the result in the stack's
-    own memory layout.  Each row sees the same operations whatever the
+    (they inherit the velocity history) with an F-ordered view of a
+    shared-memory block each.  Each step copies each worker's member rows
+    into its block and sends it the step number, advances the first rows
+    here meanwhile, and assembles an F-ordered result, as the in-process
+    step returns.  Each row sees the same operations whatever the
     block (the splitting speed is per row, and ``weno5_derivative`` does
     not depend on its block size), so the bytes do not depend on w.  A
     worker's exception is raised here with its type; a worker that dies
@@ -350,14 +349,15 @@ def _forecast(velocity: VelocityField, grid: Grid1D, solver_cfg: SolverConfig, r
 
     bounds = [rows * i // workers for i in range(workers + 1)]
     context = multiprocessing.get_context("fork")
-    procs, conns, buffers = [], [], []
+    procs, conns, blocks = [], [], []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            buffers.append(mmap.mmap(-1, (hi - lo) * grid.n * np.dtype(float).itemsize))
+            buffer = mmap.mmap(-1, (hi - lo) * grid.n * np.dtype(float).itemsize)
+            blocks.append(np.ndarray((hi - lo, grid.n), buffer=buffer, order="F"))
             conn, child_conn = context.Pipe()
             conns.append(conn)
             procs.append(context.Process(target=_forecast_worker, daemon=True,
-                                         args=(child_conn, conns, buffers[-1], hi - lo, velocity, grid, solver_cfg)))
+                                         args=(child_conn, conns, blocks[-1], velocity, grid, solver_cfg)))
             procs[-1].start()
             child_conn.close()  # the worker holds the only other end, so its death reads as EOF here
 
@@ -366,17 +366,15 @@ def _forecast(velocity: VelocityField, grid: Grid1D, solver_cfg: SolverConfig, r
             return ChildProcessError(f"forecast worker {proc.pid} died (exit code {proc.exitcode})")
 
         def dynamics(members, step):
-            order = "F" if members.flags.f_contiguous and not members.flags.c_contiguous else "C"
-            out = np.empty_like(members)
-            blocks = []
-            for lo, hi, buffer, conn, proc in zip(bounds[1:-1], bounds[2:], buffers, conns, procs):
-                blocks.append(np.ndarray((hi - lo, grid.n), buffer=buffer, order=order))
-                blocks[-1][...] = members[lo:hi]
+            out = np.empty((rows, grid.n), order="F")
+            for lo, hi, block, conn, proc in zip(bounds[1:-1], bounds[2:], blocks, conns, procs):
+                block[...] = members[lo:hi]
                 try:
-                    conn.send((step, order))
+                    conn.send(step)
                 except BrokenPipeError:
                     raise died(proc) from None
-            out[: bounds[1]] = step_rows(np.array(members[: bounds[1]], order=order), step)
+            # stepping a contiguous copy of these rows measured faster than stepping the strided view
+            out[: bounds[1]] = step_rows(np.array(members[: bounds[1]], order="F"), step)
             for lo, hi, block, conn, proc in zip(bounds[1:-1], bounds[2:], blocks, conns, procs):
                 try:
                     reply = conn.recv()

@@ -14,6 +14,8 @@ and the scalar transport of depth by a prescribed velocity history,
 
 All kernels operate on the trailing axis, so an ensemble of states can be
 advanced in one vectorized call by stacking members along a leading axis.
+Inputs of any memory layout are read as they are; every array the solver
+allocates or returns is F-ordered.
 
 A time loop keeps one ``Workspace`` (WENO5 plan, right-hand-side and RK arrays) per run.
 """
@@ -144,20 +146,16 @@ class SolverConfig:
 class Workspace(dict):
     """The WENO5 plans and arrays one time loop reuses at every step, each built on first use.
 
-    Key ("weno5", shape, layout, boundary) holds a plan; key (name, shape,
-    layout, count) holds that many arrays.  A step function given no
-    workspace uses a fresh one, and never returns a workspace array.
+    Key ("weno5", shape, boundary) holds a plan; key (name, shape, count)
+    holds that many F-ordered arrays.  A step function given no workspace
+    uses a fresh one, and never returns a workspace array.
     """
 
     def __missing__(self, key):
-        name, shape, order, arg = key
-        value = self[key] = (_weno5_plan(shape, order, arg) if name == "weno5"
-                             else [np.empty(shape, order=order) for _ in range(arg)])
+        name, shape, arg = key
+        value = self[key] = (_weno5_plan(shape, arg) if name == "weno5"
+                             else [np.empty(shape, order="F") for _ in range(arg)])
         return value
-
-
-def _order(a) -> str:  # the layout a result keeps
-    return "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
 
 
 def lax_friedrichs_lambda(u, h, g: float = GRAVITY, workspace: Workspace | None = None):
@@ -170,7 +168,7 @@ def lax_friedrichs_lambda(u, h, g: float = GRAVITY, workspace: Workspace | None 
     context, which is more useful than a RuntimeWarning at this level.
     """
     h = np.asarray(h, dtype=float)
-    (speed,) = (Workspace() if workspace is None else workspace)["speed", h.shape, _order(h), 1]
+    (speed,) = (Workspace() if workspace is None else workspace)["speed", h.shape, 1]
     with np.errstate(invalid="ignore"):
         np.multiply(g, h, out=speed)
         np.add(np.abs(u), np.sqrt(speed, out=speed), out=speed)
@@ -234,8 +232,8 @@ def _weno5_split_face_ops(flat, d, span, mirrored, out, scratch) -> list:
     return ops
 
 
-def _weno5_plan(shape: tuple, order: str, boundary: str) -> list:
-    """``weno5_derivative``'s blocks for one (shape, layout, boundary) over one scratch allocation:
+def _weno5_plan(shape: tuple, boundary: str) -> list:
+    """``weno5_derivative``'s blocks for one (shape, boundary) over one F-ordered scratch allocation:
     each block's column window, split and ghost slices, face calls, face slices and result columns."""
     n, g, lead = shape[-1], _NGHOST, shape[:-1]
     n_rows = math.prod(lead)
@@ -247,11 +245,9 @@ def _weno5_plan(shape: tuple, order: str, boundary: str) -> list:
         k = min(cells, n - j)
         # grid columns j-3 .. j+k+2 hold the stencils of interfaces j-1/2 .. j+k-1/2
         lo, hi, width = j - g, j + k + g, k + 2 * g
-        # d: flat step along the grid axis; span: flat length of one face operand
-        d, row_step = (n_rows, 1) if order == "F" else (1, width)
-        span = k * d + (n_rows - 1) * row_step + 1
+        span = (k + 1) * n_rows  # flat length of one face operand; the grid axis has flat step n_rows
         flat_p, flat_m = split_p[: n_rows * width], split_m[: n_rows * width]
-        fp, fm = (buf.reshape(lead + (width,), order=order) for buf in (flat_p, flat_m))
+        fp, fm = (buf.reshape(lead + (width,), order="F") for buf in (flat_p, flat_m))
         if boundary == "periodic" and (lo < 0 or hi > n):
             cols, inner = np.arange(lo, hi) % n, slice(0, width)
         else:
@@ -260,11 +256,11 @@ def _weno5_plan(shape: tuple, order: str, boundary: str) -> list:
         ghosts = [(b[..., : inner.start], b[..., inner.start : inner.start + 1]) for b in (fp, fm) if inner.start]
         ghosts += [(b[..., inner.stop :], b[..., inner.stop - 1 : inner.stop]) for b in (fp, fm) if inner.stop < width]
         fhat, minus = faces[0][:span], faces[1][:span]
-        ops = (_weno5_split_face_ops(flat_p, d, span, False, fhat, faces[2:])
-               + _weno5_split_face_ops(flat_m, d, span, True, minus, faces[2:]) + [(np.add, fhat, minus, fhat)])
+        ops = (_weno5_split_face_ops(flat_p, n_rows, span, False, fhat, faces[2:])
+               + _weno5_split_face_ops(flat_m, n_rows, span, True, minus, faces[2:]) + [(np.add, fhat, minus, fhat)])
         # a constant as a 0-d float64 array: the same value, without a Python float's conversion per call
         ops = [tuple(np.array(x) if isinstance(x, float) else x for x in op) for op in ops]
-        fhat = faces[0][: n_rows * width].reshape(lead + (width,), order=order)  # interface i at column i
+        fhat = faces[0][: n_rows * width].reshape(lead + (width,), order="F")  # interface i at column i
         blocks.append(((..., cols), fp[..., inner], fm[..., inner], ghosts, ops,
                        fhat[..., :k], fhat[..., 1 : k + 1], (..., slice(j, j + k))))
     return blocks
@@ -284,8 +280,7 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate",
     must dominate the characteristic speeds.  ``boundary`` selects the
     ghost-point fill: "extrapolate" repeats end values, "periodic" wraps.
     The result goes into the caller's ``out`` if given, else into a new
-    array in ``field``'s memory layout: member stacks are F-ordered, and
-    ensemble reductions sum in a layout-dependent order.
+    F-ordered array; ``field`` and ``flux`` may have any layout.
 
     The derivative is computed in blocks of grid cells whose interfaces
     hold at most ``_FACE_BLOCK`` elements (rows x columns).  Each block
@@ -293,20 +288,18 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate",
     (three columns beyond the block on each side) from a slice of the grid
     columns; "extrapolate" ghost columns are copies of the end columns'
     split, and a periodic window that leaves the grid gathers wrapped
-    columns.  The split and face scratch are flat arrays of one block,
-    reused across blocks, in C order, or in F order when ``field`` is F-
-    and not C-contiguous.  Along the grid axis the flat step is then one
-    number d (1, or the row count), so each stencil operand of a face is
-    one contiguous slice, shifted by d per stencil point, on numpy's
-    contiguous fast path, and a block's scratch stays in cache.  In C
-    order this also computes the five interfaces per row whose stencils
-    straddle two rows; they are never read.  The blocks, the scratch and
-    every face operand are a plan kept in ``workspace``, so a call in a
-    time loop checks its inputs and then makes ufunc calls only.  Every
-    element sees the same operations as in the whole-array pad-then-split
-    form of the difference-form faces, so the result is bit-identical to
-    it for any block size, reused plan or not, and inputs under one block
-    (desk grids, the coupled solve) run as one.
+    columns.  The split and face scratch are flat F-ordered arrays of one
+    block, reused across blocks.  Along the grid axis the flat step is
+    then the row count d, so each stencil operand of a face is one
+    contiguous slice, shifted by d per stencil point, on numpy's
+    contiguous fast path, and a block's scratch stays in cache.  The
+    blocks, the scratch and every face operand are a plan kept in
+    ``workspace``, so a call in a time loop checks its inputs and then
+    makes ufunc calls only.  Every element sees the same operations as in
+    the whole-array pad-then-split form of the difference-form faces, so
+    the result is bit-identical to it for any block size, reused plan or
+    not, and inputs under one block (desk grids, the coupled solve) run as
+    one.
     """
     field = np.asarray(field, dtype=float)
     flux = np.asarray(flux, dtype=float)
@@ -322,9 +315,8 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate",
     if len(lam_shape) > len(rows) or any(a not in (1, b) for a, b in zip(lam_shape[::-1], rows[::-1])):
         raise ConfigError(f"lam of shape {lam_shape} does not broadcast to {rows} for field of shape {field.shape}")
 
-    order = _order(field)
-    out = np.empty(field.shape, order=order) if out is None else out
-    plan = (Workspace() if workspace is None else workspace)["weno5", field.shape, order, boundary]
+    out = np.empty(field.shape, order="F") if out is None else out
+    plan = (Workspace() if workspace is None else workspace)["weno5", field.shape, boundary]
     for cols, fp_in, fm_in, ghosts, ops, left, right, target in plan:
         block_flux = flux[cols]
         lam_field = np.multiply(lam, field[cols], out=fm_in)
@@ -349,11 +341,10 @@ def tvdrk3_step(state, rhs_evaluator, dt: float, step_index: int | None = None, 
         s2 = state + 1/4 ((s1 - state) + dt L(s1))
         s3 = state + 2/3 ((s2 - state) + dt L(s2))
 
-    The stages are formed in place in two ``workspace`` arrays in
-    ``state``'s layout, the last one into a new array that is returned;
-    neither ``state`` nor an array returned by ``rhs_evaluator`` is
-    written.  Aborts with stage and step information
-    if any stage goes non-finite.
+    The stages are formed in place in two ``workspace`` arrays, the last
+    one into a new F-ordered array that is returned; neither ``state``
+    nor an array returned by ``rhs_evaluator`` is written.  Aborts with
+    stage and step information if any stage goes non-finite.
     """
 
     def check(stage_state, stage_no):
@@ -362,8 +353,8 @@ def tvdrk3_step(state, rhs_evaluator, dt: float, step_index: int | None = None, 
             raise NumericalError(f"non-finite state in RK stage {stage_no}{where} (CFL violation or blowup)")
 
     state = np.asarray(state, dtype=float)
-    stage, dt_rhs = (Workspace() if workspace is None else workspace)["rk3", state.shape, _order(state), 2]
-    result = np.empty_like(state)
+    stage, dt_rhs = (Workspace() if workspace is None else workspace)["rk3", state.shape, 2]
+    result = np.empty(state.shape, order="F")
     np.add(state, np.multiply(dt, rhs_evaluator(state), out=stage), out=stage)
     check(stage, 1)
     for stage_no, weight, target in ((2, 0.25, stage), (3, 2.0 / 3.0, result)):
@@ -377,7 +368,7 @@ def tvdrk3_step(state, rhs_evaluator, dt: float, step_index: int | None = None, 
 def _swe_rhs(stacked, g: float, dx: float, workspace: Workspace | None = None):
     """Semi-discrete RHS for the coupled system on a (..., 2, n) stack, in a ``workspace`` array."""
     workspace = Workspace() if workspace is None else workspace
-    flux, out = workspace["swe_rhs", stacked.shape, _order(stacked), 2]
+    flux, out = workspace["swe_rhs", stacked.shape, 2]
     h = stacked[..., 0, :]
     hu = stacked[..., 1, :]
     u = np.divide(hu, h, out=out[..., 0, :])  # out is free until weno5_derivative writes it
@@ -458,7 +449,7 @@ def solve_coupled_swe(
     hu_rec = np.empty((keep.size, grid.n))
     u_hist = np.empty((n_steps + 1, grid.n)) if store_velocity else None
 
-    state = np.stack([initial.h, initial.hu])
+    state = np.asfortranarray(np.stack([initial.h, initial.hu]))
     if 0 in keep_set:
         h_rec[keep_set[0]] = state[0]
         hu_rec[keep_set[0]] = state[1]
@@ -488,7 +479,7 @@ def transport_step(h, velocity: VelocityField, step_index: int, grid: Grid1D, co
 
     ``h`` may be a single profile (n,) or a member stack (K, n); the
     velocity row at ``step_index`` is used for all three RK stages.  The
-    result is a new array; a forecast passes its run's ``workspace``.
+    result is a new F-ordered array; a forecast passes its run's ``workspace``.
     """
     u = velocity.at(step_index)
     h = np.asarray(h, dtype=float)
@@ -496,7 +487,7 @@ def transport_step(h, velocity: VelocityField, step_index: int, grid: Grid1D, co
         raise ConfigError("depth/velocity length does not match the grid")
     dt = config.cfl * grid.dx
     workspace = Workspace() if workspace is None else workspace
-    flux, out = workspace["transport_rhs", h.shape, _order(h), 2]
+    flux, out = workspace["transport_rhs", h.shape, 2]
 
     def rhs(hc):
         lam = lax_friedrichs_lambda(u, hc, config.g, workspace)

@@ -120,18 +120,28 @@ def test_t_end_shorter_than_one_observation_stride_is_rejected(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("assimilate", ["--t-end", "nan"]), ("assimilate", ["--t-end", "inf"]),
-    ("assimilate", ["--variant", "etkf_baseline", "--alpha", "nan"]),
-    ("assimilate", ["--beta-max", "nan"]), ("assimilate", ["--beta-max", "inf"]),
-    ("assimilate", ["--gamma=-inf"]), ("moments", ["--ic-std", "nan"]),
-])
-def test_a_non_finite_setting_is_a_config_error_before_any_truth(tmp_path, capsys, command, flags):
-    # a NaN fails every range comparison, so it used to reach the solver or the filter
+_BAD_SETTINGS = [
+    ("assimilate", ["--t-end", "nan"], "t_end must be finite"),
+    ("assimilate", ["--t-end", "inf"], "t_end must be finite"),
+    ("assimilate", ["--variant", "etkf_baseline", "--alpha", "nan"], "alpha must be finite"),
+    ("assimilate", ["--beta-max", "nan"], "beta_max_target must be finite"),
+    ("assimilate", ["--beta-max", "inf"], "beta_max_target must be finite"),
+    ("assimilate", ["--gamma=-inf"], "gamma must be finite"),
+    ("moments", ["--ic-std", "nan"], "ic_perturb_std must be finite"),
+    ("assimilate", ["--seed", "-1"], "seed must be nonnegative"),
+    ("moments", ["--seed", "-1"], "seed must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("command, flags, message", _BAD_SETTINGS,
+                         ids=[f"{command}-flags{i}" for i, (command, _, _) in enumerate(_BAD_SETTINGS)])
+def test_a_non_finite_setting_is_a_config_error_before_any_truth(tmp_path, capsys, command, flags, message):
+    # a NaN fails every range comparison, so it used to reach the solver or the filter;
+    # a negative seed used to fail in numpy's generator after the truth was computed
     argv = [command, "--case", "dense", "--n", "41", "--ensemble-size", "5", *flags, "--out", str(tmp_path / "run")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "must be finite" in err and err.count("\n") == 1, err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == []  # no run directory, no truth cache
 
 
@@ -371,12 +381,13 @@ def test_parse_config_file(tmp_path):
         case = sparse
         n = 61         # coarse desk grid
         seed = 7
+        output_dir = runs/run#1
 
         variant = gsm_clustered
         """
     )
     mapping = parse_config_file(path)
-    assert mapping == {"case": "sparse", "n": "61", "seed": "7", "variant": "gsm_clustered"}
+    assert mapping == {"case": "sparse", "n": "61", "seed": "7", "output_dir": "runs/run#1", "variant": "gsm_clustered"}
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("n 61\n")

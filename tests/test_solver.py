@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shockda.errors import ConfigError, NumericalError
+from shockda.harness import ExperimentConfig
+from shockda.harness.experiments import initial_condition
 from shockda.solver import (
     GRAVITY,
     WENO_EPS,
@@ -222,12 +224,6 @@ def _layout(arrays, layout):
     return [np.array(a, order=layout) for a in arrays]
 
 
-def _assert_layout_kept(got, field):
-    # a C- or F-ordered field gives a result in its layout, a strided view of a C array a C-ordered one
-    want = field if field.flags.c_contiguous or field.flags.f_contiguous else np.ascontiguousarray(field)
-    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (want.flags.c_contiguous, want.flags.f_contiguous)
-
-
 def _weno_case(layout, n, rows, data, seed, per_row_lam):
     """Field, flux and splitting speed of one drawn case: smooth, jump or rough data in ``layout``."""
     shape = (n,) if layout == "1d" else (rows, 2, n) if layout.startswith("stacked") else (rows, n)
@@ -264,12 +260,10 @@ def _weno_case(layout, n, rows, data, seed, per_row_lam):
 @example(layout="1d", n=20000, rows=1, boundary="periodic", per_row_lam=False, data="jump", seed=5)
 @example(layout="members_strided", n=1001, rows=100, boundary="extrapolate", per_row_lam=True, data="rough", seed=6)
 @example(layout="stacked_f", n=300, rows=40, boundary="periodic", per_row_lam=True, data="jump", seed=7)
-def test_weno_matches_padded_reference_bitwise_and_keeps_layout(layout, n, rows, boundary, per_row_lam, data, seed):
-    # the C-ordered face scratch also computes 5 interfaces per row that
-    # straddle two rows; a leak of one would break equality here.  A second,
-    # different input goes through the same workspace, so the same plan and
-    # scratch: it must carry nothing over from the first call, and must not
-    # write into the first call's result, which belongs to the caller
+def test_weno_matches_padded_reference_bitwise_in_f_order(layout, n, rows, boundary, per_row_lam, data, seed):
+    # a second, different input goes through the same workspace, so the
+    # same plan and scratch: it must carry nothing over from the first call,
+    # and must not write into the first call's result, which belongs to the caller
     workspace = Workspace()
     results = []
     for case_seed, case_data in ((seed, data), (seed + 1, "rough")):
@@ -277,7 +271,7 @@ def test_weno_matches_padded_reference_bitwise_and_keeps_layout(layout, n, rows,
         expected = _weno5_derivative_padded(field, flux, lam, 0.01, boundary)
         got = weno5_derivative(field, flux, lam, 0.01, boundary, workspace=workspace)
         np.testing.assert_array_equal(got, expected)
-        _assert_layout_kept(got, field)
+        assert got.flags.f_contiguous  # whatever the field's layout
         results.append((got, expected))
     (first, first_expected), (second, _) = results
     assert not np.shares_memory(first, second)
@@ -320,7 +314,7 @@ def test_weno_result_does_not_depend_on_block_size(monkeypatch, block, order, bo
     monkeypatch.setattr("shockda.solver._FACE_BLOCK", block)
     got = weno5_derivative(field, flux, lam, 0.01, boundary)
     np.testing.assert_array_equal(got, expected)
-    _assert_layout_kept(got, field)
+    assert got.flags.f_contiguous
 
 
 def test_weno_large_examples_span_several_blocks():
@@ -384,12 +378,15 @@ def test_rk3_writes_neither_state_nor_rhs_results(order, kind):
         for out, copy in returned:
             np.testing.assert_array_equal(out, copy)
 
+    np.testing.assert_array_equal(got, _rk3_expression(state, rhs, dt))
+    assert got.flags.f_contiguous
+
+
+def _rk3_expression(state, rhs, dt):
+    """Reference: one increment-form TVD-RK3 step as whole-array expressions."""
     s1 = state + dt * rhs(state)
     s2 = state + 0.25 * ((s1 - state) + dt * rhs(s1))
-    s3 = state + (2.0 / 3.0) * ((s2 - state) + dt * rhs(s2))
-    np.testing.assert_array_equal(got, s3)
-    assert got.flags.c_contiguous == s3.flags.c_contiguous == state.flags.c_contiguous
-    assert got.flags.f_contiguous == s3.flags.f_contiguous == state.flags.f_contiguous
+    return state + (2.0 / 3.0) * ((s2 - state) + dt * rhs(s2))
 
 
 def test_rk3_exponential_one_step():
@@ -476,6 +473,26 @@ def test_swe_rhs_and_lambda_match_expression_form_bitwise(members, n, order, see
     # one velocity row for every member, as transport_step passes it
     u_row = u.reshape(-1, n)[0]
     np.testing.assert_array_equal(lax_friedrichs_lambda(u_row, h), _lax_friedrichs_lambda_expression(u_row, h))
+
+
+def test_coupled_solve_matches_the_expression_loop_bitwise():
+    # 50 steps of the oscillatory initial condition, whose dam-break shock forms in the window
+    cfg = ExperimentConfig.for_case("oscillatory", n=201, ensemble_size=5)
+    grid = cfg.grid()
+    initial = initial_condition(cfg, grid)
+    dt = cfg.solver_config().cfl * grid.dx
+    run = solve_coupled_swe(initial, grid, cfg.solver_config(), t_end=50 * dt)
+    assert run.n_steps == 50
+    state = np.stack([initial.h, initial.hu])
+    h, hu = [state[0]], [state[1]]
+    for _ in range(50):
+        state = _rk3_expression(state, lambda s: _swe_rhs_expression(s, GRAVITY, grid.dx), dt)
+        h.append(state[0])
+        hu.append(state[1])
+    h, hu = np.array(h), np.array(hu)
+    np.testing.assert_array_equal(run.h, h)
+    np.testing.assert_array_equal(run.hu, hu)
+    np.testing.assert_array_equal(run.velocity.u_history, hu / h)
 
 
 def test_coupled_uniform_rest_state_is_constant():
@@ -594,6 +611,27 @@ def test_transport_translation_accuracy_and_order():
     assert e_coarse < 1e-6
     order = np.log(e_coarse / e_fine) / np.log(2.0)
     assert order >= 4.5, f"observed order {order:.2f}"
+
+
+def test_transport_steps_match_the_expression_loop_bitwise():
+    # 20 steps of a C-ordered (8, 41) stack through one workspace, as a forecast runs them
+    grid, cfg = Grid1D(n=41), SolverConfig(cfl=0.1)
+    dt = cfg.cfl * grid.dx
+    rng = np.random.default_rng(29)
+    velocity = VelocityField(0.5 * np.sin(np.pi * grid.points + rng.uniform(0.0, 6.3, (20, 1))), dt)
+    got = expected = np.where(grid.points < 0.0, 1.0, 0.6) + 0.05 * rng.standard_normal((8, 41))
+    workspace = Workspace()
+
+    def rhs(h, u):
+        out = _weno5_derivative_padded(h, h * u, _lax_friedrichs_lambda_expression(u, h), grid.dx)
+        out[..., 0] = 0.0
+        out[..., -1] = 0.0
+        return out
+
+    for step in range(20):
+        got = transport_step(got, velocity, step, grid, cfg, workspace=workspace)
+        expected = _rk3_expression(expected, lambda h: rhs(h, velocity.u_history[step]), dt)
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_transport_batched_members_match_individual():
