@@ -20,9 +20,14 @@ block), so one reference-scale run is added under
 K=100, t_end=0.05, whose forecast is split over two processes on a machine
 with two CPUs (its bytes do not depend on the split).
 
-It prints ``sha256  relative/path`` per CSV (57 in all), sorted by path.
+It prints ``sha256  relative/path`` per CSV (57 in all), sorted by path,
+then ``sha256  relative/path:name`` for the ``u``, ``h`` and ``tu`` arrays of
+each truth-cache entry the runs created (4 entries, 12 lines), sorted the
+same way: the hash covers each array's dtype, shape and bytes, so equal
+lines mean ``array_equal`` truths whatever else the cache file holds.
 ``manifest.txt`` is left out because it records absolute paths. Two
-commits wrote byte-identical artifacts when their outputs are equal:
+commits wrote byte-identical artifacts and identical truths when their
+outputs are equal:
 
     PYTHONPATH=src python3 scripts/artifact_hashes.py --out runs/hashes --seed 1 > after.txt
     diff before.txt after.txt
@@ -82,6 +87,12 @@ def main(argv=None):
     ))
     for path in sorted(out.rglob("*.csv")):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}")
+    for path in sorted(out.rglob("truth_*.npz")):
+        with np.load(path) as stored:
+            for name in ("u", "h", "tu"):
+                array = stored[name]
+                digest = hashlib.sha256(f"{array.dtype.str}{array.shape}".encode() + array.tobytes()).hexdigest()
+                print(f"{digest}  {path.relative_to(out).as_posix()}:{name}")
     if args.against is not None:
         for line in drift_report(out, args.against):
             print(line, file=sys.stderr)

@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import ConfigError, NumericalError
 from ..solver import Grid1D
 from ..stoker import ObservationOperator, ObservationStream
-from .ensemble import Ensemble, ensemble_moments, gradient_second_moment, sample_variance_diag
+from .ensemble import ensemble_moments, gradient_second_moment, sample_variance_diag
 from .weights import FilterConfig, WeightMatrix, build_weight, covariance_weight
 
 
@@ -52,9 +52,15 @@ def etkf_transform(X: np.ndarray, H: ObservationOperator, gamma_sq: float) -> np
         return np.eye(K)
 
     HX = H.apply(X.T).T  # (m, K)
-    A = np.eye(K) + HX.T @ (HX / gamma_sq)
-    A = 0.5 * (A + A.T)
-    w, Q = np.linalg.eigh(A)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite system is raised below, with no warning
+        A = np.eye(K) + HX.T @ (HX / gamma_sq)
+        A = 0.5 * (A + A.T)
+    try:
+        if not np.isfinite(A).all():
+            raise np.linalg.LinAlgError("non-finite entries")
+        w, Q = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"transform system cannot be eigendecomposed ({exc})") from exc
     if w.min() <= 0.0:
         raise NumericalError(f"transform system not positive definite (min eigenvalue {w.min():.3e})")
     Tsqrt = (Q / np.sqrt(w)) @ Q.T
@@ -157,10 +163,9 @@ class AnalysisRecord:
 
 @dataclass
 class FilterRun:
-    """Assimilation trajectory plus the final posterior ensemble."""
+    """Assimilation trajectory: one record per analysis time."""
 
     records: list[AnalysisRecord]
-    ensemble: Ensemble
 
     @property
     def times(self) -> np.ndarray:
@@ -209,7 +214,7 @@ def _assimilate(initial_members, dynamics, observations: ObservationStream, conf
             )
         )
 
-    return FilterRun(records, ensemble_moments(members))
+    return FilterRun(records)
 
 
 def run_baseline_filter(initial_members, dynamics, observations: ObservationStream,

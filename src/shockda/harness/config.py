@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..solver import GRAVITY, Grid1D, SolverConfig, resolve_steps
 from ..stoker import DamBreakParams, ObservationOperator
-from ..assimilation import FilterConfig
+from ..assimilation.weights import FilterConfig
 from .._csvio import fmt17
 
 CASES = ("dense", "sparse", "oscillatory")
@@ -77,8 +77,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.ic_perturb_std < 0.0:
             raise ConfigError("ic_perturb_std must be nonnegative")
-        if self.gamma <= 0.0:
-            raise ConfigError("gamma must be positive")
+        if not (self.gamma > 0.0 and 0.0 < self.gamma * self.gamma < np.inf):  # gamma^2 is the noise variance
+            raise ConfigError(f"gamma must be positive with a finite, nonzero square, got {self.gamma}")
         if self.obs_stride_steps < 1:
             raise ConfigError("obs_stride_steps must be at least 1")
         if self.fine_refine < 1:

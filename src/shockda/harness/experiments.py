@@ -28,8 +28,8 @@ from .. import __version__, solver
 from ..errors import ConfigError
 from ..solver import Grid1D, SolverConfig, SWEState, VelocityField, solve_coupled_swe, transport_step
 from ..stoker import ObservationStream, stoker_evaluate, stoker_solve, synthesize_observations
-from ..assimilation import Ensemble, ensemble_moments, gradient_second_moment, run_baseline_filter, run_weighted_filter, sample_variance_diag
-from ..assimilation.filters import FilterRun
+from ..assimilation.ensemble import Ensemble, ensemble_moments, gradient_second_moment, sample_variance_diag
+from ..assimilation.filters import FilterRun, run_baseline_filter, run_weighted_filter
 from ..metrics import ErrorSeries, pointwise_error, relative_error
 from .config import ExperimentConfig
 from .._csvio import fmt17, write_csv
@@ -60,8 +60,7 @@ class TruthBundle:
     """Velocity history for the dynamics plus reference depth/velocity rows.
 
     Row 0 of ``truth_h``/``truth_u`` is the initial condition; row j >= 1
-    belongs to observation time ``obs_times[j-1]``.  ``kind`` records
-    whether the reference is the analytic solution or a fine-grid run.
+    belongs to observation time ``obs_times[j-1]``.
     """
 
     grid: Grid1D
@@ -69,7 +68,6 @@ class TruthBundle:
     velocity: VelocityField
     truth_h: np.ndarray
     truth_u: np.ndarray
-    kind: str
 
     @property
     def all_times(self) -> np.ndarray:
@@ -110,8 +108,7 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path | None = None) -> T
         if cached is not None:
             return cached
 
-    coarse = solve_coupled_swe(initial_condition(config, grid), grid, config.solver_config(), config.t_end, record="ends")
-    velocity = coarse.velocity
+    velocity = solve_coupled_swe(initial_condition(config, grid), grid, config.solver_config(), config.t_end).velocity
 
     if config.case == "oscillatory":
         refine = config.fine_refine
@@ -126,7 +123,6 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path | None = None) -> T
         )
         truth_h = fine_run.h[:, ::refine]
         truth_u = velocity.u_history[np.concatenate(([0], obs_steps))]
-        kind = "reference"
     else:
         params = config.dam_params()
         inter = stoker_solve(params)
@@ -137,9 +133,8 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path | None = None) -> T
             rows_u.append(u_row)
         truth_h = np.asarray(rows_h)
         truth_u = np.asarray(rows_u)
-        kind = "analytic"
 
-    bundle = TruthBundle(grid, obs_times, velocity, truth_h, truth_u, kind)
+    bundle = TruthBundle(grid, obs_times, velocity, truth_h, truth_u)
     if cache_dir is not None:
         _save_truth_cache(entry, fingerprint, bundle)
     return bundle
@@ -153,7 +148,7 @@ def _save_truth_cache(entry: Path, fingerprint: str, bundle: TruthBundle) -> Non
     try:
         with os.fdopen(fd, "wb") as f:
             np.savez(f, u=bundle.velocity.u_history, h=bundle.truth_h, tu=bundle.truth_u,
-                     fingerprint=np.array(fingerprint), kind=np.array(bundle.kind))
+                     fingerprint=np.array(fingerprint))
         os.replace(tmp, entry)
     except BaseException:
         with suppress(OSError):
@@ -168,14 +163,14 @@ def _load_truth_cache(entry: Path, fingerprint: str, config: ExperimentConfig) -
         with np.load(entry) as stored:
             if str(stored["fingerprint"]) != fingerprint:
                 return None
-            u, h, tu, kind = stored["u"], stored["h"], stored["tu"], str(stored["kind"])
+            u, h, tu = stored["u"], stored["h"], stored["tu"]
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
         return None
     grid = config.grid()
     rows = (config.obs_times.size + 1, grid.n)
     if u.shape != (config.n_steps + 1, grid.n) or h.shape != rows or tu.shape != rows:
         return None
-    return TruthBundle(grid, config.obs_times, VelocityField(u, config.dt), h, tu, kind)
+    return TruthBundle(grid, config.obs_times, VelocityField(u), h, tu)
 
 
 @dataclass
@@ -428,6 +423,9 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
     first line of its message to the manifest before the error propagates.
     """
     with _run(config, "solution", "error", "moments", "summary") as paths:
+        for t in config.snapshot_times:  # moments.csv takes its rows from analyses; times after t_end are ignored
+            if t <= config.t_end and not np.any(np.abs(config.obs_times - t) <= 1e-9):
+                raise ConfigError(f"snapshot time {t} is not an observation time (every {config.obs_times[0]:g})")
         grid = config.grid()
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         H = config.observation_operator()

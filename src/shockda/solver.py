@@ -23,7 +23,7 @@ A time loop keeps one ``Workspace`` (WENO5 plan, right-hand-side and RK arrays) 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,14 +101,11 @@ class VelocityField:
     """
 
     u_history: np.ndarray
-    dt: float
 
     def __post_init__(self):
         self.u_history = np.asarray(self.u_history, dtype=float)
         if self.u_history.ndim != 2:
             raise ConfigError("u_history must be a (steps, n) array")
-        if self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
 
     @property
     def n_steps(self) -> int:
@@ -389,16 +386,13 @@ def _swe_rhs(stacked, g: float, dx: float, workspace: Workspace | None = None):
 class CoupledRun:
     """Result of a coupled shallow-water integration.
 
-    ``recorded_steps`` lists the step indices (0 = initial data) whose
-    states are stored in ``h`` / ``hu`` row by row.  ``velocity`` is None
-    when recording was disabled to bound memory on very fine grids.
+    Row r of ``h`` is the depth at the r-th smallest recorded step index
+    (0 = initial data).  ``velocity`` is None when recording was disabled
+    to bound memory on very fine grids.
     """
 
-    dt: float
     n_steps: int
-    recorded_steps: np.ndarray
     h: np.ndarray
-    hu: np.ndarray
     velocity: VelocityField | None = None
 
 
@@ -415,15 +409,15 @@ def solve_coupled_swe(
     grid: Grid1D,
     config: SolverConfig,
     t_end: float,
-    record="all",
+    record=(),
     store_velocity: bool = True,
 ) -> CoupledRun:
     """Integrate the coupled system to t_end with dt = cfl * dx.
 
-    ``record`` chooses which states are kept: "all", "ends" (initial and
-    final only), or an explicit iterable of step indices.  The velocity
-    u = hu/h is stored at every step unless ``store_velocity`` is False
-    (useful for fine reference runs where the history would not fit).
+    ``record`` is an iterable of the step indices whose depth is kept
+    (none by default).  The velocity u = hu/h is stored at every step
+    unless ``store_velocity`` is False (useful for fine reference runs
+    where the history would not fit).
     """
     if initial.h.ndim != 1 or initial.h.shape[-1] != grid.n:
         raise ConfigError("initial state does not match the grid")
@@ -432,27 +426,17 @@ def solve_coupled_swe(
     dt = config.cfl * grid.dx
     n_steps = resolve_steps(t_end, dt)
 
-    if isinstance(record, str):
-        if record == "all":
-            keep = np.arange(n_steps + 1)
-        elif record == "ends":
-            keep = np.array([0, n_steps])
-        else:
-            raise ConfigError(f"unknown record mode '{record}'")
-    else:
-        keep = np.unique(np.asarray(list(record), dtype=int))
-        if keep.size and (keep[0] < 0 or keep[-1] > n_steps):
-            raise ConfigError("recorded step indices outside the run")
+    keep = np.unique(np.asarray(list(record), dtype=int))
+    if keep.size and (keep[0] < 0 or keep[-1] > n_steps):
+        raise ConfigError("recorded step indices outside the run")
     keep_set = {int(s): r for r, s in enumerate(keep)}
 
     h_rec = np.empty((keep.size, grid.n))
-    hu_rec = np.empty((keep.size, grid.n))
     u_hist = np.empty((n_steps + 1, grid.n)) if store_velocity else None
 
     state = np.asfortranarray(np.stack([initial.h, initial.hu]))
     if 0 in keep_set:
         h_rec[keep_set[0]] = state[0]
-        hu_rec[keep_set[0]] = state[1]
     if store_velocity:
         u_hist[0] = state[1] / state[0]
 
@@ -467,10 +451,9 @@ def solve_coupled_swe(
         r = keep_set.get(step)
         if r is not None:
             h_rec[r] = state[0]
-            hu_rec[r] = state[1]
 
-    velocity = VelocityField(u_hist, dt) if store_velocity else None
-    return CoupledRun(dt, n_steps, keep, h_rec, hu_rec, velocity)
+    velocity = VelocityField(u_hist) if store_velocity else None
+    return CoupledRun(n_steps, h_rec, velocity)
 
 
 def transport_step(h, velocity: VelocityField, step_index: int, grid: Grid1D, config: SolverConfig,

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from shockda.errors import ConfigError
-from shockda.assimilation import (
-    correlation_matrix_factor,
-    ensemble_moments,
-    gradient_second_moment,
-    sample_variance_diag,
-)
+from shockda.assimilation.ensemble import correlation_matrix_factor, ensemble_moments, gradient_second_moment, sample_variance_diag
 
 
 def test_moments_mean_and_centered_shapes():

@@ -8,22 +8,17 @@ from hypothesis import given, settings, strategies as st
 from shockda.errors import ConfigError, NumericalError
 from shockda.solver import Grid1D
 from shockda.stoker import ObservationOperator, ObservationStream
-from shockda.assimilation import (
+from shockda.assimilation.ensemble import correlation_matrix_factor, ensemble_moments, gradient_second_moment
+from shockda.assimilation.filters import analysis_mean, etkf_transform, run_baseline_filter, run_weighted_filter
+from shockda.assimilation.weights import (
     ClusterPartition,
     FilterConfig,
-    analysis_mean,
+    WeightMatrix,
     build_weight,
     cluster_partition,
-    correlation_matrix_factor,
     covariance_weight,
     detect_discontinuity,
-    ensemble_moments,
-    etkf_transform,
-    gradient_second_moment,
-    run_baseline_filter,
-    run_weighted_filter,
 )
-from shockda.assimilation.weights import WeightMatrix
 
 
 def _centered(rng, n, K):
@@ -471,7 +466,18 @@ def test_static_estimation_converges_monotonically():
     assert errors[-1] < errors[0] / 100.0
 
 
+def _members_seen(handed):
+    """Identity dynamics that appends a copy of each member stack it is handed to ``handed``."""
+
+    def dynamics(members, step):
+        handed.append(np.array(members))
+        return members
+
+    return dynamics
+
+
 def test_posterior_ensemble_mean_equals_analysis_mean():
+    # identity dynamics hand cycle j + 1 the posterior members of cycle j unchanged
     rng = np.random.default_rng(10)
     n, K = 25, 8
     grid = Grid1D(n=n, x_min=-1.0, x_max=1.0)
@@ -485,8 +491,11 @@ def test_posterior_ensemble_mean_equals_analysis_mean():
         (FilterConfig(variant="gsm", beta_max_target=0.003, localization_bandwidth=0), run_weighted_filter),
         (FilterConfig(variant="gsm_clustered", beta_max_target=0.0027, localization_bandwidth=1, dist=1), run_weighted_filter),
     ):
-        run = runner(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=1)
-        np.testing.assert_allclose(run.ensemble.mean, run.records[-1].posterior_mean, atol=1e-12)
+        handed = []
+        run = runner(members, _members_seen(handed), stream, cfg, grid, steps_per_obs=1)
+        assert len(handed) == len(run.records) == 3
+        for posterior, record in zip(handed[1:], run.records):
+            np.testing.assert_allclose(ensemble_moments(posterior).mean, record.posterior_mean, atol=1e-12)
 
 
 def test_filter_runs_are_deterministic():
@@ -499,11 +508,14 @@ def test_filter_runs_are_deterministic():
     stream = _make_stream(truth, [0.1, 0.2], H, gamma=0.01, rng=rng)
     cfg = FilterConfig(variant="gsm", localization_bandwidth=0)
 
-    a = run_weighted_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=2)
-    b = run_weighted_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=2)
+    handed_a, handed_b = [], []
+    a = run_weighted_filter(members, _members_seen(handed_a), stream, cfg, grid, steps_per_obs=2)
+    b = run_weighted_filter(members, _members_seen(handed_b), stream, cfg, grid, steps_per_obs=2)
+    assert len(a.records) == len(b.records) == 2
     for ra, rb in zip(a.records, b.records):
-        np.testing.assert_array_equal(ra.posterior_mean, rb.posterior_mean)
-    np.testing.assert_array_equal(a.ensemble.members, b.ensemble.members)
+        np.testing.assert_equal(vars(ra), vars(rb))  # every field; arrays element for element
+    for ma, mb in zip(handed_a, handed_b, strict=True):
+        np.testing.assert_array_equal(ma, mb)
 
 
 def test_dynamics_called_between_observations_with_global_step():

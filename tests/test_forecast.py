@@ -162,7 +162,7 @@ def _counted_weno5(monkeypatch, nan_at_call=None):
 def _coupled_run(cfg, n_steps):
     grid = cfg.grid()
     return solver.solve_coupled_swe(initial_condition(cfg, grid), grid, cfg.solver_config(),
-                                    n_steps * cfg.dt, record="ends")
+                                    n_steps * cfg.dt)
 
 
 def _desk_forecast(cfg, velocity, n_steps):

@@ -3,6 +3,7 @@
 import csv
 import multiprocessing
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from shockda.errors import ConfigError, NumericalError
 from shockda.harness import experiments
 from shockda.solver import resolve_steps
-from shockda.stoker import stoker_solve
+from shockda.stoker import stoker_evaluate, stoker_solve
 from shockda.harness import (
     CASES,
     ExperimentConfig,
@@ -130,6 +131,9 @@ _BAD_SETTINGS = [
     ("moments", ["--ic-std", "nan"], "ic_perturb_std must be finite"),
     ("assimilate", ["--seed", "-1"], "seed must be nonnegative"),
     ("moments", ["--seed", "-1"], "seed must be nonnegative"),
+    # gamma^2 used to overflow (an OverflowError traceback) or underflow to 0 after the truth was computed
+    ("assimilate", ["--gamma", "1e300"], "gamma must be positive with a finite, nonzero square"),
+    ("assimilate", ["--gamma", "1e-200"], "gamma must be positive with a finite, nonzero square"),
 ]
 
 
@@ -194,9 +198,11 @@ def test_build_initial_ensemble_statistics_and_determinism():
 def test_truth_dense_right_state_before_shock_arrival():
     cfg = _small()
     bundle = generate_truth(cfg)
-    assert bundle.kind == "analytic"
 
     inter = stoker_solve(cfg.dam_params())
+    h_exact, u_exact = stoker_evaluate(cfg.dam_params(), inter, cfg.grid().points, float(cfg.obs_times[-1]))
+    np.testing.assert_array_equal(bundle.truth_h[-1], h_exact)  # the analytic solution, not a solver run
+    np.testing.assert_array_equal(bundle.truth_u[-1], u_exact)
     assert inter.s * cfg.t_end < 0.5  # shock has not yet reached x = 0.5
     grid = cfg.grid()
     i = int(np.argmin(np.abs(grid.points - 0.5)))
@@ -220,7 +226,8 @@ def test_truth_degenerate_flat_state():
 def test_truth_oscillatory_reference(tmp_path):
     cfg = _small("oscillatory", fine_refine=4, cache_dir=tmp_path / "cache")
     bundle = generate_truth(cfg, cache_dir=cfg.resolved_cache_dir())
-    assert bundle.kind == "reference"
+    # the reference velocity is the coarse run's, at the observation steps
+    np.testing.assert_array_equal(bundle.truth_u, bundle.velocity.u_history[np.r_[0, cfg.obs_step_indices]])
     grid = cfg.grid()
     np.testing.assert_allclose(bundle.truth_h[0], initial_condition(cfg, grid).h, atol=1e-12)
     assert bundle.truth_h.shape == (cfg.obs_times.size + 1, cfg.n)
@@ -260,8 +267,26 @@ def test_truth_cache_round_trip(tmp_path, monkeypatch):
         np.testing.assert_array_equal(again.truth_h, fresh.truth_h)
         np.testing.assert_array_equal(again.truth_u, fresh.truth_u)
         np.testing.assert_array_equal(again.velocity.u_history, fresh.velocity.u_history)
-        assert again.kind == fresh.kind
     assert calls == []
+
+
+def test_truth_cache_entry_with_the_former_kind_array_is_a_hit(tmp_path, monkeypatch):
+    # entries written before the bundle lost its kind field carry one more array
+    cache = tmp_path / "cache"
+    cfg = _small(cache_dir=cache)
+    fresh = generate_truth(cfg, cache_dir=cache)
+    (entry,) = cache.iterdir()
+    with np.load(entry) as stored:
+        arrays = dict(stored)
+    assert "kind" not in arrays
+    np.savez(entry, **arrays, kind=np.array("analytic"))
+
+    calls = _count_coupled_solves(monkeypatch)
+    loaded = generate_truth(cfg, cache_dir=cache)
+    assert calls == []
+    np.testing.assert_array_equal(loaded.velocity.u_history, fresh.velocity.u_history)
+    np.testing.assert_array_equal(loaded.truth_h, fresh.truth_h)
+    np.testing.assert_array_equal(loaded.truth_u, fresh.truth_u)
 
 
 def _truncate(path):
@@ -337,7 +362,6 @@ def test_concurrent_writers_of_one_cache_key(tmp_path, monkeypatch):
     np.testing.assert_array_equal(loaded.velocity.u_history, fresh.velocity.u_history)
     np.testing.assert_array_equal(loaded.truth_h, fresh.truth_h)
     np.testing.assert_array_equal(loaded.truth_u, fresh.truth_u)
-    assert loaded.kind == fresh.kind
 
 
 # ------------------------------------------------- manifests and config files
@@ -362,6 +386,15 @@ def test_manifest_round_trip(tmp_path):
     write_manifest(path_full, cfg_full, status="completed")
     assert read_manifest(path_full)["localization_bandwidth"] == "none"
     assert config_from_manifest(path_full) == cfg_full
+
+
+def test_manifest_value_with_a_hash_round_trips_verbatim(tmp_path):
+    # a manifest value is read whole: unlike a config file, " #" there starts no comment
+    cfg = _small(output_dir=tmp_path / "runs" / "run #1")
+    path = tmp_path / "manifest.txt"
+    write_manifest(path, cfg, status="completed")
+    assert config_from_manifest(path) == cfg
+    assert config_from_manifest(path).output_dir.name == "run #1"
 
 
 def test_manifest_failure_records_error(tmp_path):
@@ -461,7 +494,8 @@ def test_run_experiment_degenerate_flat_truth_is_recovered(tmp_path):
 
 
 def test_run_experiment_failure_writes_manifest(tmp_path):
-    cfg = _small(h0=10.0, h1=1e-4, cfl=0.5, ensemble_size=4,
+    # cfl 0.5 puts the analyses 0.125 apart, so the snapshot is moved onto one
+    cfg = _small(h0=10.0, h1=1e-4, cfl=0.5, ensemble_size=4, snapshot_times=(0.125,),
                  output_dir=tmp_path / "run", cache_dir=tmp_path / "cache")
     with pytest.raises(NumericalError):
         run_experiment(cfg)
@@ -607,6 +641,37 @@ def test_cli_moments_defaults(tmp_path, capsys):
     assert float(mapping["ic_perturb_std"]) == 0.05
     assert float(mapping["t_end"]) == 0.15
     assert (out / "moments.csv").exists()
+
+
+def test_cli_assimilate_rejects_a_snapshot_time_off_the_observation_grid(tmp_path, capsys):
+    # 0.0123 matches no analysis time, so moments.csv used to be a header alone
+    out = tmp_path / "run"
+    cfg = _write_cfg(tmp_path, "snapshot_times = 0.05, 0.0123\n")
+    assert main(["assimilate", "--n", "41", "--ensemble-size", "5", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: snapshot time 0.0123 is not an observation time (every 0.025)\n"
+    assert read_manifest(out / "manifest.txt")["status"] == "failed"
+    assert not (tmp_path / "truth_cache").exists()  # rejected before any truth
+
+    # a time after t_end stays ignored, as in the reference workloads
+    cfg = _write_cfg(tmp_path, "snapshot_times = 0.05, 0.5\n")
+    assert main(["assimilate", "--n", "41", "--ensemble-size", "5", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "moments.csv", newline="") as f:
+        (t,) = {float(row["t"]) for row in csv.DictReader(f)}
+    assert t == pytest.approx(0.05, abs=1e-9)
+
+
+def test_cli_baseline_transform_that_cannot_be_decomposed_exits_3(tmp_path, capsys):
+    # alpha = 1e200 overflows the K x K system; eigh used to raise LinAlgError out of main
+    out = tmp_path / "run"
+    argv = ["assimilate", "--n", "21", "--ensemble-size", "4", "--variant", "etkf_baseline", "--alpha", "1e200"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would be a second stderr line
+        assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: transform system") and err.count("\n") == 1, err
+    mapping = read_manifest(out / "manifest.txt")
+    assert mapping["status"] == "failed" and mapping["error"].startswith("transform system")
 
 
 def test_cli_moments_without_snapshot_times_is_a_config_error(tmp_path, capsys):

@@ -82,7 +82,7 @@ def test_lax_friedrichs_lambda_value():
 
 
 def test_velocity_field_step_range():
-    vel = VelocityField(u_history=np.zeros((3, 5)), dt=0.1)
+    vel = VelocityField(u_history=np.zeros((3, 5)))
     vel.at(2)
     with pytest.raises(ConfigError):
         vel.at(3)
@@ -481,7 +481,7 @@ def test_coupled_solve_matches_the_expression_loop_bitwise():
     grid = cfg.grid()
     initial = initial_condition(cfg, grid)
     dt = cfg.solver_config().cfl * grid.dx
-    run = solve_coupled_swe(initial, grid, cfg.solver_config(), t_end=50 * dt)
+    run = solve_coupled_swe(initial, grid, cfg.solver_config(), t_end=50 * dt, record=range(51))
     assert run.n_steps == 50
     state = np.stack([initial.h, initial.hu])
     h, hu = [state[0]], [state[1]]
@@ -491,16 +491,16 @@ def test_coupled_solve_matches_the_expression_loop_bitwise():
         hu.append(state[1])
     h, hu = np.array(h), np.array(hu)
     np.testing.assert_array_equal(run.h, h)
-    np.testing.assert_array_equal(run.hu, hu)
     np.testing.assert_array_equal(run.velocity.u_history, hu / h)
 
 
 def test_coupled_uniform_rest_state_is_constant():
     grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
     h = np.ones(51)
-    run = solve_coupled_swe(SWEState(h.copy(), np.zeros(51)), grid, SolverConfig(cfl=0.1), t_end=20 * 0.1 * grid.dx)
+    run = solve_coupled_swe(SWEState(h.copy(), np.zeros(51)), grid, SolverConfig(cfl=0.1), t_end=20 * 0.1 * grid.dx,
+                            record=[20])
     np.testing.assert_array_equal(run.h[-1], h)
-    np.testing.assert_array_equal(run.hu[-1], np.zeros(51))
+    np.testing.assert_array_equal(run.velocity.u_history, np.zeros((21, 51)))
 
 
 def test_coupled_records_velocity_every_step():
@@ -508,7 +508,7 @@ def test_coupled_records_velocity_every_step():
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(SWEState(h, np.zeros(51)), grid, SolverConfig(cfl=0.1), t_end=10 * 0.1 * grid.dx)
     assert run.velocity.u_history.shape == (11, 51)
-    assert run.velocity.dt == pytest.approx(run.dt)
+    assert run.h.shape == (0, 51)  # no depth rows unless asked for
     # velocity rows are hu/h of the recorded trajectory
     np.testing.assert_allclose(run.velocity.u_history[0], 0.0)
 
@@ -517,7 +517,7 @@ def test_coupled_mass_conservation_before_waves_reach_boundary():
     grid = Grid1D(n=401, x_min=-1.0, x_max=1.0)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(
-        SWEState(h, np.zeros(401)), grid, SolverConfig(cfl=0.1), t_end=0.1, record="ends", store_velocity=False
+        SWEState(h, np.zeros(401)), grid, SolverConfig(cfl=0.1), t_end=0.1, record=[0, 200], store_velocity=False
     )
     drift = abs(np.sum(run.h[-1]) - np.sum(run.h[0])) * grid.dx
     assert drift / 0.1 < 1e-8
@@ -528,7 +528,7 @@ def test_coupled_dam_break_total_variation_bound():
     grid = Grid1D(n=201, x_min=-1.0, x_max=1.0)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(
-        SWEState(h, np.zeros(201)), grid, SolverConfig(cfl=0.1), t_end=0.1, record="all", store_velocity=False
+        SWEState(h, np.zeros(201)), grid, SolverConfig(cfl=0.1), t_end=0.1, record=range(101), store_velocity=False
     )
     tv = np.sum(np.abs(np.diff(run.h, axis=-1)), axis=-1)
     assert tv[-1] <= tv[0] + 1e-3
@@ -558,13 +558,12 @@ def test_coupled_record_subset():
             SWEState(h, np.zeros(51)), grid, SolverConfig(cfl=0.1), t_end=10 * 0.1 * grid.dx, record=record
         )
 
-    subset, full = run([10, 0, 5, 5]), run("all")
-    assert list(subset.recorded_steps) == [0, 5, 10]
-    assert subset.h.shape == subset.hu.shape == (3, 51)
+    subset, full = run([10, 0, 5, 5]), run(range(11))
+    assert subset.h.shape == (3, 51)
     np.testing.assert_array_equal(subset.h[0], h)
-    np.testing.assert_array_equal(subset.hu[0], np.zeros(51))
     np.testing.assert_array_equal(subset.h, full.h[[0, 5, 10]])
-    np.testing.assert_array_equal(subset.hu, full.hu[[0, 5, 10]])
+    with pytest.raises(ConfigError, match="outside the run"):
+        run([11])
 
 
 def test_coupled_determinism():
@@ -573,12 +572,11 @@ def test_coupled_determinism():
 
     def once():
         return solve_coupled_swe(
-            SWEState(h.copy(), np.zeros(101)), grid, SolverConfig(cfl=0.1), t_end=20 * 0.1 * grid.dx
+            SWEState(h.copy(), np.zeros(101)), grid, SolverConfig(cfl=0.1), t_end=20 * 0.1 * grid.dx, record=range(21)
         )
 
     a, b = once(), once()
     assert np.array_equal(a.h, b.h)
-    assert np.array_equal(a.hu, b.hu)
     assert np.array_equal(a.velocity.u_history, b.velocity.u_history)
 
 
@@ -588,7 +586,7 @@ def test_coupled_determinism():
 def test_transport_zero_velocity_keeps_constant_depth():
     grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
     cfg = SolverConfig(cfl=0.1)
-    vel = VelocityField(u_history=np.zeros((2, 51)), dt=cfg.cfl * grid.dx)
+    vel = VelocityField(u_history=np.zeros((2, 51)))
     h = np.full(51, 0.9)
     out = transport_step(h, vel, 0, grid, cfg)
     assert np.array_equal(out, h)
@@ -601,7 +599,7 @@ def test_transport_translation_accuracy_and_order():
         dt = cfg.cfl * grid.dx
         x = grid.points
         h = 1.0 + 0.1 * np.exp(-((x / 0.3) ** 2))
-        vel = VelocityField(u_history=np.full((2, n), c), dt=dt)
+        vel = VelocityField(u_history=np.full((2, n), c))
         out = transport_step(h, vel, 0, grid, cfg)
         exact = 1.0 + 0.1 * np.exp(-(((x - c * dt) / 0.3) ** 2))
         return np.max(np.abs(out - exact)[5 : n - 5])
@@ -618,7 +616,7 @@ def test_transport_steps_match_the_expression_loop_bitwise():
     grid, cfg = Grid1D(n=41), SolverConfig(cfl=0.1)
     dt = cfg.cfl * grid.dx
     rng = np.random.default_rng(29)
-    velocity = VelocityField(0.5 * np.sin(np.pi * grid.points + rng.uniform(0.0, 6.3, (20, 1))), dt)
+    velocity = VelocityField(0.5 * np.sin(np.pi * grid.points + rng.uniform(0.0, 6.3, (20, 1))))
     got = expected = np.where(grid.points < 0.0, 1.0, 0.6) + 0.05 * rng.standard_normal((8, 41))
     workspace = Workspace()
 
@@ -640,7 +638,7 @@ def test_transport_batched_members_match_individual():
     rng = np.random.default_rng(5)
     members = 1.0 + 0.05 * rng.standard_normal((6, 41))
     u = 0.3 * np.sin(np.pi * grid.points)
-    vel = VelocityField(u_history=np.stack([u, u]), dt=cfg.cfl * grid.dx)
+    vel = VelocityField(u_history=np.stack([u, u]))
     batch = transport_step(members, vel, 0, grid, cfg)
     for k in range(6):
         np.testing.assert_array_equal(batch[k], transport_step(members[k], vel, 0, grid, cfg))
@@ -649,7 +647,7 @@ def test_transport_batched_members_match_individual():
 def test_transport_step_index_out_of_range():
     grid = Grid1D(n=41, x_min=-1.0, x_max=1.0)
     cfg = SolverConfig(cfl=0.1)
-    vel = VelocityField(u_history=np.zeros((3, 41)), dt=cfg.cfl * grid.dx)
+    vel = VelocityField(u_history=np.zeros((3, 41)))
     with pytest.raises(ConfigError):
         transport_step(np.ones(41), vel, 3, grid, cfg)
 
@@ -657,7 +655,7 @@ def test_transport_step_index_out_of_range():
 def test_transport_gsm_of_propagated_mean_peaks_at_shock(tmp_path):
     # an ensemble advected by the dam-break velocity keeps its sharpest
     # gradients at the moving shock, where the gradient second moment peaks
-    from shockda.assimilation import ensemble_moments, gradient_second_moment
+    from shockda.assimilation.ensemble import ensemble_moments, gradient_second_moment
     from shockda.stoker import DamBreakParams, stoker_solve
 
     grid = Grid1D(n=201, x_min=-1.0, x_max=1.0)

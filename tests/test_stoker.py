@@ -171,7 +171,7 @@ def test_analytic_matches_coupled_weno_at_origin():
     grid = Grid1D(n=1001, x_min=-1.0, x_max=1.0)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(
-        SWEState(h, np.zeros_like(h)), grid, SolverConfig(cfl=0.1), t_end=0.15, record="ends", store_velocity=False
+        SWEState(h, np.zeros_like(h)), grid, SolverConfig(cfl=0.1), t_end=0.15, record=[750], store_velocity=False
     )
     p = DamBreakParams()
     inter = stoker_solve(p)

@@ -5,17 +5,13 @@ import pytest
 
 from shockda.errors import ConfigError, DegenerateWeightError
 from shockda.solver import Grid1D
-from shockda.assimilation import (
-    ClusterPartition,
+from shockda.assimilation.ensemble import correlation_matrix_factor, ensemble_moments, gradient_second_moment
+from shockda.assimilation.weights import (
     FilterConfig,
-    WeightMatrix,
     build_weight,
     cluster_partition,
-    correlation_matrix_factor,
     covariance_weight,
     detect_discontinuity,
-    ensemble_moments,
-    gradient_second_moment,
     mask_correlations,
     toeplitz_band_mask,
 )
@@ -354,7 +350,7 @@ def test_covariance_weight_is_localized_sample_covariance():
 def test_covariance_weight_diagonal_matches_variance():
     rng = np.random.default_rng(15)
     ens = _random_ensemble(rng, 10, 21)
-    from shockda.assimilation import sample_variance_diag
+    from shockda.assimilation.ensemble import sample_variance_diag
 
     W = covariance_weight(ens.centered, 0)
     np.testing.assert_allclose(W.toarray().diagonal(), sample_variance_diag(ens), atol=1e-14)
