@@ -9,13 +9,12 @@ filter variant end to end), ``compare`` (join summary CSVs).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from ..errors import ConfigError, NumericalError
 from ..assimilation.weights import VARIANTS
-from .config import CASES, ExperimentConfig, _str_to_value, parse_config_file
+from .config import CASES, ExperimentConfig, parse_config_file
 from .experiments import compare_runs, run_experiment, run_free_moments, run_truth_only
 
 # the free moment diagnostic defaults to its reference setup: a coarser
@@ -24,22 +23,23 @@ _MOMENTS_DEFAULTS = {"n": 201, "cfl": 0.001, "ic_perturb_std": 0.05, "t_end": 0.
 
 
 def _add_run_flags(p: argparse.ArgumentParser, variant: bool) -> None:
-    """Flags of the run-producing subcommands; each ``dest`` is its ExperimentConfig field."""
-    p.add_argument("--config", type=Path, help="flat key = value config file")
-    p.add_argument("--case", choices=CASES)
+    """Flags of the run-producing subcommands, left as strings for ExperimentConfig.for_case to parse;
+    each ``dest`` but ``config`` is its ExperimentConfig field."""
+    p.add_argument("--config", help="flat key = value config file")
+    p.add_argument("--case", help=f"named preset, one of {', '.join(CASES)}")
     if variant:
-        p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--n", type=int, help="grid points")
-    p.add_argument("--cfl", type=float)
-    p.add_argument("--ensemble-size", type=int, dest="ensemble_size")
-    p.add_argument("--alpha", type=float, help="baseline inflation factor")
-    p.add_argument("--beta-max", type=float, dest="beta_max_target", help="target max weight entry")
-    p.add_argument("--dist", type=int, help="clustering radius in grid points")
+        p.add_argument("--variant", help=f"filter variant, one of {', '.join(VARIANTS)}")
+    p.add_argument("--n", help="grid points")
+    p.add_argument("--cfl")
+    p.add_argument("--ensemble-size", dest="ensemble_size")
+    p.add_argument("--alpha", help="baseline inflation factor")
+    p.add_argument("--beta-max", dest="beta_max_target", help="target max weight entry")
+    p.add_argument("--dist", help="clustering radius in grid points")
     p.add_argument("--bandwidth", dest="localization_bandwidth", help="localization bandwidth (integer, or 'none' to disable masking)")
-    p.add_argument("--gamma", type=float, help="observation noise std")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--out", type=Path, dest="output_dir", help="output directory")
+    p.add_argument("--gamma", help="observation noise std")
+    p.add_argument("--seed")
+    p.add_argument("--t-end", dest="t_end")
+    p.add_argument("--out", dest="output_dir", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mom = sub.add_parser("moments", help="free-ensemble mean/variance/gradient-second-moment diagnostic")
     _add_run_flags(p_mom, variant=False)
-    p_mom.add_argument("--ic-std", type=float, dest="ic_perturb_std", help="initial perturbation std (default 0.05 here)")
+    p_mom.add_argument("--ic-std", dest="ic_perturb_std", help="initial perturbation std (default 0.05 here)")
 
     p_assim = sub.add_parser("assimilate", help="run one filter variant end to end")
     _add_run_flags(p_assim, variant=True)
@@ -67,24 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _assemble_config(args, extra_defaults: dict | None = None) -> ExperimentConfig:
     """Case preset <- subcommand defaults <- config file <- CLI flags."""
-    file_values: dict = {}
+    settings = dict(extra_defaults or {})
     if args.config is not None:
-        file_values = parse_config_file(args.config)
-
-    case = args.case or file_values.get("case") or "dense"
-    overrides: dict = dict(extra_defaults or {})
-    overrides.update((k, v) for k, v in file_values.items() if k != "case")
-    # --case is consumed above to pick the preset
-    for f in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if f.name != "case" and value is not None:
-            overrides[f.name] = value
-    unknown = set(overrides) - {f.name for f in dataclasses.fields(ExperimentConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    # file values arrive as strings; reuse the manifest coercion rules
-    overrides = {k: _str_to_value(k, v) for k, v in overrides.items()}
-    return ExperimentConfig.for_case(case, **overrides)
+        settings.update(parse_config_file(args.config))
+    settings.update((k, v) for k, v in vars(args).items() if k not in ("command", "config") and v is not None)
+    return ExperimentConfig.for_case(settings.pop("case", "dense"), **settings)
 
 
 def _parse_windows(specs) -> list[tuple[float, float]]:

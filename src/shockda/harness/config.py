@@ -12,6 +12,7 @@ analytic solution.
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
 import typing
 from dataclasses import dataclass
@@ -90,21 +91,25 @@ class ExperimentConfig:
         if self.n_steps < self.obs_stride_steps:  # n_steps also validates t_end divisibility
             raise ConfigError(f"t_end={self.t_end} is {self.n_steps} steps, "
                               f"under one observation stride of {self.obs_stride_steps}")
+        history = 8 * (self.n_steps + 1) * self.n  # the coarse velocity history, float64
+        if history > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise ConfigError(f"t_end={self.t_end} is {self.n_steps:.3g} steps, whose velocity history "
+                              f"of {history / 2**30:.3g} GiB exceeds this machine's memory")
 
     @classmethod
-    def for_case(cls, case: str, **overrides) -> "ExperimentConfig":
-        """Config preset for a named case, with keyword overrides on top.
+    def for_case(cls, case: str, **settings) -> "ExperimentConfig":
+        """Config preset for a named case with ``settings`` on top, each ``str`` one parsed by its field's type.
 
         The dense-case baseline runs with no localization mask (the plain
         inflated sample covariance); the bandwidth preset applies to the
         gradient-weighted variants and to every sparse-observation run.
         """
-        if case not in CASES:
-            raise ConfigError(f"unknown case '{case}', expected one of {CASES}")
-        params = dict(_CASE_PRESETS[case])
-        params.update(overrides)
-        variant = params.get("variant", "gsm")
-        if case == "dense" and variant == "etkf_baseline" and "localization_bandwidth" not in overrides:
+        unknown = settings.keys() - _FIELD_TYPES.keys()
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        params = dict(_CASE_PRESETS.get(case, {}))  # __post_init__ rejects an unknown case
+        params.update((key, _str_to_value(key, value)) for key, value in settings.items())
+        if case == "dense" and params.get("variant") == "etkf_baseline" and "localization_bandwidth" not in settings:
             params["localization_bandwidth"] = None
         return cls(case=case, **params)
 
@@ -167,17 +172,6 @@ class ExperimentConfig:
             items.append((f.name, _value_to_str(getattr(self, f.name))))
         return items
 
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        """Build a config from string key/value pairs (file or manifest)."""
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs = {}
-        for key, raw in mapping.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key '{key}'")
-            kwargs[key] = _str_to_value(key, raw)
-        return cls(**kwargs)
-
 
 def _value_to_str(value) -> str:
     if value is None:
@@ -193,7 +187,7 @@ _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _str_to_value(key: str, raw):
-    """A file or manifest string as ExperimentConfig field ``key``'s type; ``none`` for None."""
+    """A flag, file or manifest string as ExperimentConfig field ``key``'s type; ``none`` for None."""
     if not isinstance(raw, str):
         return raw
     text = raw.strip()

@@ -413,7 +413,7 @@ def config_from_manifest(path) -> ExperimentConfig:
     mapping = read_manifest(path)
     run_keys = ("shockda_version", "status", "error", "blas_threads", "forecast_workers")
     mapping = {k: v for k, v in mapping.items() if k not in run_keys}
-    return ExperimentConfig.from_mapping(mapping)
+    return ExperimentConfig.for_case(mapping.pop("case", "dense"), **mapping)
 
 
 def run_experiment(config: ExperimentConfig) -> RunArtifacts:

@@ -397,7 +397,9 @@ class CoupledRun:
 
 
 def resolve_steps(t_end: float, dt: float) -> int:
-    """Number of steps of size dt to t_end, which must be a positive multiple of dt."""
+    """Number of steps of size dt > 0 to t_end, which must be a positive multiple of dt."""
+    if not (dt > 0.0 and t_end / dt < np.inf):  # dt = cfl * dx can underflow to 0, t_end / dt overflow
+        raise ConfigError(f"t_end={t_end} is no finite number of steps of dt={dt}")
     steps = int(round(t_end / dt))
     if steps < 1 or abs(steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ConfigError(f"t_end={t_end} is not a positive integer multiple of dt={dt}")
@@ -442,7 +444,8 @@ def solve_coupled_swe(
 
     workspace = Workspace()
     for step in range(1, n_steps + 1):
-        state = tvdrk3_step(state, lambda s: _swe_rhs(s, config.g, grid.dx, workspace), dt, step, workspace)
+        with np.errstate(over="ignore"):  # an overflow is an inf, which the step's finiteness checks raise
+            state = tvdrk3_step(state, lambda s: _swe_rhs(s, config.g, grid.dx, workspace), dt, step, workspace)
         if np.any(state[0] <= 0.0):
             i = int(np.argmax(state[0] <= 0.0))
             raise NumericalError(f"vacuum: depth <= 0 at index {i}, step {step}")

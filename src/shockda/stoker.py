@@ -125,11 +125,12 @@ def stoker_evaluate(params: DamBreakParams, inter: StokerIntermediate, x, t: flo
         h = np.where(x_arr < params.x_dam, params.h0, params.h1)
         u = np.zeros_like(h)
     else:
-        xi = (x_arr - params.x_dam) / t
-        c0 = np.sqrt(params.g * params.h0)
-        foot = inter.u_m - np.sqrt(params.g * inter.h_m)
-        fan_h = (2.0 * c0 - xi) ** 2 / (9.0 * params.g)
-        fan_u = 2.0 * (xi + c0) / 3.0
+        with np.errstate(over="ignore"):  # only far outside the fan (a huge x_dam), where np.select drops it
+            xi = (x_arr - params.x_dam) / t
+            c0 = np.sqrt(params.g * params.h0)
+            foot = inter.u_m - np.sqrt(params.g * inter.h_m)
+            fan_h = (2.0 * c0 - xi) ** 2 / (9.0 * params.g)
+            fan_u = 2.0 * (xi + c0) / 3.0
         conds = [xi <= -c0, xi < foot, xi < inter.s]
         h = np.select(conds, [params.h0, fan_h, inter.h_m], default=params.h1)
         u = np.select(conds, [0.0, fan_u, inter.u_m], default=0.0)

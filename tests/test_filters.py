@@ -498,6 +498,43 @@ def test_posterior_ensemble_mean_equals_analysis_mean():
             np.testing.assert_allclose(ensemble_moments(posterior).mean, record.posterior_mean, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(11, 16), k_minus_n=st.integers(-8, 6), obs=st.sampled_from(["dense", "every_other", "random"]),
+       alpha=st.floats(1.01, 1.6), bandwidth=st.sampled_from([None, 0, 1, 2]), gamma=st.sampled_from([0.05, 0.2, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_baseline_filter_under_linear_dynamics_follows_the_kalman_recursion(n, k_minus_n, obs, alpha, bandwidth,
+                                                                             gamma, seed):
+    # with linear dynamics the ETKF baseline is a deterministic square-root filter: its mean follows
+    # m <- M^s m, P_f = alpha^2 M^s P M^sT, m <- m + W H^T (H W H^T + gamma^2 I)^-1 (y - H m) with the masked
+    # W = P_f o T, and P <- P_f - P_f H^T (H P_f H^T + gamma^2 I)^-1 H P_f with the unmasked P_f, as the
+    # transform sees the anomalies alone; K on either side of n
+    rng = np.random.default_rng(seed)
+    K, steps_per_obs, cycles = max(2, n + k_minus_n), 2, 4
+    M = rng.standard_normal((n, n))
+    M *= 0.9 / np.linalg.norm(M, 2)  # contracting
+    if obs == "random":
+        H = ObservationOperator(np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False)), n)
+    else:
+        H = getattr(ObservationOperator, obs)(n)
+    stream = ObservationStream(np.arange(1.0, cycles + 1), H, gamma, 1.0 + rng.standard_normal((cycles, H.m)))
+    members = 1.0 + 0.3 * rng.standard_normal((K, n))
+    run = run_baseline_filter(members, lambda v, step: v @ M.T, stream,
+                              FilterConfig(variant="etkf_baseline", alpha=alpha, localization_bandwidth=bandwidth),
+                              Grid1D(n), steps_per_obs=steps_per_obs)
+
+    offsets = np.arange(n)
+    mask = np.ones((n, n)) if bandwidth is None else np.abs(offsets[:, None] - offsets) <= bandwidth
+    Ms, Hm, noise = np.linalg.matrix_power(M, steps_per_obs), H.matrix(), gamma**2 * np.eye(H.m)
+    m, P = members.mean(axis=0), np.cov(members, rowvar=False)
+    assert len(run.records) == cycles
+    for y, record in zip(stream.values, run.records):
+        m, Pf = Ms @ m, alpha**2 * Ms @ P @ Ms.T
+        W = Pf * mask
+        m = m + W @ Hm.T @ np.linalg.solve(Hm @ W @ Hm.T + noise, y - Hm @ m)
+        P = Pf - Pf @ Hm.T @ np.linalg.solve(Hm @ Pf @ Hm.T + noise, Hm @ Pf)
+        assert np.linalg.norm(record.posterior_mean - m) <= 1e-10 * np.linalg.norm(m)
+
+
 def test_filter_runs_are_deterministic():
     rng = np.random.default_rng(11)
     n, K = 21, 6

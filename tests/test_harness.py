@@ -134,6 +134,17 @@ _BAD_SETTINGS = [
     # gamma^2 used to overflow (an OverflowError traceback) or underflow to 0 after the truth was computed
     ("assimilate", ["--gamma", "1e300"], "gamma must be positive with a finite, nonzero square"),
     ("assimilate", ["--gamma", "1e-200"], "gamma must be positive with a finite, nonzero square"),
+    # a run too large for any machine used to fail in np.arange or np.empty, a zero dt in resolve_steps
+    ("assimilate", ["--t-end", "1e300"], "t_end=1e+300 is 2e+302 steps, whose velocity history of"),
+    ("assimilate", ["--cfl", "1e-300"], "t_end=0.15 is 3e+300 steps, whose velocity history of"),
+    ("moments", ["--t-end", "1e300"], "t_end=1e+300 is 2e+304 steps, whose velocity history of"),
+    ("assimilate", ["--cfl", "5e-324"], "t_end=0.15 is no finite number of steps of dt=0.0"),
+    ("truth", ["--n", "100000000000", "--t-end", "0.05"], "t_end=0.05 is 2.5e+10 steps, whose velocity history of"),
+    # flag values are parsed like config-file values, not by argparse and its usage block
+    ("assimilate", ["--n", "abc"], "config key 'n' has invalid value 'abc'"),
+    ("assimilate", ["--dist", "1e3"], "config key 'dist' has invalid value '1e3'"),
+    ("assimilate", ["--case", "bogus"], "unknown case 'bogus'"),
+    ("assimilate", ["--variant", "enkf"], "unknown variant 'enkf'"),
 ]
 
 
@@ -432,7 +443,7 @@ def test_parse_config_file(tmp_path):
 
 def test_unknown_config_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
-        ExperimentConfig.from_mapping({"inflation": "1.5"})
+        ExperimentConfig.for_case("dense", inflation="1.5")
 
 
 # --------------------------------------------------------------- experiments
