@@ -31,11 +31,11 @@ def shock_region_error(cfg, arts, t_lo=0.15, t_hi=0.3):
     x = cfg.grid().points
     s = stoker_solve(cfg.dam_params()).s
     values = []
-    for rec in arts.run.records:
+    for rec, truth in zip(arts.records, arts.truth.truth_h[1:]):  # row j + 1 is the truth at analysis j
         if t_lo <= rec.t <= t_hi:
             xi = int(np.argmin(np.abs(x - s * rec.t)))
             window = (x[max(xi - 1, 0)], x[min(xi + 1, x.size - 1)])
-            values.append(relative_error(rec.posterior_mean, arts.truth.h_at_time(rec.t), window=window, x=x))
+            values.append(relative_error(rec.posterior_mean, truth, window=window, x=x))
     return float(np.mean(values))
 
 

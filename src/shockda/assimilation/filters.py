@@ -161,19 +161,8 @@ class AnalysisRecord:
     diagnostics: dict
 
 
-@dataclass
-class FilterRun:
-    """Assimilation trajectory: one record per analysis time."""
-
-    records: list[AnalysisRecord]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray([r.t for r in self.records])
-
-
 def _assimilate(initial_members, dynamics, observations: ObservationStream, config: FilterConfig,
-                grid: Grid1D, steps_per_obs: int) -> FilterRun:
+                grid: Grid1D, steps_per_obs: int) -> list[AnalysisRecord]:
     members = np.array(initial_members, dtype=float)
     if members.ndim != 2:
         raise ConfigError("initial ensemble must be a (K, n) stack")
@@ -214,11 +203,11 @@ def _assimilate(initial_members, dynamics, observations: ObservationStream, conf
             )
         )
 
-    return FilterRun(records)
+    return records
 
 
 def run_baseline_filter(initial_members, dynamics, observations: ObservationStream,
-                        config: FilterConfig, grid: Grid1D, steps_per_obs: int = 5) -> FilterRun:
+                        config: FilterConfig, grid: Grid1D, steps_per_obs: int = 5) -> list[AnalysisRecord]:
     """ETKF with multiplicative inflation and banded covariance localization.
 
     Each cycle: forecast all members ``steps_per_obs`` dynamics steps,
@@ -232,7 +221,7 @@ def run_baseline_filter(initial_members, dynamics, observations: ObservationStre
 
 
 def run_weighted_filter(initial_members, dynamics, observations: ObservationStream,
-                        config: FilterConfig, grid: Grid1D, steps_per_obs: int = 5) -> FilterRun:
+                        config: FilterConfig, grid: Grid1D, steps_per_obs: int = 5) -> list[AnalysisRecord]:
     """Modified ETKF whose analysis weight comes from the gradient second moment.
 
     No inflation anywhere: both the weight and the transform use the raw

@@ -42,8 +42,15 @@ def _add_run_flags(p: argparse.ArgumentParser, variant: bool) -> None:
     p.add_argument("--out", dest="output_dir", help="output directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors, one line each; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="shockda", description="Shallow-water twin experiments with gradient-weighted ensemble filtering.")
+    parser = _Parser(prog="shockda", description="Shallow-water twin experiments with gradient-weighted ensemble filtering.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_truth = sub.add_parser("truth", help="generate and cache the truth and velocity runs")
@@ -110,10 +117,8 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(build_parser().parse_args(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

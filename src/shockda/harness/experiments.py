@@ -26,10 +26,10 @@ import numpy as np
 
 from .. import __version__, solver
 from ..errors import ConfigError
-from ..solver import Grid1D, SolverConfig, SWEState, VelocityField, solve_coupled_swe, transport_step
+from ..solver import Grid1D, SolverConfig, solve_coupled_swe, transport_step
 from ..stoker import ObservationStream, stoker_evaluate, stoker_solve, synthesize_observations
-from ..assimilation.ensemble import Ensemble, ensemble_moments, gradient_second_moment, sample_variance_diag
-from ..assimilation.filters import FilterRun, run_baseline_filter, run_weighted_filter
+from ..assimilation.ensemble import ensemble_moments, gradient_second_moment, sample_variance_diag
+from ..assimilation.filters import AnalysisRecord, run_baseline_filter, run_weighted_filter
 from ..metrics import ErrorSeries, pointwise_error, relative_error
 from .config import ExperimentConfig
 from .._csvio import fmt17, write_csv
@@ -41,43 +41,29 @@ _OSC_AMPLITUDE = 0.03
 _OSC_WAVENUMBER = 30.0
 
 
-def initial_condition(config: ExperimentConfig, grid: Grid1D) -> SWEState:
-    """Case initial state: dam-break step, or the oscillatory profile."""
+def initial_condition(config: ExperimentConfig, grid: Grid1D) -> np.ndarray:
+    """Case initial depth, at rest: dam-break step, or the oscillatory profile."""
     x = grid.points
+    h = np.where(x < config.x_dam, config.h0, config.h1)
     if config.case == "oscillatory":
-        h = np.where(
-            x < -0.5,
-            config.h0 + _OSC_AMPLITUDE * np.sin(_OSC_WAVENUMBER * x),
-            np.where(x < config.x_dam, config.h0, config.h1),
-        )
-    else:
-        h = np.where(x < config.x_dam, config.h0, config.h1)
-    return SWEState(h, np.zeros_like(h))
+        h = np.where(x < -0.5, config.h0 + _OSC_AMPLITUDE * np.sin(_OSC_WAVENUMBER * x), h)
+    return h
 
 
 @dataclass
 class TruthBundle:
     """Velocity history for the dynamics plus reference depth/velocity rows.
 
-    Row 0 of ``truth_h``/``truth_u`` is the initial condition; row j >= 1
-    belongs to observation time ``obs_times[j-1]``.
+    Row s of ``velocity`` is the coarse run's velocity at step s.  Row 0 of
+    ``truth_h``/``truth_u`` is the initial condition; row j >= 1 belongs to
+    observation time ``obs_times[j-1]``.
     """
 
     grid: Grid1D
     obs_times: np.ndarray
-    velocity: VelocityField
+    velocity: np.ndarray
     truth_h: np.ndarray
     truth_u: np.ndarray
-
-    @property
-    def all_times(self) -> np.ndarray:
-        return np.concatenate(([0.0], self.obs_times))
-
-    def h_at_time(self, t: float) -> np.ndarray:
-        hits = np.nonzero(np.abs(self.all_times - t) <= 1e-9 * max(1.0, abs(t)))[0]
-        if hits.size == 0:
-            raise ConfigError(f"no stored truth at t={t}")
-        return self.truth_h[int(hits[0])]
 
 
 def _truth_fingerprint(config: ExperimentConfig) -> str:
@@ -122,7 +108,7 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path | None = None) -> T
             store_velocity=False,
         )
         truth_h = fine_run.h[:, ::refine]
-        truth_u = velocity.u_history[np.concatenate(([0], obs_steps))]
+        truth_u = velocity[np.concatenate(([0], obs_steps))]
     else:
         params = config.dam_params()
         inter = stoker_solve(params)
@@ -147,7 +133,7 @@ def _save_truth_cache(entry: Path, fingerprint: str, bundle: TruthBundle) -> Non
     fd, tmp = tempfile.mkstemp(dir=entry.parent, prefix=entry.stem, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            np.savez(f, u=bundle.velocity.u_history, h=bundle.truth_h, tu=bundle.truth_u,
+            np.savez(f, u=bundle.velocity, h=bundle.truth_h, tu=bundle.truth_u,
                      fingerprint=np.array(fingerprint))
         os.replace(tmp, entry)
     except BaseException:
@@ -170,7 +156,7 @@ def _load_truth_cache(entry: Path, fingerprint: str, config: ExperimentConfig) -
     rows = (config.obs_times.size + 1, grid.n)
     if u.shape != (config.n_steps + 1, grid.n) or h.shape != rows or tu.shape != rows:
         return None
-    return TruthBundle(grid, config.obs_times, VelocityField(u), h, tu)
+    return TruthBundle(grid, config.obs_times, u, h, tu)
 
 
 @dataclass
@@ -186,7 +172,7 @@ class RunArtifacts:
     moments_csv: Path | None = None
     summary_csv: Path | None = None
     truth_csv: Path | None = None
-    run: FilterRun | None = None
+    records: list[AnalysisRecord] | None = None
     truth: TruthBundle | None = None
     series: list | None = None
     # how the run was executed, recorded in the manifest and ignored by config_from_manifest
@@ -197,18 +183,18 @@ class RunArtifacts:
         return [p for p in paths if p is not None]
 
 
-def build_initial_ensemble(config: ExperimentConfig, grid: Grid1D, seed: int) -> Ensemble:
+def build_initial_ensemble(config: ExperimentConfig, grid: Grid1D, seed: int) -> np.ndarray:
     """Case initial depth plus i.i.d. Gaussian point noise, seeded.
 
     The generator is keyed on (seed, 1) so the ensemble stream stays
     independent of the observation noise stream keyed on seed alone.  The
-    member stack is F-ordered, the layout of every analysed stack, so each
-    cycle's member reductions sum in one order.
+    (K, n) member stack is F-ordered, the layout of every analysed stack,
+    so each cycle's member reductions sum in one order.
     """
-    base = initial_condition(config, grid).h
+    base = initial_condition(config, grid)
     rng = np.random.default_rng([seed, 1])
     members = base + config.ic_perturb_std * rng.standard_normal((config.ensemble_size, grid.n))
-    return ensemble_moments(np.asfortranarray(members))
+    return np.asfortranarray(members)
 
 
 def write_manifest(path: Path, config: ExperimentConfig, status: str, error: str | None = None,
@@ -288,7 +274,7 @@ def _run(config: ExperimentConfig, *names: str):
         raise
 
 
-def _forecast_worker(conn, parent_ends, block, velocity: VelocityField, grid: Grid1D, solver_cfg: SolverConfig) -> None:
+def _forecast_worker(conn, parent_ends, block, velocity: np.ndarray, grid: Grid1D, solver_cfg: SolverConfig) -> None:
     """Advance the members the parent puts in ``block``, a view of shared memory, by the step each
     message names, in place, and answer None or the exception raised; stop when the parent closes the pipe.
 
@@ -310,7 +296,7 @@ def _forecast_worker(conn, parent_ends, block, velocity: VelocityField, grid: Gr
 
 
 @contextmanager
-def _forecast(velocity: VelocityField, grid: Grid1D, solver_cfg: SolverConfig, rows: int):
+def _forecast(velocity: np.ndarray, grid: Grid1D, solver_cfg: SolverConfig, rows: int):
     """Yield ``dynamics(members, step)``, one ``transport_step`` of a (rows, n) stack, and its process count.
 
     The count is w = min(CPUs this process may run on, rows, rows (n + 1) //
@@ -429,38 +415,36 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         grid = config.grid()
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         H = config.observation_operator()
-        observations = synthesize_observations(bundle.h_at_time, bundle.obs_times, H, config.gamma, config.seed)
-        ens0 = build_initial_ensemble(config, grid, config.seed)
+        truth_rows = bundle.truth_h[1:]
+        observations = synthesize_observations(truth_rows, bundle.obs_times, H, config.gamma, config.seed)
+        members = build_initial_ensemble(config, grid, config.seed)
         runner = run_baseline_filter if config.variant == "etkf_baseline" else run_weighted_filter
         with _forecast(bundle.velocity, grid, config.solver_config(), config.ensemble_size) as (dynamics, workers):
             paths.environment["forecast_workers"] = workers
-            run = runner(ens0.members, dynamics, observations, config.filter_config(), grid,
-                         steps_per_obs=config.obs_stride_steps)
+            records = runner(members, dynamics, observations, config.filter_config(), grid,
+                             steps_per_obs=config.obs_stride_steps)
 
-        truth_rows = bundle.truth_h[1:]
-        rel_full = [relative_error(r.posterior_mean, truth_rows[j]) for j, r in enumerate(run.records)]
+        times = observations.times
+        rel_full = [relative_error(r.posterior_mean, truth_rows[j]) for j, r in enumerate(records)]
         rel_win = [
             relative_error(r.posterior_mean, truth_rows[j], window=SMOOTH_WINDOW, x=grid.points)
-            for j, r in enumerate(run.records)
+            for j, r in enumerate(records)
         ]
-        series = [
-            ErrorSeries(run.times, rel_full),
-            ErrorSeries(run.times, rel_win),
-        ]
+        series = [ErrorSeries(times, rel_full), ErrorSeries(times, rel_win)]
 
-        _write_solution_csv(paths.solution_csv, grid, run, observations, truth_rows)
-        _write_error_csv(paths.error_csv, grid, run, truth_rows)
+        _write_solution_csv(paths.solution_csv, grid, records, observations, truth_rows)
+        _write_error_csv(paths.error_csv, grid, times, records, truth_rows)
         write_csv(
             paths.summary_csv,
             ("t", "relative_error_full", "relative_error_window"),
-            (run.times, np.asarray(rel_full), np.asarray(rel_win)),
+            (times, np.asarray(rel_full), np.asarray(rel_win)),
         )
-        snapshots = [r for r in run.records if any(abs(r.t - s) <= 1e-9 for s in config.snapshot_times)]
+        snapshots = [r for r in records if any(abs(r.t - s) <= 1e-9 for s in config.snapshot_times)]
         _write_moments_csv(
             paths.moments_csv, grid, [r.t for r in snapshots],
             [r.prior_mean for r in snapshots], [r.prior_variance for r in snapshots], [r.prior_gsm for r in snapshots],
         )
-    paths.run = run
+    paths.records = records
     paths.truth = bundle
     paths.series = series
     return paths
@@ -471,27 +455,27 @@ def _time_x_columns(times, grid):
     return np.repeat(times, grid.n), np.tile(grid.points, len(times))
 
 
-def _write_solution_csv(path, grid, run, observations: ObservationStream, truth_rows) -> None:
-    posterior = np.array([rec.posterior_mean for rec in run.records])
+def _write_solution_csv(path, grid, records, observations: ObservationStream, truth_rows) -> None:
+    posterior = np.array([rec.posterior_mean for rec in records])
     obs = np.full(posterior.shape, "", dtype=object)
     obs[:, observations.operator.indices] = observations.values
     write_csv(
         path,
         ("t", "x", "truth", "obs", "prior_mean", "posterior_mean"),
         (
-            *_time_x_columns(run.times, grid),
+            *_time_x_columns(observations.times, grid),
             truth_rows.ravel(),
             obs.ravel(),
-            np.ravel([rec.prior_mean for rec in run.records]),
+            np.ravel([rec.prior_mean for rec in records]),
             posterior.ravel(),
         ),
     )
 
 
-def _write_error_csv(path, grid, run, truth_rows) -> None:
-    posterior = np.array([rec.posterior_mean for rec in run.records])
+def _write_error_csv(path, grid, times, records, truth_rows) -> None:
+    posterior = np.array([rec.posterior_mean for rec in records])
     err = pointwise_error(posterior, truth_rows)
-    write_csv(path, ("t", "x", "pointwise_error"), (*_time_x_columns(run.times, grid), err.ravel()))
+    write_csv(path, ("t", "x", "pointwise_error"), (*_time_x_columns(times, grid), err.ravel()))
 
 
 def _write_moments_csv(path, grid, times, means, variances, gsms) -> None:
@@ -523,7 +507,7 @@ def run_free_moments(config: ExperimentConfig) -> RunArtifacts:
 
         grid = config.grid()
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
-        members = build_initial_ensemble(config, grid, config.seed).members
+        members = build_initial_ensemble(config, grid, config.seed)
 
         times, means, variances, gsms = [], [], [], []
 
@@ -550,11 +534,9 @@ def run_truth_only(config: ExperimentConfig) -> RunArtifacts:
     """Generate and cache the truth, writing it as a (t, x, h, u) CSV."""
     with _run(config, "truth") as paths:
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
-        write_csv(
-            paths.truth_csv,
-            ("t", "x", "h", "u"),
-            (*_time_x_columns(bundle.all_times, bundle.grid), bundle.truth_h.ravel(), bundle.truth_u.ravel()),
-        )
+        times = np.r_[0.0, bundle.obs_times]
+        write_csv(paths.truth_csv, ("t", "x", "h", "u"),
+                  (*_time_x_columns(times, bundle.grid), bundle.truth_h.ravel(), bundle.truth_u.ravel()))
     paths.truth = bundle
     return paths
 

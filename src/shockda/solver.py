@@ -68,58 +68,6 @@ class Grid1D:
         return self.x_min + self.dx * np.arange(self.n)
 
 
-@dataclass
-class SWEState:
-    """Depth and momentum on a grid."""
-
-    h: np.ndarray
-    hu: np.ndarray
-
-    def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=float)
-        self.hu = np.asarray(self.hu, dtype=float)
-        if self.h.shape != self.hu.shape:
-            raise ConfigError("h and hu must have identical shapes")
-        if not (np.isfinite(self.h).all() and np.isfinite(self.hu).all()):
-            raise NumericalError("state contains non-finite entries")
-        if np.any(self.h <= 0.0):
-            i = int(np.argmax(self.h <= 0.0))
-            raise NumericalError(f"non-positive depth at index {i} (vacuum not supported)")
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.hu / self.h
-
-
-@dataclass
-class VelocityField:
-    """Velocity history u(x, t_step) recorded at every solver step.
-
-    Row s of ``u_history`` is the grid velocity at time s*dt.  The
-    transport model looks these rows up by step index, so the history must
-    cover the whole assimilation window with no gaps.
-    """
-
-    u_history: np.ndarray
-
-    def __post_init__(self):
-        self.u_history = np.asarray(self.u_history, dtype=float)
-        if self.u_history.ndim != 2:
-            raise ConfigError("u_history must be a (steps, n) array")
-
-    @property
-    def n_steps(self) -> int:
-        return self.u_history.shape[0]
-
-    def at(self, step_index: int) -> np.ndarray:
-        if not 0 <= step_index < self.n_steps:
-            raise ConfigError(
-                f"step index {step_index} outside stored velocity history "
-                f"[0, {self.n_steps - 1}]"
-            )
-        return self.u_history[step_index]
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-step rule and physical constant for the WENO/RK3 solver.
@@ -387,13 +335,14 @@ class CoupledRun:
     """Result of a coupled shallow-water integration.
 
     Row r of ``h`` is the depth at the r-th smallest recorded step index
-    (0 = initial data).  ``velocity`` is None when recording was disabled
-    to bound memory on very fine grids.
+    (0 = initial data).  Row s of ``velocity`` is the grid velocity u = hu/h
+    at time s*dt, s = 0..n_steps; it is None when recording was disabled to
+    bound memory on very fine grids.
     """
 
     n_steps: int
     h: np.ndarray
-    velocity: VelocityField | None = None
+    velocity: np.ndarray | None = None
 
 
 def resolve_steps(t_end: float, dt: float) -> int:
@@ -407,22 +356,24 @@ def resolve_steps(t_end: float, dt: float) -> int:
 
 
 def solve_coupled_swe(
-    initial: SWEState,
+    initial_h,
     grid: Grid1D,
     config: SolverConfig,
     t_end: float,
     record=(),
     store_velocity: bool = True,
 ) -> CoupledRun:
-    """Integrate the coupled system to t_end with dt = cfl * dx.
+    """Integrate the coupled system from depth ``initial_h`` at rest to t_end with dt = cfl * dx.
 
     ``record`` is an iterable of the step indices whose depth is kept
     (none by default).  The velocity u = hu/h is stored at every step
     unless ``store_velocity`` is False (useful for fine reference runs
-    where the history would not fit).
+    where the history would not fit).  A depth that is not positive and
+    finite, at step 0 included, raises NumericalError.
     """
-    if initial.h.ndim != 1 or initial.h.shape[-1] != grid.n:
-        raise ConfigError("initial state does not match the grid")
+    initial_h = np.asarray(initial_h, dtype=float)
+    if initial_h.ndim != 1 or initial_h.shape[-1] != grid.n:
+        raise ConfigError("initial depth does not match the grid")
     if t_end <= 0.0:
         raise ConfigError("t_end must be positive")
     dt = config.cfl * grid.dx
@@ -436,38 +387,35 @@ def solve_coupled_swe(
     h_rec = np.empty((keep.size, grid.n))
     u_hist = np.empty((n_steps + 1, grid.n)) if store_velocity else None
 
-    state = np.asfortranarray(np.stack([initial.h, initial.hu]))
-    if 0 in keep_set:
-        h_rec[keep_set[0]] = state[0]
-    if store_velocity:
-        u_hist[0] = state[1] / state[0]
-
+    state = np.asfortranarray(np.stack([initial_h, np.zeros_like(initial_h)]))
     workspace = Workspace()
-    for step in range(1, n_steps + 1):
-        with np.errstate(over="ignore"):  # an overflow is an inf, which the step's finiteness checks raise
-            state = tvdrk3_step(state, lambda s: _swe_rhs(s, config.g, grid.dx, workspace), dt, step, workspace)
-        if np.any(state[0] <= 0.0):
-            i = int(np.argmax(state[0] <= 0.0))
-            raise NumericalError(f"vacuum: depth <= 0 at index {i}, step {step}")
+    for step in range(n_steps + 1):
+        if step:
+            with np.errstate(over="ignore"):  # an overflow is an inf, which the step's finiteness checks raise
+                state = tvdrk3_step(state, lambda s: _swe_rhs(s, config.g, grid.dx, workspace), dt, step, workspace)
+        bad = ~((state[0] > 0.0) & (state[0] < np.inf))  # NaN compares false
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NumericalError(f"depth {state[0, i]:.3g} at index {i}, step {step} is not positive and finite")
         if store_velocity:
             np.divide(state[1], state[0], out=u_hist[step])
         r = keep_set.get(step)
         if r is not None:
             h_rec[r] = state[0]
 
-    velocity = VelocityField(u_hist) if store_velocity else None
-    return CoupledRun(n_steps, h_rec, velocity)
+    return CoupledRun(n_steps, h_rec, u_hist)
 
 
-def transport_step(h, velocity: VelocityField, step_index: int, grid: Grid1D, config: SolverConfig,
+def transport_step(h, velocity: np.ndarray, step_index: int, grid: Grid1D, config: SolverConfig,
                    workspace: Workspace | None = None):
     """Advance depth by one step of h_t + (h u)_x = 0 with stored u.
 
-    ``h`` may be a single profile (n,) or a member stack (K, n); the
-    velocity row at ``step_index`` is used for all three RK stages.  The
-    result is a new F-ordered array; a forecast passes its run's ``workspace``.
+    ``h`` may be a single profile (n,) or a member stack (K, n); row
+    ``step_index`` of the (steps, n) ``velocity`` history is used for all
+    three RK stages.  The result is a new F-ordered array; a forecast
+    passes its run's ``workspace``.
     """
-    u = velocity.at(step_index)
+    u = velocity[step_index]
     h = np.asarray(h, dtype=float)
     if h.shape[-1] != grid.n or u.shape[-1] != grid.n:
         raise ConfigError("depth/velocity length does not match the grid")

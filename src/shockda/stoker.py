@@ -201,8 +201,8 @@ class ObservationStream:
         return self.gamma**2
 
 
-def synthesize_observations(truth_fn, times, H: ObservationOperator, gamma: float, seed: int) -> ObservationStream:
-    """Draw y_j = H truth(t_j) + eta_j, eta_j ~ N(0, gamma^2 I), seeded.
+def synthesize_observations(truth_rows, times, H: ObservationOperator, gamma: float, seed: int) -> ObservationStream:
+    """Draw y_j = H truth_rows[j] + eta_j, eta_j ~ N(0, gamma^2 I), seeded; row j is the truth at ``times[j]``.
 
     Noise is drawn in one row-major block over (time, observation index),
     so a stream regenerates bit-identically from its seed.
@@ -210,8 +210,10 @@ def synthesize_observations(truth_fn, times, H: ObservationOperator, gamma: floa
     if gamma <= 0.0:
         raise ConfigError("gamma must be positive")
     times = np.asarray(times, dtype=float)
+    truth_rows = np.asarray(truth_rows, dtype=float)
+    if truth_rows.shape != (times.size, H.n_state):
+        raise ConfigError(f"truth rows {truth_rows.shape} do not match {times.size} times x {H.n_state} points")
     rng = np.random.default_rng(seed)
     noise = gamma * rng.standard_normal((times.size, H.m))
-    clean = np.stack([H.apply(np.asarray(truth_fn(float(t)))) for t in times]) if times.size else np.zeros((0, H.m))
-    return ObservationStream(times, H, gamma, clean + noise)
+    return ObservationStream(times, H, gamma, H.apply(truth_rows) + noise)
 

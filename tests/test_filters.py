@@ -458,9 +458,9 @@ def test_static_estimation_converges_monotonically():
     H = ObservationOperator.dense(n)
     stream = _make_stream(truth, np.linspace(0.1, 0.8, 8), H, gamma=0.01, exact=True)
     cfg = FilterConfig(variant="etkf_baseline", alpha=1.5, localization_bandwidth=None)
-    run = run_baseline_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=1)
+    records = run_baseline_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=1)
 
-    errors = [np.linalg.norm(r.posterior_mean - truth) / np.linalg.norm(truth) for r in run.records]
+    errors = [np.linalg.norm(r.posterior_mean - truth) / np.linalg.norm(truth) for r in records]
     assert all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     assert errors[-1] < 1e-6
     assert errors[-1] < errors[0] / 100.0
@@ -492,9 +492,9 @@ def test_posterior_ensemble_mean_equals_analysis_mean():
         (FilterConfig(variant="gsm_clustered", beta_max_target=0.0027, localization_bandwidth=1, dist=1), run_weighted_filter),
     ):
         handed = []
-        run = runner(members, _members_seen(handed), stream, cfg, grid, steps_per_obs=1)
-        assert len(handed) == len(run.records) == 3
-        for posterior, record in zip(handed[1:], run.records):
+        records = runner(members, _members_seen(handed), stream, cfg, grid, steps_per_obs=1)
+        assert len(handed) == len(records) == 3
+        for posterior, record in zip(handed[1:], records):
             np.testing.assert_allclose(ensemble_moments(posterior).mean, record.posterior_mean, atol=1e-12)
 
 
@@ -518,16 +518,16 @@ def test_baseline_filter_under_linear_dynamics_follows_the_kalman_recursion(n, k
         H = getattr(ObservationOperator, obs)(n)
     stream = ObservationStream(np.arange(1.0, cycles + 1), H, gamma, 1.0 + rng.standard_normal((cycles, H.m)))
     members = 1.0 + 0.3 * rng.standard_normal((K, n))
-    run = run_baseline_filter(members, lambda v, step: v @ M.T, stream,
-                              FilterConfig(variant="etkf_baseline", alpha=alpha, localization_bandwidth=bandwidth),
-                              Grid1D(n), steps_per_obs=steps_per_obs)
+    records = run_baseline_filter(members, lambda v, step: v @ M.T, stream,
+                                  FilterConfig(variant="etkf_baseline", alpha=alpha, localization_bandwidth=bandwidth),
+                                  Grid1D(n), steps_per_obs=steps_per_obs)
 
     offsets = np.arange(n)
     mask = np.ones((n, n)) if bandwidth is None else np.abs(offsets[:, None] - offsets) <= bandwidth
     Ms, Hm, noise = np.linalg.matrix_power(M, steps_per_obs), H.matrix(), gamma**2 * np.eye(H.m)
     m, P = members.mean(axis=0), np.cov(members, rowvar=False)
-    assert len(run.records) == cycles
-    for y, record in zip(stream.values, run.records):
+    assert len(records) == cycles
+    for y, record in zip(stream.values, records):
         m, Pf = Ms @ m, alpha**2 * Ms @ P @ Ms.T
         W = Pf * mask
         m = m + W @ Hm.T @ np.linalg.solve(Hm @ W @ Hm.T + noise, y - Hm @ m)
@@ -548,8 +548,8 @@ def test_filter_runs_are_deterministic():
     handed_a, handed_b = [], []
     a = run_weighted_filter(members, _members_seen(handed_a), stream, cfg, grid, steps_per_obs=2)
     b = run_weighted_filter(members, _members_seen(handed_b), stream, cfg, grid, steps_per_obs=2)
-    assert len(a.records) == len(b.records) == 2
-    for ra, rb in zip(a.records, b.records):
+    assert len(a) == len(b) == 2
+    for ra, rb in zip(a, b):
         np.testing.assert_equal(vars(ra), vars(rb))  # every field; arrays element for element
     for ma, mb in zip(handed_a, handed_b, strict=True):
         np.testing.assert_array_equal(ma, mb)
@@ -596,16 +596,15 @@ def test_filter_iteration_interface_and_diagnostics():
     times = [0.1, 0.2]
     stream = _make_stream(truth, times, H, gamma=0.01, rng=rng)
     cfg = FilterConfig(variant="gsm_clustered", localization_bandwidth=1, dist=2, beta_max_target=0.0027)
-    run = run_weighted_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=1)
+    records = run_weighted_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=1)
 
-    assert [r.t for r in run.records] == times
-    for r in run.records:
+    assert [r.t for r in records] == times
+    for r in records:
         assert r.prior_mean.shape == (n,)
         assert r.posterior_mean.shape == (n,)
         assert r.diagnostics["form"] == "clustered"
         assert r.diagnostics["w_max"] == pytest.approx(0.0027, rel=1e-12)
         assert 0 <= r.diagnostics["xi"] < n
-    np.testing.assert_array_equal(run.times, times)
 
 
 def test_weighted_filter_reduces_error_against_baseline_static():
@@ -628,5 +627,5 @@ def test_weighted_filter_reduces_error_against_baseline_static():
         members, _identity_dynamics, stream,
         FilterConfig(variant="gsm", beta_max_target=0.003, localization_bandwidth=0), grid, steps_per_obs=1,
     )
-    err = lambda run: np.mean([np.linalg.norm(r.posterior_mean - truth) for r in run.records])
+    err = lambda records: np.mean([np.linalg.norm(r.posterior_mean - truth) for r in records])
     assert err(weighted) < 2.0 * err(base)  # sanity bracket, not a benchmark

@@ -79,9 +79,9 @@ def _negative_depth_in_last_member(monkeypatch):
     build = experiments.build_initial_ensemble
 
     def build_with_bad_row(config, grid, seed):
-        ens = build(config, grid, seed)
-        ens.members[-1, grid.n // 2] = -1.0
-        return ens
+        members = build(config, grid, seed)
+        members[-1, grid.n // 2] = -1.0
+        return members
 
     monkeypatch.setattr(experiments, "build_initial_ensemble", build_with_bad_row)
 

@@ -145,6 +145,9 @@ _BAD_SETTINGS = [
     ("assimilate", ["--dist", "1e3"], "config key 'dist' has invalid value '1e3'"),
     ("assimilate", ["--case", "bogus"], "unknown case 'bogus'"),
     ("assimilate", ["--variant", "enkf"], "unknown variant 'enkf'"),
+    # argparse's own usage errors are one config error line too
+    ("assimilate", ["--alpha", "-1e-5"], "argument --alpha: expected one argument"),
+    ("assimilate", ["--bogus", "1"], "unrecognized arguments: --bogus 1"),
 ]
 
 
@@ -171,36 +174,36 @@ def test_observation_schedule():
 def test_initial_condition_profiles():
     cfg = _small()
     grid = cfg.grid()
-    state = initial_condition(cfg, grid)
-    np.testing.assert_array_equal(state.h, np.where(grid.points < 0.0, 1.0, 0.8))
-    np.testing.assert_array_equal(state.u, np.zeros(grid.n))
+    h = initial_condition(cfg, grid)
+    np.testing.assert_array_equal(h, np.where(grid.points < 0.0, 1.0, 0.8))
 
     osc = _small("oscillatory")
-    state = initial_condition(osc, osc.grid())
+    h = initial_condition(osc, osc.grid())
     x = osc.grid().points
     i = int(np.argmin(np.abs(x - (-0.75))))
     assert x[i] == pytest.approx(-0.75, abs=1e-12)
-    assert state.h[i] == pytest.approx(1.0 + 0.03 * np.sin(-22.5), rel=1e-14)
+    assert h[i] == pytest.approx(1.0 + 0.03 * np.sin(-22.5), rel=1e-14)
     # plateau between the oscillating stretch and the dam
     j = int(np.argmin(np.abs(x - (-0.25))))
-    assert state.h[j] == 1.0
-    assert state.h[-1] == 0.8
+    assert h[j] == 1.0
+    assert h[-1] == 0.8
 
 
 def test_build_initial_ensemble_statistics_and_determinism():
     cfg = ExperimentConfig.for_case("dense")  # n=1001, K=100
     grid = cfg.grid()
-    ens = build_initial_ensemble(cfg, grid, seed=1)
-    anomalies = ens.members - initial_condition(cfg, grid).h
+    members = build_initial_ensemble(cfg, grid, seed=1)
+    assert members.shape == (100, 1001) and members.flags.f_contiguous
+    anomalies = members - initial_condition(cfg, grid)
     assert anomalies.std() == pytest.approx(0.1, abs=0.005)
     again = build_initial_ensemble(cfg, grid, seed=1)
-    np.testing.assert_array_equal(ens.members, again.members)
+    np.testing.assert_array_equal(members, again)
     other = build_initial_ensemble(cfg, grid, seed=2)
-    assert not np.array_equal(ens.members, other.members)
+    assert not np.array_equal(members, other)
 
     flat = _small(ic_perturb_std=0.0)
-    ens0 = build_initial_ensemble(flat, flat.grid(), seed=1)
-    np.testing.assert_array_equal(ens0.members, np.tile(initial_condition(flat, flat.grid()).h, (8, 1)))
+    members0 = build_initial_ensemble(flat, flat.grid(), seed=1)
+    np.testing.assert_array_equal(members0, np.tile(initial_condition(flat, flat.grid()), (8, 1)))
 
 
 # ------------------------------------------------------------ truth pipeline
@@ -218,12 +221,10 @@ def test_truth_dense_right_state_before_shock_arrival():
     grid = cfg.grid()
     i = int(np.argmin(np.abs(grid.points - 0.5)))
     assert grid.points[i] == pytest.approx(0.5, abs=1e-12)
-    assert bundle.h_at_time(0.15)[i] == pytest.approx(0.8, abs=1e-14)
+    assert bundle.truth_h[-1, i] == pytest.approx(0.8, abs=1e-14)
 
     assert bundle.truth_h.shape == (cfg.obs_times.size + 1, cfg.n)
-    np.testing.assert_array_equal(bundle.truth_h[0], initial_condition(cfg, grid).h)
-    with pytest.raises(ConfigError):
-        bundle.h_at_time(0.1234)
+    np.testing.assert_array_equal(bundle.truth_h[0], initial_condition(cfg, grid))
 
 
 def test_truth_degenerate_flat_state():
@@ -231,16 +232,16 @@ def test_truth_degenerate_flat_state():
     bundle = generate_truth(cfg)
     np.testing.assert_array_equal(bundle.truth_h, np.ones_like(bundle.truth_h))
     np.testing.assert_array_equal(bundle.truth_u, np.zeros_like(bundle.truth_u))
-    assert np.max(np.abs(bundle.velocity.u_history)) == 0.0
+    assert np.max(np.abs(bundle.velocity)) == 0.0
 
 
 def test_truth_oscillatory_reference(tmp_path):
     cfg = _small("oscillatory", fine_refine=4, cache_dir=tmp_path / "cache")
     bundle = generate_truth(cfg, cache_dir=cfg.resolved_cache_dir())
     # the reference velocity is the coarse run's, at the observation steps
-    np.testing.assert_array_equal(bundle.truth_u, bundle.velocity.u_history[np.r_[0, cfg.obs_step_indices]])
+    np.testing.assert_array_equal(bundle.truth_u, bundle.velocity[np.r_[0, cfg.obs_step_indices]])
     grid = cfg.grid()
-    np.testing.assert_allclose(bundle.truth_h[0], initial_condition(cfg, grid).h, atol=1e-12)
+    np.testing.assert_allclose(bundle.truth_h[0], initial_condition(cfg, grid), atol=1e-12)
     assert bundle.truth_h.shape == (cfg.obs_times.size + 1, cfg.n)
     # depths stay within the physically sensible bracket
     assert bundle.truth_h.min() > 0.5 and bundle.truth_h.max() < 1.1
@@ -277,7 +278,7 @@ def test_truth_cache_round_trip(tmp_path, monkeypatch):
         again = generate_truth(cfg, cache_dir=cache)
         np.testing.assert_array_equal(again.truth_h, fresh.truth_h)
         np.testing.assert_array_equal(again.truth_u, fresh.truth_u)
-        np.testing.assert_array_equal(again.velocity.u_history, fresh.velocity.u_history)
+        np.testing.assert_array_equal(again.velocity, fresh.velocity)
     assert calls == []
 
 
@@ -295,7 +296,7 @@ def test_truth_cache_entry_with_the_former_kind_array_is_a_hit(tmp_path, monkeyp
     calls = _count_coupled_solves(monkeypatch)
     loaded = generate_truth(cfg, cache_dir=cache)
     assert calls == []
-    np.testing.assert_array_equal(loaded.velocity.u_history, fresh.velocity.u_history)
+    np.testing.assert_array_equal(loaded.velocity, fresh.velocity)
     np.testing.assert_array_equal(loaded.truth_h, fresh.truth_h)
     np.testing.assert_array_equal(loaded.truth_u, fresh.truth_u)
 
@@ -330,7 +331,7 @@ def test_corrupt_truth_cache_entry_is_recomputed(tmp_path, corrupt):
     # the rerun overwrote the entry with the recomputed arrays
     assert list(cache.iterdir()) == [entry]
     with np.load(entry) as stored:
-        np.testing.assert_array_equal(stored["u"], fresh.truth.velocity.u_history)
+        np.testing.assert_array_equal(stored["u"], fresh.truth.velocity)
         np.testing.assert_array_equal(stored["h"], fresh.truth.truth_h)
         np.testing.assert_array_equal(stored["tu"], fresh.truth.truth_u)
 
@@ -370,7 +371,7 @@ def test_concurrent_writers_of_one_cache_key(tmp_path, monkeypatch):
     calls = _count_coupled_solves(monkeypatch)
     loaded = generate_truth(cfg, cache_dir=cache)
     assert calls == []
-    np.testing.assert_array_equal(loaded.velocity.u_history, fresh.velocity.u_history)
+    np.testing.assert_array_equal(loaded.velocity, fresh.velocity)
     np.testing.assert_array_equal(loaded.truth_h, fresh.truth_h)
     np.testing.assert_array_equal(loaded.truth_u, fresh.truth_u)
 
@@ -489,7 +490,7 @@ def test_run_experiment_sparse_blanks_unobserved_points(tmp_path):
     # every curve in the series pair is over the same analysis times, and
     # the second is the error restricted to the smooth window
     full, windowed = arts.series
-    first = arts.run.records[0]
+    first = arts.records[0]
     x = cfg.grid().points
     assert windowed.values[0] == relative_error(first.posterior_mean, arts.truth.truth_h[1], window=SMOOTH_WINDOW, x=x)
     np.testing.assert_array_equal(full.times, windowed.times)
@@ -528,10 +529,10 @@ def test_truth_cache_shared_across_variants(tmp_path):
     kw = dict(ensemble_size=8, seed=2, cache_dir=tmp_path / "cache")
     arts_w = run_experiment(_small(variant="gsm", output_dir=tmp_path / "w", **kw))
     arts_b = run_experiment(_small(variant="etkf_baseline", output_dir=tmp_path / "b", **kw))
-    np.testing.assert_array_equal(arts_w.truth.velocity.u_history, arts_b.truth.velocity.u_history)
+    np.testing.assert_array_equal(arts_w.truth.velocity, arts_b.truth.velocity)
     np.testing.assert_array_equal(arts_w.truth.truth_h, arts_b.truth.truth_h)
     # same synthesized observations, so the prior at the first analysis matches
-    np.testing.assert_array_equal(arts_w.run.records[0].prior_mean, arts_b.run.records[0].prior_mean)
+    np.testing.assert_array_equal(arts_w.records[0].prior_mean, arts_b.records[0].prior_mean)
 
 
 def test_run_truth_only_and_free_moments(tmp_path):
@@ -734,6 +735,20 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     summary.write_text("t,relative_error_full,relative_error_window\n0.1,0.5,0.4\n")
     assert main(["compare", str(summary), "--window", "oops", "--out", str(tmp_path / "c.csv")]) == 2
     assert main(["compare", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "c.csv")]) == 2
+
+
+def test_a_non_positive_initial_depth_fails_before_the_first_step(tmp_path, capsys):
+    # the oscillation of amplitude 0.03 dips below zero on a 0.02 plateau
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["assimilate", "--n", "41", "--ensemble-size", "5", "--out", str(out),
+                     "--config", str(_write_cfg(tmp_path, "case = oscillatory\nh0 = 0.02\nh1 = 0.01\n"))])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: depth -") and "step 0 is not positive" in err, err
+    assert err.count("\n") == 1
+    assert read_manifest(out / "manifest.txt")["status"] == "failed"
 
 
 def _one_line_io_error(capsys):

@@ -1,6 +1,7 @@
 """Each script under scripts/ imports and parses its arguments against the package."""
 
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -69,3 +70,24 @@ def test_artifact_hashes_reports_the_drift_of_differing_csvs(tmp_path):
         "run/moved.csv: t 0, h 0.12, obs 0, name text differs",
         f"2 of 3 CSVs differ from {old}",
     ]
+
+
+def test_oscillatory_regions_prints_one_finite_row_per_variant():
+    result = _run_script(ROOT / "scripts" / "oscillatory_regions.py",
+                         "--n", "41", "--ensemble-size", "8", "--seeds", "1", "--fine-refine", "2")
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header == "n,K,seed,variant,full,window,shock"
+    assert [row.split(",")[3] for row in rows] == ["etkf_baseline", "gsm", "gsm_clustered"]
+    for row in rows:
+        assert row.split(",")[:3] == ["41", "8", "1"]
+        assert all(math.isfinite(float(value)) for value in row.split(",")[4:]), row
+
+
+def test_src_lines_total_is_the_line_count_of_the_package_sources():
+    result = _run_script(ROOT / "scripts" / "src_lines.py")
+    assert result.returncode == 0, result.stderr
+    total = result.stdout.splitlines()[-1].split()
+    assert total[0] == "total"
+    # what `find src -name '*.py' | xargs cat | wc -l` counts: newline characters
+    assert int(total[1]) == sum(path.read_bytes().count(b"\n") for path in (ROOT / "src").rglob("*.py"))

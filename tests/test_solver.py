@@ -14,8 +14,6 @@ from shockda.solver import (
     WENO_EPS,
     Grid1D,
     SolverConfig,
-    SWEState,
-    VelocityField,
     Workspace,
     lax_friedrichs_lambda,
     solve_coupled_swe,
@@ -45,22 +43,6 @@ def test_grid_rejects_inverted_bounds():
         Grid1D(n=11, x_min=1.0, x_max=-1.0)
 
 
-def test_swe_state_validates_depth_positivity():
-    h = np.ones(11)
-    hu = np.zeros(11)
-    SWEState(h, hu)  # fine
-    h_bad = h.copy()
-    h_bad[3] = -0.1
-    with pytest.raises(NumericalError):
-        SWEState(h_bad, hu)
-
-
-def test_swe_state_velocity():
-    h = np.full(11, 2.0)
-    hu = np.full(11, 1.0)
-    np.testing.assert_allclose(SWEState(h, hu).u, 0.5)
-
-
 def test_solver_config_validates_cfl():
     with pytest.raises(ConfigError):
         SolverConfig(cfl=0.0)
@@ -79,15 +61,6 @@ def test_lax_friedrichs_lambda_value():
         warnings.simplefilter("error")
         batch_lam = lax_friedrichs_lambda(u, batch_h, g=9.81)
     assert batch_lam[0, 0] == lam[0] and np.isnan(batch_lam[1, 0])
-
-
-def test_velocity_field_step_range():
-    vel = VelocityField(u_history=np.zeros((3, 5)))
-    vel.at(2)
-    with pytest.raises(ConfigError):
-        vel.at(3)
-    with pytest.raises(ConfigError):
-        vel.at(-1)
 
 
 # -------------------------------------------------------------------- WENO5
@@ -483,7 +456,7 @@ def test_coupled_solve_matches_the_expression_loop_bitwise():
     dt = cfg.solver_config().cfl * grid.dx
     run = solve_coupled_swe(initial, grid, cfg.solver_config(), t_end=50 * dt, record=range(51))
     assert run.n_steps == 50
-    state = np.stack([initial.h, initial.hu])
+    state = np.stack([initial, np.zeros_like(initial)])
     h, hu = [state[0]], [state[1]]
     for _ in range(50):
         state = _rk3_expression(state, lambda s: _swe_rhs_expression(s, GRAVITY, grid.dx), dt)
@@ -491,33 +464,33 @@ def test_coupled_solve_matches_the_expression_loop_bitwise():
         hu.append(state[1])
     h, hu = np.array(h), np.array(hu)
     np.testing.assert_array_equal(run.h, h)
-    np.testing.assert_array_equal(run.velocity.u_history, hu / h)
+    np.testing.assert_array_equal(run.velocity, hu / h)
 
 
 def test_coupled_uniform_rest_state_is_constant():
     grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
     h = np.ones(51)
-    run = solve_coupled_swe(SWEState(h.copy(), np.zeros(51)), grid, SolverConfig(cfl=0.1), t_end=20 * 0.1 * grid.dx,
+    run = solve_coupled_swe(h.copy(), grid, SolverConfig(cfl=0.1), t_end=20 * 0.1 * grid.dx,
                             record=[20])
     np.testing.assert_array_equal(run.h[-1], h)
-    np.testing.assert_array_equal(run.velocity.u_history, np.zeros((21, 51)))
+    np.testing.assert_array_equal(run.velocity, np.zeros((21, 51)))
 
 
 def test_coupled_records_velocity_every_step():
     grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
     h = np.where(grid.points < 0, 1.0, 0.8)
-    run = solve_coupled_swe(SWEState(h, np.zeros(51)), grid, SolverConfig(cfl=0.1), t_end=10 * 0.1 * grid.dx)
-    assert run.velocity.u_history.shape == (11, 51)
+    run = solve_coupled_swe(h, grid, SolverConfig(cfl=0.1), t_end=10 * 0.1 * grid.dx)
+    assert run.velocity.shape == (11, 51)
     assert run.h.shape == (0, 51)  # no depth rows unless asked for
     # velocity rows are hu/h of the recorded trajectory
-    np.testing.assert_allclose(run.velocity.u_history[0], 0.0)
+    np.testing.assert_allclose(run.velocity[0], 0.0)
 
 
 def test_coupled_mass_conservation_before_waves_reach_boundary():
     grid = Grid1D(n=401, x_min=-1.0, x_max=1.0)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(
-        SWEState(h, np.zeros(401)), grid, SolverConfig(cfl=0.1), t_end=0.1, record=[0, 200], store_velocity=False
+        h, grid, SolverConfig(cfl=0.1), t_end=0.1, record=[0, 200], store_velocity=False
     )
     drift = abs(np.sum(run.h[-1]) - np.sum(run.h[0])) * grid.dx
     assert drift / 0.1 < 1e-8
@@ -528,7 +501,7 @@ def test_coupled_dam_break_total_variation_bound():
     grid = Grid1D(n=201, x_min=-1.0, x_max=1.0)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(
-        SWEState(h, np.zeros(201)), grid, SolverConfig(cfl=0.1), t_end=0.1, record=range(101), store_velocity=False
+        h, grid, SolverConfig(cfl=0.1), t_end=0.1, record=range(101), store_velocity=False
     )
     tv = np.sum(np.abs(np.diff(run.h, axis=-1)), axis=-1)
     assert tv[-1] <= tv[0] + 1e-3
@@ -540,13 +513,26 @@ def test_coupled_rejects_vacuum():
     # a violent step into near-dry water collapses the depth quickly
     h = np.where(grid.points < 0, 10.0, 1e-4)
     with pytest.raises(NumericalError):
-        solve_coupled_swe(SWEState(h, np.zeros(51)), grid, SolverConfig(cfl=0.9), t_end=50 * 0.9 * grid.dx)
+        solve_coupled_swe(h, grid, SolverConfig(cfl=0.9), t_end=50 * 0.9 * grid.dx)
+
+
+def test_coupled_rejects_a_non_positive_or_non_finite_initial_depth():
+    # raised at step 0, before the first step, with no RuntimeWarning
+    grid = Grid1D(n=11, x_min=-1.0, x_max=1.0)
+    solve_coupled_swe(np.ones(11), grid, SolverConfig(cfl=0.1), t_end=0.02)  # fine
+    for bad in (0.0, -0.1, np.nan, np.inf):
+        h = np.ones(11)
+        h[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="at index 3, step 0"):
+                solve_coupled_swe(h, grid, SolverConfig(cfl=0.1), t_end=0.02)
 
 
 def test_coupled_t_end_must_align_with_dt():
     grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
     with pytest.raises(ConfigError):
-        solve_coupled_swe(SWEState(np.ones(51), np.zeros(51)), grid, SolverConfig(cfl=0.1), t_end=0.001234567)
+        solve_coupled_swe(np.ones(51), grid, SolverConfig(cfl=0.1), t_end=0.001234567)
 
 
 def test_coupled_record_subset():
@@ -555,7 +541,7 @@ def test_coupled_record_subset():
 
     def run(record):
         return solve_coupled_swe(
-            SWEState(h, np.zeros(51)), grid, SolverConfig(cfl=0.1), t_end=10 * 0.1 * grid.dx, record=record
+            h, grid, SolverConfig(cfl=0.1), t_end=10 * 0.1 * grid.dx, record=record
         )
 
     subset, full = run([10, 0, 5, 5]), run(range(11))
@@ -572,12 +558,12 @@ def test_coupled_determinism():
 
     def once():
         return solve_coupled_swe(
-            SWEState(h.copy(), np.zeros(101)), grid, SolverConfig(cfl=0.1), t_end=20 * 0.1 * grid.dx, record=range(21)
+            h.copy(), grid, SolverConfig(cfl=0.1), t_end=20 * 0.1 * grid.dx, record=range(21)
         )
 
     a, b = once(), once()
     assert np.array_equal(a.h, b.h)
-    assert np.array_equal(a.velocity.u_history, b.velocity.u_history)
+    assert np.array_equal(a.velocity, b.velocity)
 
 
 # ---------------------------------------------------------------- transport
@@ -586,7 +572,7 @@ def test_coupled_determinism():
 def test_transport_zero_velocity_keeps_constant_depth():
     grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
     cfg = SolverConfig(cfl=0.1)
-    vel = VelocityField(u_history=np.zeros((2, 51)))
+    vel = np.zeros((2, 51))
     h = np.full(51, 0.9)
     out = transport_step(h, vel, 0, grid, cfg)
     assert np.array_equal(out, h)
@@ -599,7 +585,7 @@ def test_transport_translation_accuracy_and_order():
         dt = cfg.cfl * grid.dx
         x = grid.points
         h = 1.0 + 0.1 * np.exp(-((x / 0.3) ** 2))
-        vel = VelocityField(u_history=np.full((2, n), c))
+        vel = np.full((2, n), c)
         out = transport_step(h, vel, 0, grid, cfg)
         exact = 1.0 + 0.1 * np.exp(-(((x - c * dt) / 0.3) ** 2))
         return np.max(np.abs(out - exact)[5 : n - 5])
@@ -616,7 +602,7 @@ def test_transport_steps_match_the_expression_loop_bitwise():
     grid, cfg = Grid1D(n=41), SolverConfig(cfl=0.1)
     dt = cfg.cfl * grid.dx
     rng = np.random.default_rng(29)
-    velocity = VelocityField(0.5 * np.sin(np.pi * grid.points + rng.uniform(0.0, 6.3, (20, 1))))
+    velocity = 0.5 * np.sin(np.pi * grid.points + rng.uniform(0.0, 6.3, (20, 1)))
     got = expected = np.where(grid.points < 0.0, 1.0, 0.6) + 0.05 * rng.standard_normal((8, 41))
     workspace = Workspace()
 
@@ -628,7 +614,7 @@ def test_transport_steps_match_the_expression_loop_bitwise():
 
     for step in range(20):
         got = transport_step(got, velocity, step, grid, cfg, workspace=workspace)
-        expected = _rk3_expression(expected, lambda h: rhs(h, velocity.u_history[step]), dt)
+        expected = _rk3_expression(expected, lambda h: rhs(h, velocity[step]), dt)
     np.testing.assert_array_equal(got, expected)
 
 
@@ -638,7 +624,7 @@ def test_transport_batched_members_match_individual():
     rng = np.random.default_rng(5)
     members = 1.0 + 0.05 * rng.standard_normal((6, 41))
     u = 0.3 * np.sin(np.pi * grid.points)
-    vel = VelocityField(u_history=np.stack([u, u]))
+    vel = np.stack([u, u])
     batch = transport_step(members, vel, 0, grid, cfg)
     for k in range(6):
         np.testing.assert_array_equal(batch[k], transport_step(members[k], vel, 0, grid, cfg))
@@ -647,8 +633,8 @@ def test_transport_batched_members_match_individual():
 def test_transport_step_index_out_of_range():
     grid = Grid1D(n=41, x_min=-1.0, x_max=1.0)
     cfg = SolverConfig(cfl=0.1)
-    vel = VelocityField(u_history=np.zeros((3, 41)))
-    with pytest.raises(ConfigError):
+    vel = np.zeros((3, 41))
+    with pytest.raises(IndexError):
         transport_step(np.ones(41), vel, 3, grid, cfg)
 
 
@@ -662,7 +648,7 @@ def test_transport_gsm_of_propagated_mean_peaks_at_shock(tmp_path):
     cfg = SolverConfig(cfl=0.1)
     h = np.where(grid.points < 0, 1.0, 0.8)
     n_steps = 100
-    run = solve_coupled_swe(SWEState(h.copy(), np.zeros_like(h)), grid, cfg, t_end=n_steps * cfg.cfl * grid.dx)
+    run = solve_coupled_swe(h.copy(), grid, cfg, t_end=n_steps * cfg.cfl * grid.dx)
 
     rng = np.random.default_rng(2)
     members = h + 0.05 * rng.standard_normal((30, 201))

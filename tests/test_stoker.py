@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shockda.errors import ConfigError
-from shockda.solver import Grid1D, SolverConfig, SWEState, solve_coupled_swe
+from shockda.solver import Grid1D, SolverConfig, solve_coupled_swe
 from shockda.stoker import (
     DamBreakParams,
     ObservationOperator,
@@ -171,7 +171,7 @@ def test_analytic_matches_coupled_weno_at_origin():
     grid = Grid1D(n=1001, x_min=-1.0, x_max=1.0)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(
-        SWEState(h, np.zeros_like(h)), grid, SolverConfig(cfl=0.1), t_end=0.15, record=[750], store_velocity=False
+        h, grid, SolverConfig(cfl=0.1), t_end=0.15, record=[750], store_velocity=False
     )
     p = DamBreakParams()
     inter = stoker_solve(p)
@@ -207,9 +207,7 @@ def test_observation_operator_validates_indices():
 def test_synthesize_observations_deterministic():
     H = ObservationOperator.dense(41)
     times = np.linspace(0.01, 0.1, 10)
-
-    def truth(t):
-        return np.full(41, 1.0 + t)
+    truth = np.repeat(1.0 + times[:, None], 41, axis=1)
 
     a = synthesize_observations(truth, times, H, gamma=0.01, seed=42)
     b = synthesize_observations(truth, times, H, gamma=0.01, seed=42)
@@ -220,12 +218,10 @@ def test_synthesize_observations_deterministic():
 
 def test_synthesize_observations_tiny_gamma_recovers_truth():
     H = ObservationOperator.dense(21)
+    truth = np.linspace(0.8, 1.0, 21)
 
-    def truth(t):
-        return np.linspace(0.8, 1.0, 21)
-
-    stream = synthesize_observations(truth, [0.1], H, gamma=1e-300, seed=1)
-    np.testing.assert_allclose(stream.values[0], truth(0.1), atol=1e-290)
+    stream = synthesize_observations(truth[None], [0.1], H, gamma=1e-300, seed=1)
+    np.testing.assert_allclose(stream.values[0], truth, atol=1e-290)
 
 
 def test_synthesize_observations_noise_variance():
@@ -234,7 +230,7 @@ def test_synthesize_observations_noise_variance():
     times = np.linspace(1e-3, 1.0, 1000)
     truth_vec = np.linspace(0.8, 1.0, 101)
 
-    stream = synthesize_observations(lambda t: truth_vec, times, H, gamma=0.01, seed=7)
+    stream = synthesize_observations(np.tile(truth_vec, (times.size, 1)), times, H, gamma=0.01, seed=7)
     noise = stream.values - truth_vec
     assert 0.9 * 0.01**2 <= np.var(noise) <= 1.1 * 0.01**2
 
@@ -243,4 +239,7 @@ def test_observation_stream_shape_validation():
     H = ObservationOperator.dense(5)
     with pytest.raises(ConfigError):
         ObservationStream(times=np.array([0.1, 0.2]), operator=H, gamma=0.01, values=np.zeros((3, 5)))
+    # one truth row per time: a single row would otherwise broadcast over both times
+    with pytest.raises(ConfigError, match="truth rows"):
+        synthesize_observations(np.ones((1, 5)), [0.1, 0.2], H, gamma=0.01, seed=1)
 
