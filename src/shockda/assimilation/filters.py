@@ -190,8 +190,8 @@ def _assimilate(initial_members, dynamics, observations: ObservationStream, conf
         members = (m[:, None] + sqrt_km1 * (Xw @ Tsqrt)).T
 
         diagnostics = {"form": W.form, "beta": W.beta, "w_max": W.max_entry()}
-        if W.partition is not None:
-            diagnostics["xi"] = W.partition.xi
+        if W.xi is not None:
+            diagnostics["xi"] = W.xi
         records.append(
             AnalysisRecord(
                 t=float(t_obs),

@@ -1,11 +1,12 @@
 """Prior weight matrices for the analysis step.
 
-Three gradient-second-moment forms (diagonal, full, clustered) plus the
-localized sample covariance used by the baseline filter.  Every unmasked
-weight is low rank plus a diagonal, W = beta G G^T + diag(D), kept as G, beta
-and D ("lowrank"); a weight masked to a band b < n-1 is one (b+1) x n band
-array (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.3), computed
-diagonal by diagonal from the low-rank factor.
+The gradient-second-moment weight, optionally clustered around a detected
+jump, plus the localized sample covariance used by the baseline filter.
+Each is kept in one of two forms.  Every unmasked weight is low rank plus a
+diagonal, W = beta G G^T + diag(D), kept as G, beta and D ("lowrank"); a
+weight masked to a band b < n-1 is one (b+1) x n band array ("band"; Golub &
+Van Loan, Matrix Computations, 4th ed., sec. 4.3), computed diagonal by
+diagonal from the low-rank factor.
 """
 
 from __future__ import annotations
@@ -58,47 +59,22 @@ class FilterConfig:
             raise ConfigError("dist must be >= 0")
 
 
-@dataclass(frozen=True)
-class ClusterPartition:
-    """Grid split into smooth-left, discontinuous, smooth-right index sets."""
-
-    xi: int
-    r_s1: np.ndarray
-    r_d: np.ndarray
-    r_s2: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.r_s1.size + self.r_d.size + self.r_s2.size
-
-    @property
-    def region_ids(self) -> np.ndarray:
-        """0 on the left smooth region, 1 on the discontinuous, 2 on the right."""
-        ids = np.empty(self.n, dtype=int)
-        ids[self.r_s1] = 0
-        ids[self.r_d] = 1
-        ids[self.r_s2] = 2
-        return ids
-
-    @staticmethod
-    def coupled(ids_i: np.ndarray, ids_j: np.ndarray) -> np.ndarray:
-        """True where a coupling survives clustering: both ends in one smooth region."""
-        return (ids_i == ids_j) & (ids_i != 1)
-
-
 @dataclass
 class WeightMatrix:
-    """Symmetric prior weight with its structural form and realized scale.
+    """Symmetric prior weight with its storage form and realized scale.
 
-    ``matrix`` holds one of two storages, set by the form; the analysis
+    ``matrix`` holds one of two storages, named by ``form``; the analysis
     solve picks its path from it:
 
-    - the factor G of W = beta G G^T + diag(D), n x K (n x 2K when
-      clustered), for the ``"lowrank"`` form (every unmasked weight), never
+    - ``"lowrank"`` (every unmasked weight): the factor G of
+      W = beta G G^T + diag(D), n x K (n x 2K when clustered), never
       multiplied out unless ``toarray`` asks for it;
-    - for every other form, a (b+1) x n band array, row d holding
-      W[i, i+d] in column i and zeros in its last d entries (b = 0 for the
-      diagonal form, at most n-2).
+    - ``"band"``: a (b+1) x n band array, row d holding W[i, i+d] in
+      column i and zeros in its last d entries (0 <= b <= n-2; b = 0 is a
+      diagonal W).
+
+    ``xi`` is the jump index a clustered weight was built around, None
+    otherwise.
 
     Unmasked and clustered constructions are positive semidefinite; a
     band mask can introduce small negative eigenvalues (the analysis
@@ -108,7 +84,7 @@ class WeightMatrix:
     form: str
     matrix: np.ndarray
     beta: float
-    partition: ClusterPartition | None = None
+    xi: int | None = None
     D: np.ndarray | None = None
 
     def toarray(self) -> np.ndarray:
@@ -129,7 +105,7 @@ class WeightMatrix:
     def column_blocks(self) -> list[slice]:
         """Column blocks of a ``"lowrank"`` G on disjoint rows: all of G, or one block per
         smooth region when clustered (``build_weight``), so G^T diag(v) G is block diagonal."""
-        width = self.matrix.shape[1] // (1 if self.partition is None else 2)
+        width = self.matrix.shape[1] // (1 if self.xi is None else 2)
         return [slice(lo, lo + width) for lo in range(0, self.matrix.shape[1], width)]
 
     def diagonal(self) -> np.ndarray:
@@ -181,30 +157,28 @@ def detect_discontinuity(mean: np.ndarray, dx: float) -> int:
     return int(np.argmax(np.abs(np.diff(mean)) / dx))
 
 
-def cluster_partition(xi: int, dist: int, n: int) -> ClusterPartition:
-    """Split indices into the jump neighborhood |i - xi| <= dist and its flanks."""
+def cluster_regions(xi: int, dist: int, n: int) -> np.ndarray:
+    """Region id of each of n cells: 1 in the jump neighborhood |i - xi| <= dist, 0 left of it, 2 right."""
     if not 0 <= xi < n:
         raise ConfigError(f"xi={xi} outside grid of {n} points")
     if dist < 0:
         raise ConfigError("dist must be >= 0")
-    lo = max(0, xi - dist)
-    hi = min(n - 1, xi + dist)
-    return ClusterPartition(
-        xi=xi,
-        r_s1=np.arange(0, lo),
-        r_d=np.arange(lo, hi + 1),
-        r_s2=np.arange(hi + 1, n),
-    )
+    i = np.arange(n)
+    return (i >= xi - dist).astype(int) + (i > xi + dist)
 
 
-def mask_correlations(R: np.ndarray, partition: ClusterPartition) -> np.ndarray:
+def coupled(ids_i: np.ndarray, ids_j: np.ndarray) -> np.ndarray:
+    """The cluster rule: a coupling survives only with both ends in one smooth region."""
+    return (ids_i == ids_j) & (ids_i != 1)
+
+
+def mask_correlations(R: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Zero correlations across regions and off-diagonal ones inside the jump region: the
     dense reference of the cluster rule that ``_banded_gram`` applies band by band."""
     R = np.asarray(R, dtype=float)
-    ids = partition.region_ids
     if R.shape != (ids.size, ids.size):
-        raise ConfigError("correlation matrix does not match the partition")
-    keep = ClusterPartition.coupled(ids[:, None], ids[None, :]) | np.eye(ids.size, dtype=bool)
+        raise ConfigError("correlation matrix does not match the region ids")
+    keep = coupled(ids[:, None], ids[None, :]) | np.eye(ids.size, dtype=bool)
     return np.where(keep, R, 0.0)
 
 
@@ -216,16 +190,17 @@ def _banded_gram(F: np.ndarray, bandwidth: int, ids: np.ndarray | None = None) -
     for d in range(bands.shape[0]):
         bands[d, : n - d] = np.einsum("ik,ik->i", F[: n - d], F[d:])
         if ids is not None and d > 0:
-            bands[d, : n - d] *= ClusterPartition.coupled(ids[: n - d], ids[d:])
+            bands[d, : n - d] *= coupled(ids[: n - d], ids[d:])
     return bands
 
 
 def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> WeightMatrix:
     """Gradient-second-moment weight W, rescaled so max(W) hits the target.
 
-    Forms: diagonal (bandwidth 0), full (sqrt(S_i) r_ij sqrt(S_j) under the
-    band mask), clustered (same with correlations masked around the jump
-    detected in the ensemble mean), and lowrank without a mask: G = F =
+    Entries are sqrt(S_i) r_ij sqrt(S_j), with the correlations masked by
+    ``coupled`` around the jump detected in the ensemble mean when
+    clustered.  Under a band mask the weight is a band array (for gsm at
+    bandwidth 0, the rescaled S); without one it is low rank: G = F =
     sqrt(S) o C, or [P_s1 F, P_s2 F] when clustered.  beta is chosen a
     posteriori from the pre-scale maximum entry; zero diagonal entries then
     get a floor of 1e-12 * max(W) so W stays invertible in flat regions.
@@ -240,25 +215,25 @@ def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> Weig
 
     if config.variant == "gsm" and bandwidth == 0:
         beta, diag = _rescale_diagonal(S, config.beta_max_target)
-        return WeightMatrix("diagonal", diag[None, :], beta)
+        return WeightMatrix("band", diag[None, :], beta)
 
-    partition = ids = None
+    xi = ids = None
     if config.variant == "gsm_clustered":
-        partition = cluster_partition(detect_discontinuity(ensemble.mean, grid.dx), config.dist, n)
-        ids = partition.region_ids
+        xi = detect_discontinuity(ensemble.mean, grid.dx)
+        ids = cluster_regions(xi, config.dist, n)
     F = np.sqrt(S)[:, None] * correlation_matrix_factor(ensemble)
     diag = np.einsum("ik,ik->i", F, F)
     beta, w_diag = _rescale_diagonal(diag, config.beta_max_target)
     if bandwidth is None or bandwidth >= n - 1:
         # couplings survive inside one region: the whole grid, or each smooth region when
         # clustered, one column block of G each (column_blocks)
-        regions = [np.ones(n, dtype=bool)] if partition is None else [ids == 0, ids == 2]
+        regions = [np.ones(n, dtype=bool)] if ids is None else [ids == 0, ids == 2]
         G = np.hstack([F * r[:, None] for r in regions])
         # D: the floor, and the diagonal of the cells in no region (the discontinuity region)
-        return WeightMatrix("lowrank", G, beta, partition, w_diag - beta * diag * sum(regions))
+        return WeightMatrix("lowrank", G, beta, xi, w_diag - beta * diag * sum(regions))
     bands = beta * _banded_gram(F, bandwidth, ids)
     bands[0] = w_diag
-    return WeightMatrix("full" if partition is None else "clustered", bands, beta, partition)
+    return WeightMatrix("band", bands, beta, xi)
 
 
 def _rescale_diagonal(diag: np.ndarray, target: float) -> tuple[float, np.ndarray]:
@@ -280,10 +255,9 @@ def covariance_weight(X: np.ndarray, bandwidth: int | None) -> WeightMatrix:
 
     ``X`` is the (already inflated) n x K anomaly matrix.  Without a mask
     (bandwidth None or at least n-1) the weight is the ``"lowrank"`` form
-    G = X, beta = 1, D = 0; bandwidth 0 gives a ``"diagonal"`` weight and a
-    narrower band a ``"full"`` one, both as band arrays.  No rescaling and
-    no floor (the analysis solve tolerates a singular W).
+    G = X, beta = 1, D = 0; a narrower band gives the ``"band"`` form.  No
+    rescaling and no floor (the analysis solve tolerates a singular W).
     """
     if bandwidth is None or bandwidth >= X.shape[0] - 1:
         return WeightMatrix("lowrank", X, 1.0, D=np.zeros(X.shape[0]))
-    return WeightMatrix("diagonal" if bandwidth == 0 else "full", _banded_gram(X, bandwidth), 1.0)
+    return WeightMatrix("band", _banded_gram(X, bandwidth), 1.0)

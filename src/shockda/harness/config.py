@@ -91,10 +91,17 @@ class ExperimentConfig:
         if self.n_steps < self.obs_stride_steps:  # n_steps also validates t_end divisibility
             raise ConfigError(f"t_end={self.t_end} is {self.n_steps} steps, "
                               f"under one observation stride of {self.obs_stride_steps}")
-        history = 8 * (self.n_steps + 1) * self.n  # the coarse velocity history, float64
-        if history > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-            raise ConfigError(f"t_end={self.t_end} is {self.n_steps:.3g} steps, whose velocity history "
-                              f"of {history / 2**30:.3g} GiB exceeds this machine's memory")
+        # element counts of float64 arrays a run allocates; only the oscillatory truth has a fine grid,
+        # whose depth it records at step 0 and at each analysis time
+        fine = (self.fine_refine * (self.n - 1) + 1) * (self.case == "oscillatory")
+        for count, what in (((self.n_steps + 1) * self.n, f"t_end={self.t_end} is {self.n_steps:.3g} steps, "
+                             "whose velocity history"),
+                            (self.ensemble_size * self.n, f"ensemble_size={self.ensemble_size} at n={self.n} is "
+                             f"{self.ensemble_size * self.n:.3g} cells, whose member stack"),
+                            (fine * (self.n_steps // self.obs_stride_steps + 1), f"fine_refine={self.fine_refine} "
+                             f"at n={self.n} is {fine:.3g} points, whose recorded fine depth")):
+            if 8 * count > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+                raise ConfigError(f"{what} of {8 * count / 2**30:.3g} GiB exceeds this machine's memory")
 
     @classmethod
     def for_case(cls, case: str, **settings) -> "ExperimentConfig":

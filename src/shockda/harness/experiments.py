@@ -30,7 +30,7 @@ from ..solver import Grid1D, SolverConfig, solve_coupled_swe, transport_step
 from ..stoker import ObservationStream, stoker_evaluate, stoker_solve, synthesize_observations
 from ..assimilation.ensemble import ensemble_moments, gradient_second_moment, sample_variance_diag
 from ..assimilation.filters import AnalysisRecord, run_baseline_filter, run_weighted_filter
-from ..metrics import ErrorSeries, pointwise_error, relative_error
+from ..metrics import ErrorSeries, in_window, pointwise_error, relative_error
 from .config import ExperimentConfig
 from .._csvio import fmt17, write_csv
 
@@ -594,7 +594,7 @@ def compare_runs(summary_paths, out_path=None, windows=None, labels=None, column
     aggregates = {}
     for window in windows or []:
         lo, hi = window
-        mask = (times_ref >= lo - 1e-12) & (times_ref <= hi + 1e-12)
+        mask = in_window(times_ref, lo, hi)
         if not mask.any():
             raise ConfigError(f"window [{lo}, {hi}] contains no comparison times")
         aggregates[(lo, hi)] = {label: float(columns[label][mask].mean()) for label in labels}

@@ -8,9 +8,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-# slack for closed-interval window membership at the endpoints
-_WINDOW_TOL = 1e-12
-
 
 def pointwise_error(estimate, truth) -> np.ndarray:
     """Entrywise |estimate - truth|."""
@@ -21,11 +18,16 @@ def pointwise_error(estimate, truth) -> np.ndarray:
     return np.abs(estimate - truth)
 
 
+def in_window(points, lo: float, hi: float) -> np.ndarray:
+    """Mask of ``points`` inside the closed interval [lo, hi], allowing 1e-12 slack at the endpoints."""
+    return (points >= lo - 1e-12) & (points <= hi + 1e-12)
+
+
 def relative_error(estimate, truth, window=None, x=None) -> float:
     """Sum|estimate - truth| / Sum|truth|, optionally over a spatial window.
 
-    ``window`` is a closed interval (a, b); grid coordinates ``x`` are
-    required with it and membership allows 1e-12 slack at the endpoints.
+    ``window`` is a closed interval (a, b) of the grid coordinates ``x``,
+    which must then be given; membership is ``in_window``.
     """
     err = pointwise_error(estimate, truth)
     truth = np.asarray(truth, dtype=float)
@@ -36,7 +38,7 @@ def relative_error(estimate, truth, window=None, x=None) -> float:
         if x.shape != truth.shape:
             raise ConfigError("x must match the state length")
         a, b = window
-        mask = (x >= a - _WINDOW_TOL) & (x <= b + _WINDOW_TOL)
+        mask = in_window(x, a, b)
         if not mask.any():
             raise ConfigError(f"window [{a}, {b}] does not intersect the grid")
         err = err[mask]
@@ -63,7 +65,7 @@ class ErrorSeries:
             raise ConfigError("error values must be nonnegative")
 
     def mean_over(self, t_lo: float, t_hi: float) -> float:
-        mask = (self.times >= t_lo - _WINDOW_TOL) & (self.times <= t_hi + _WINDOW_TOL)
+        mask = in_window(self.times, t_lo, t_hi)
         if not mask.any():
             raise ConfigError(f"no error samples inside [{t_lo}, {t_hi}]")
         return float(self.values[mask].mean())

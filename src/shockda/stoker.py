@@ -69,31 +69,36 @@ def stoker_solve(params: DamBreakParams, tol: float = 1e-14, max_iter: int = 100
     if params.h0 == params.h1:
         return StokerIntermediate(h_m=params.h0, u_m=0.0, s=0.0)
 
-    lo, hi = params.h1, params.h0
-    x = 0.5 * (lo + hi)
-    fx = _compat(x, params)
-    for _ in range(max_iter):
-        if abs(fx) < tol:
-            break
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        step = fx / _compat_prime(x, params)
-        x_new = x - step
-        if not (lo < x_new < hi) or not np.isfinite(x_new):
-            x_new = 0.5 * (lo + hi)
-        x = x_new
+    # a huge h0 can overflow h_m * h_m or the shock velocity; the inf falls to the bisection
+    # safeguard or is raised below as a convergence failure, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = params.h1, params.h0
+        x = 0.5 * (lo + hi)
         fx = _compat(x, params)
-    else:
-        raise ConvergenceError(
-            f"dam-break compatibility root did not converge in {max_iter} iterations "
-            f"(last residual {fx:.3e})"
-        )
+        for _ in range(max_iter):
+            if abs(fx) < tol:
+                break
+            if fx > 0.0:
+                lo = x
+            else:
+                hi = x
+            step = fx / _compat_prime(x, params)
+            x_new = x - step
+            if not (lo < x_new < hi) or not np.isfinite(x_new):
+                x_new = 0.5 * (lo + hi)
+            x = x_new
+            fx = _compat(x, params)
+        else:
+            raise ConvergenceError(
+                f"dam-break compatibility root did not converge in {max_iter} iterations "
+                f"(last residual {fx:.3e})"
+            )
 
-    h_m = float(x)
-    u_m = 2.0 * (np.sqrt(params.g * params.h0) - np.sqrt(params.g * h_m))
-    s = h_m * u_m / (h_m - params.h1)
+        h_m = float(x)
+        u_m = 2.0 * (np.sqrt(params.g * params.h0) - np.sqrt(params.g * h_m))
+        s = h_m * u_m / (h_m - params.h1)
+    if not np.isfinite([u_m, s]).all():
+        raise ConvergenceError(f"dam-break intermediate state is not finite (h_m={h_m:.3e})")
     return StokerIntermediate(h_m=h_m, u_m=float(u_m), s=float(s))
 
 

@@ -66,8 +66,8 @@ def test_analysis_mean_matches_normal_equations():
         else:
             cfg = FilterConfig(variant="gsm_clustered", localization_bandwidth=None, dist=int(rng.integers(0, 3)))
         W = build_weight(ens, cfg, grid)
-        assert W.form == ("diagonal" if form == "diagonal" else "lowrank")  # unmasked weights are low rank
-        assert (W.partition is not None) == (form == "clustered")
+        assert W.form == ("band" if form == "diagonal" else "lowrank")  # unmasked weights are low rank
+        assert (W.xi is not None) == (form == "clustered")
 
         H = ObservationOperator(np.sort(rng.choice(n, size=m, replace=False)), n)
         gamma_sq = float(rng.uniform(0.05, 1.0))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -11,13 +12,14 @@ from shockda.stoker import ObservationOperator, ObservationStream
 from shockda.assimilation.ensemble import correlation_matrix_factor, ensemble_moments, gradient_second_moment
 from shockda.assimilation.filters import analysis_mean, etkf_transform, run_baseline_filter, run_weighted_filter
 from shockda.assimilation.weights import (
-    ClusterPartition,
     FilterConfig,
     WeightMatrix,
     build_weight,
-    cluster_partition,
+    cluster_regions,
+    coupled,
     covariance_weight,
     detect_discontinuity,
+    mask_correlations,
 )
 
 
@@ -268,10 +270,10 @@ def _reference_weight(kind, ens, bandwidth, grid, target=0.003):
         F = np.sqrt(S)[:, None] * correlation_matrix_factor(ens)
         band_mask = None
         if kind == "gsm_clustered":
-            ids = cluster_partition(detect_discontinuity(ens.mean, grid.dx), 1, n).region_ids
+            ids = cluster_regions(detect_discontinuity(ens.mean, grid.dx), 1, n)
 
             def band_mask(d):
-                return ClusterPartition.coupled(ids[: n - d], ids[d:]).astype(float)
+                return coupled(ids[: n - d], ids[d:]).astype(float)
 
         bands = _reference_bands(F, bandwidth, band_mask)
     beta = target / bands[0].max()
@@ -347,7 +349,7 @@ def test_band_width_at_least_n_minus_one_is_the_unmasked_lowrank_weight():
 
         unmasked = weight(None)
         assert unmasked.form == "lowrank" and unmasked.matrix.shape == factor_shape
-        assert (unmasked.partition is not None) == (variant == "gsm_clustered")
+        assert (unmasked.xi is not None) == (variant == "gsm_clustered")
         for bandwidth in (n - 1, n, 3 * n):
             W = weight(bandwidth)
             assert W.form == "lowrank"
@@ -405,13 +407,13 @@ def test_analysis_singular_system_raises():
     with pytest.raises(NumericalError):
         analysis_mean(np.zeros(n), np.ones(n), H, 1.0, W)
     with pytest.raises(NumericalError):  # the same system on the diagonal path
-        analysis_mean(np.zeros(n), np.ones(n), H, 1.0, WeightMatrix("diagonal", -np.ones((1, n)), 1.0))
+        analysis_mean(np.zeros(n), np.ones(n), H, 1.0, WeightMatrix("band", -np.ones((1, n)), 1.0))
 
 
 def test_clustered_analysis_leaves_unobserved_jump_cells_unchanged():
-    # the clustered weight severs every coupling inside and across r_d, so
-    # under every-other observations and a tridiagonal band the unobserved
-    # r_d cells have no observed neighbour to draw an increment from
+    # the clustered weight severs every coupling inside and across the jump
+    # region r_d, so under every-other observations and a tridiagonal band
+    # the unobserved r_d cells have no observed neighbour to draw an increment from
     rng = np.random.default_rng(11)
     n = 41
     grid = Grid1D(n=n, x_min=-1.0, x_max=1.0)
@@ -424,7 +426,7 @@ def test_clustered_analysis_leaves_unobserved_jump_cells_unchanged():
 
     increment = analysis_mean(ens.mean, y, H, 0.01**2, W) - ens.mean
 
-    r_d = W.partition.r_d
+    r_d = np.flatnonzero(cluster_regions(W.xi, 1, n) == 1)
     observed = np.isin(r_d, H.indices)
     assert observed.any() and not observed.all()
     np.testing.assert_array_equal(increment[r_d[~observed]], 0.0)
@@ -535,6 +537,58 @@ def test_baseline_filter_under_linear_dynamics_follows_the_kalman_recursion(n, k
         assert np.linalg.norm(record.posterior_mean - m) <= 1e-10 * np.linalg.norm(m)
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(11, 16), k_minus_n=st.integers(-8, 6), obs=st.sampled_from(["dense", "every_other", "random"]),
+       variant=st.sampled_from(["gsm", "gsm_clustered"]), bandwidth=st.sampled_from([None, 0, 1, 2]),
+       dist=st.integers(0, 3), target=st.sampled_from([0.0027, 0.003]), gamma=st.sampled_from([0.1, 0.3, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_weighted_filter_under_linear_dynamics_matches_a_dense_ensemble_oracle(n, k_minus_n, obs, variant, bandwidth,
+                                                                              dist, target, gamma, seed):
+    # the gsm weight depends on the members, so the oracle carries the whole ensemble in dense algebra:
+    # forecast with M, W = beta sqrt(S_i) R_ij sqrt(S_j) o T (R masked around the jump when clustered)
+    # with beta = target / max diag and zero diagonal entries floored, the Kalman mean of that W, and
+    # posterior members m + X [I + (H X)^T (H X) / gamma^2]^-1/2 (X scaled by 1/sqrt(K-1)); a band of width
+    # <= 2 keeps W's eigenvalues above -3 * target, so gamma^2 >= 0.01 keeps each innovation system definite
+    rng = np.random.default_rng(seed)
+    K, steps_per_obs, cycles = max(2, n + k_minus_n), 2, 4
+    M = rng.standard_normal((n, n))
+    M *= 0.9 / np.linalg.norm(M, 2)  # contracting
+    if obs == "random":
+        H = ObservationOperator(np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False)), n)
+    else:
+        H = getattr(ObservationOperator, obs)(n)
+    stream = ObservationStream(np.arange(1.0, cycles + 1), H, gamma, 1.0 + rng.standard_normal((cycles, H.m)))
+    members = 1.0 + 0.3 * rng.standard_normal((K, n))
+    grid = Grid1D(n)
+    config = FilterConfig(variant=variant, beta_max_target=target, localization_bandwidth=bandwidth, dist=dist)
+    records = run_weighted_filter(members, lambda v, step: v @ M.T, stream, config, grid, steps_per_obs=steps_per_obs)
+
+    offsets = np.arange(n)
+    band = np.ones((n, n)) if bandwidth is None else np.abs(offsets[:, None] - offsets) <= bandwidth
+    diff = (np.eye(n, k=1) - np.eye(n))[:-1] / grid.dx  # forward differences, (n-1) x n
+    Hm = H.matrix()
+    assert len(records) == cycles
+    for y, record in zip(stream.values, records):
+        for _ in range(steps_per_obs):
+            members = members @ M.T
+        m = members.mean(axis=0)
+        centers = np.mean((members @ diff.T) ** 2, axis=0)  # second moment of the differences
+        S = 0.5 * (np.r_[0.0, centers] + np.r_[centers, 0.0])
+        R = np.corrcoef(members, rowvar=False)
+        if variant == "gsm_clustered":
+            R = mask_correlations(R, cluster_regions(int(np.argmax(np.abs(np.diff(m)) / grid.dx)), dist, n))
+        W = np.sqrt(S)[:, None] * R * np.sqrt(S) * band
+        W *= target / np.diag(W).max()
+        W[np.diag_indices(n)] = np.where(np.diag(W) == 0.0, 1e-12 * np.diag(W).max(), np.diag(W))
+        m = m + W @ Hm.T @ np.linalg.solve(Hm @ W @ Hm.T + gamma**2 * np.eye(H.m), y - Hm @ m)
+        X = (members - members.mean(axis=0)).T / np.sqrt(K - 1)
+        HX = Hm @ X
+        Xa = X @ scipy.linalg.sqrtm(np.linalg.inv(np.eye(K) + HX.T @ HX / gamma**2))
+        members = m + np.sqrt(K - 1) * Xa.T
+        assert np.linalg.norm(record.posterior_mean - m) <= 1e-10 * np.linalg.norm(m)
+
+
 def test_filter_runs_are_deterministic():
     rng = np.random.default_rng(11)
     n, K = 21, 6
@@ -602,7 +656,7 @@ def test_filter_iteration_interface_and_diagnostics():
     for r in records:
         assert r.prior_mean.shape == (n,)
         assert r.posterior_mean.shape == (n,)
-        assert r.diagnostics["form"] == "clustered"
+        assert r.diagnostics["form"] == "band"
         assert r.diagnostics["w_max"] == pytest.approx(0.0027, rel=1e-12)
         assert 0 <= r.diagnostics["xi"] < n
 

@@ -148,6 +148,9 @@ _BAD_SETTINGS = [
     # argparse's own usage errors are one config error line too
     ("assimilate", ["--alpha", "-1e-5"], "argument --alpha: expected one argument"),
     ("assimilate", ["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    # a member stack too large for any machine (298 TiB) used to fail in build_initial_ensemble after the truth
+    ("assimilate", ["--ensemble-size", "1000000000000"], "ensemble_size=1000000000000 at n=41 is 4.1e+13 cells, whose member stack of"),
+    ("moments", ["--ensemble-size", "1000000000000"], "ensemble_size=1000000000000 at n=41 is 4.1e+13 cells, whose member stack of"),
 ]
 
 
@@ -161,6 +164,21 @@ def test_a_non_finite_setting_is_a_config_error_before_any_truth(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == []  # no run directory, no truth cache
+
+
+def test_an_oversize_fine_grid_is_a_config_error_for_the_oscillatory_case_only(tmp_path, capsys):
+    # a 2e13-point reference grid (146 TiB a row, 7 rows recorded) used to fail in np.arange after the coarse truth
+    config = tmp_path / "huge.cfg"
+    config.write_text("fine_refine = 1000000000000\n")
+    argv = ["truth", "--case", "oscillatory", "--n", "21", "--config", str(config), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fine_refine=1000000000000 at n=21 is 2e+13 points, whose recorded fine depth of")
+    assert err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == [config]  # no run directory, no truth cache
+    # dense and sparse truths never build the fine grid, so the same setting stays valid there
+    for case in ("dense", "sparse"):
+        assert ExperimentConfig.for_case(case, n="21", fine_refine="1000000000000").fine_refine == 10**12
 
 
 def test_observation_schedule():

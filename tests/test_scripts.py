@@ -91,3 +91,22 @@ def test_src_lines_total_is_the_line_count_of_the_package_sources():
     assert total[0] == "total"
     # what `find src -name '*.py' | xargs cat | wc -l` counts: newline characters
     assert int(total[1]) == sum(path.read_bytes().count(b"\n") for path in (ROOT / "src").rglob("*.py"))
+
+
+def test_src_lines_against_prints_each_file_and_the_total_as_before_and_after(tmp_path):
+    before, after = tmp_path / "before", tmp_path / "after"
+    for root in (before, after):
+        (root / "pkg").mkdir(parents=True)
+    (before / "pkg" / "a.py").write_text('"""Doc."""\n\nx = 1\ny = 2\n')
+    (after / "pkg" / "a.py").write_text('"""Doc."""\n\nx = 1\n')
+    (before / "pkg" / "gone.py").write_text("z = 3\n")
+    (after / "pkg" / "new.py").write_text("# note\nw = 4\n")
+    result = _run_script(ROOT / "scripts" / "src_lines.py", "--root", str(after), "--against", str(before))
+    assert result.returncode == 0, result.stderr
+    rows = {line.split()[0]: " ".join(line.split()[1:]) for line in result.stdout.splitlines()[1:]}
+    assert rows == {
+        "pkg/a.py": "4 -> 3 (-1) 2 -> 1 (-1)",
+        "pkg/gone.py": "1 -> - (-1) 1 -> - (-1)",
+        "pkg/new.py": "- -> 2 (+2) - -> 1 (+1)",
+        "total": "5 -> 5 (+0) 3 -> 2 (-1)",
+    }

@@ -1,9 +1,11 @@
 """Stoker dam-break solution and synthetic observation tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from shockda.errors import ConfigError
+from shockda.errors import ConfigError, ConvergenceError
 from shockda.solver import Grid1D, SolverConfig, solve_coupled_swe
 from shockda.stoker import (
     DamBreakParams,
@@ -78,6 +80,15 @@ def test_stoker_degenerate_equal_depths():
     inter = stoker_solve(DamBreakParams(h0=1.0, h1=1.0))
     assert (inter.h_m, inter.u_m, inter.s) == (1.0, 0.0, 0.0)
 
+
+
+@pytest.mark.parametrize("h0, h1", [(1e300, 0.8), (1e300, 1e-300)])
+def test_stoker_huge_depth_raises_without_a_warning(h0, h1):
+    # the residual of a 1e300 step cannot reach the absolute tolerance, and h_m * h_m overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            stoker_solve(DamBreakParams(h0=h0, h1=h1))
 
 def test_stoker_solve_mass_jump_consistency():
     # s is defined so the mass jump condition holds identically

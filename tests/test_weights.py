@@ -9,7 +9,7 @@ from shockda.assimilation.ensemble import correlation_matrix_factor, ensemble_mo
 from shockda.assimilation.weights import (
     FilterConfig,
     build_weight,
-    cluster_partition,
+    cluster_regions,
     covariance_weight,
     detect_discontinuity,
     mask_correlations,
@@ -91,52 +91,44 @@ def test_detect_discontinuity_at_stoker_shock():
 
 
 def test_cluster_partition_hand_cases():
-    # interior: n=5, xi=2 (third point), dist=1
-    part = cluster_partition(2, 1, 5)
-    np.testing.assert_array_equal(part.r_s1, [0])
-    np.testing.assert_array_equal(part.r_d, [1, 2, 3])
-    np.testing.assert_array_equal(part.r_s2, [4])
+    # interior: n=5, xi=2 (third point), dist=1; region ids 0 (left smooth), 1 (jump), 2 (right smooth)
+    np.testing.assert_array_equal(cluster_regions(2, 1, 5), [0, 1, 1, 1, 2])
 
     # clipped at the left boundary
-    part = cluster_partition(0, 1, 5)
-    np.testing.assert_array_equal(part.r_s1, [])
-    np.testing.assert_array_equal(part.r_d, [0, 1])
-    np.testing.assert_array_equal(part.r_s2, [2, 3, 4])
+    np.testing.assert_array_equal(cluster_regions(0, 1, 5), [1, 1, 2, 2, 2])
 
     # dist=0 keeps only xi
-    part = cluster_partition(3, 0, 5)
-    np.testing.assert_array_equal(part.r_d, [3])
+    np.testing.assert_array_equal(cluster_regions(3, 0, 5), [0, 0, 0, 1, 2])
 
 
 def test_cluster_partition_covers_and_orders():
+    # every cell gets one id, and the ids run 0..., 1..., 2... left to right with the
+    # jump region exactly |i - xi| <= dist clipped to the grid
     rng = np.random.default_rng(0)
     for _ in range(30):
         n = int(rng.integers(2, 40))
         xi = int(rng.integers(0, n))
         dist = int(rng.integers(0, 6))
-        part = cluster_partition(xi, dist, n)
-        merged = np.concatenate([part.r_s1, part.r_d, part.r_s2])
-        np.testing.assert_array_equal(merged, np.arange(n))
-        if part.r_s1.size and part.r_d.size:
-            assert part.r_s1.max() < part.r_d.min()
-        if part.r_d.size and part.r_s2.size:
-            assert part.r_d.max() < part.r_s2.min()
+        ids = cluster_regions(xi, dist, n)
+        assert ids.shape == (n,) and set(ids) <= {0, 1, 2}
+        assert np.all(np.diff(ids) >= 0)
+        np.testing.assert_array_equal(np.flatnonzero(ids == 1), np.arange(max(0, xi - dist), min(n - 1, xi + dist) + 1))
 
 
 def test_cluster_partition_validates():
     with pytest.raises(ConfigError):
-        cluster_partition(5, 1, 5)
+        cluster_regions(5, 1, 5)
     with pytest.raises(ConfigError):
-        cluster_partition(0, -1, 5)
+        cluster_regions(0, -1, 5)
 
 
 def test_mask_correlations_hand_case():
-    # partition of 5 points with r_d = {1,2,3}
-    part = cluster_partition(2, 1, 5)
+    # 5 points with the jump region {1,2,3}
+    ids = cluster_regions(2, 1, 5)
     R = np.arange(25, dtype=float).reshape(5, 5)
     R = 0.5 * (R + R.T)
     np.fill_diagonal(R, 1.0)
-    Rm = mask_correlations(R, part)
+    Rm = mask_correlations(R, ids)
     assert Rm[0, 4] == 0.0  # across smooth regions
     assert Rm[1, 2] == 0.0  # off-diagonal inside the jump region
     assert Rm[0, 0] == 1.0 and Rm[4, 4] == 1.0
@@ -144,18 +136,18 @@ def test_mask_correlations_hand_case():
 
 
 def test_mask_correlations_all_discontinuous_leaves_diagonal():
-    part = cluster_partition(2, 10, 5)  # r_d covers everything
+    ids = cluster_regions(2, 10, 5)  # the jump region covers everything
     R = np.random.default_rng(1).standard_normal((5, 5))
     R = 0.5 * (R + R.T)
-    Rm = mask_correlations(R, part)
+    Rm = mask_correlations(R, ids)
     np.testing.assert_array_equal(Rm, np.diag(np.diag(R)))
 
 
 def test_mask_correlations_smooth_block_untouched():
-    part = cluster_partition(1, 1, 7)  # r_s2 = {3,4,5,6}
+    ids = cluster_regions(1, 1, 7)  # right smooth region {3,4,5,6}
     R = np.random.default_rng(2).standard_normal((7, 7))
     R = 0.5 * (R + R.T)
-    Rm = mask_correlations(R, part)
+    Rm = mask_correlations(R, ids)
     np.testing.assert_array_equal(Rm[3:, 3:], R[3:, 3:])
 
 
@@ -163,17 +155,17 @@ def test_mask_correlations_idempotent():
     rng = np.random.default_rng(3)
     for _ in range(10):
         n = int(rng.integers(3, 25))
-        part = cluster_partition(int(rng.integers(0, n)), int(rng.integers(0, 4)), n)
+        ids = cluster_regions(int(rng.integers(0, n)), int(rng.integers(0, 4)), n)
         R = rng.standard_normal((n, n))
         R = 0.5 * (R + R.T)
-        once = mask_correlations(R, part)
-        np.testing.assert_array_equal(mask_correlations(once, part), once)
+        once = mask_correlations(R, ids)
+        np.testing.assert_array_equal(mask_correlations(once, ids), once)
 
 
 def test_mask_correlations_shape_check():
-    part = cluster_partition(1, 1, 5)
+    ids = cluster_regions(1, 1, 5)
     with pytest.raises(ConfigError):
-        mask_correlations(np.eye(4), part)
+        mask_correlations(np.eye(4), ids)
 
 
 # ----------------------------------------------------------------- build_weight
@@ -185,7 +177,7 @@ def test_diagonal_weight_hand_case():
     ens = ensemble_moments(np.tile([0.0, 1.0, 3.0], (2, 1)))
     grid = Grid1D(n=11, x_min=0.0, x_max=10.0)  # dx = 1
     W = build_weight(ens, _gsm_config(), grid)
-    assert W.form == "diagonal"
+    assert W.form == "band" and W.matrix.shape == (1, 3)
     assert W.beta == pytest.approx(0.0012)
     np.testing.assert_allclose(W.toarray(), np.diag([0.0006, 0.003, 0.0024]), rtol=1e-12)
 
@@ -228,12 +220,12 @@ def test_clustered_weight_matches_dense_reference():
     ens = ensemble_moments(base + 0.02 * rng.standard_normal((10, 31)))
     cfg = _gsm_config(variant="gsm_clustered", localization_bandwidth=4, dist=2)
     W = build_weight(ens, cfg, grid)
-    assert W.form == "clustered"
-    assert W.partition is not None
+    assert W.form == "band" and W.matrix.shape == (5, 31)
+    assert W.xi == detect_discontinuity(ens.mean, grid.dx)
 
     S = gradient_second_moment(ens, grid.dx)
     Xt = correlation_matrix_factor(ens)
-    R = mask_correlations(Xt @ Xt.T, W.partition)
+    R = mask_correlations(Xt @ Xt.T, cluster_regions(W.xi, 2, 31))
     dense = np.sqrt(S)[:, None] * R * np.sqrt(S)[None, :]
     dense *= toeplitz_band_mask(31, 4)
     dense *= cfg.beta_max_target / dense.max()
