@@ -8,7 +8,12 @@ comment.  The total equals ``find src -name '*.py' | xargs cat | wc -l``.
 
 With ``--against OTHER/src`` it prints each file's total and code lines
 as ``OTHER -> this`` with the change in parentheses, and the same for the
-whole tree, so one command gives a before/after pair.
+whole tree, so one command gives a before/after pair.  After a blank line
+it prints the count of options (defaulted parameters plus dataclass
+fields) on each side, then every name found on one side only, ``-`` for
+OTHER and ``+`` for this tree: functions, classes, methods, dataclass
+fields (``Class.field``) and defaulted parameters (``func(param=)``).
+Nested functions are not names.
 
 Usage:
     python3 scripts/src_lines.py                       # src/ of this checkout
@@ -54,6 +59,43 @@ def count_lines(text: str) -> dict:
     return counts
 
 
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def source_names(text: str) -> dict:
+    """Kind of each function, class, method, dataclass field and defaulted parameter of one source, by name."""
+    names = {}
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + node.name
+                names[name] = "method" if prefix else "function"
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+                names.update((f"{name}({arg.arg}=)", "parameter") for arg in defaulted)
+            elif isinstance(node, ast.ClassDef):
+                name = prefix + node.name
+                names[name] = "class"
+                if any(map(_is_dataclass, node.decorator_list)):
+                    names.update((f"{name}.{field.target.id}", "field") for field in node.body
+                                 if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name))
+                visit(node.body, name + ".")
+
+    visit(ast.parse(text).body, "")
+    return names
+
+
+def tree_names(root: Path) -> dict:
+    """``source_names`` of every ``*.py`` file under ``root``, keyed by (relative path, name)."""
+    return {(str(path.relative_to(root)), name): kind for path in sorted(root.rglob("*.py"))
+            for name, kind in source_names(path.read_text()).items()}
+
+
 def count_tree(root: Path) -> dict:
     """Counts per ``*.py`` file under ``root`` by relative path, plus the sum under "total"."""
     rows = {str(path.relative_to(root)): count_lines(path.read_text()) for path in sorted(root.rglob("*.py"))}
@@ -86,6 +128,12 @@ def main(argv=None) -> None:
     for name in names:
         b, a = before.get(name), after.get(name)
         print(f"{name:<{width}}  {_pair(b, a, 'total'):>22}  {_pair(b, a, 'code'):>22}")
+    old, new = tree_names(args.against), tree_names(args.root)
+    n_old, n_new = (sum(kind in ("parameter", "field") for kind in side.values()) for side in (old, new))
+    print(f"\noptions (defaulted parameters + dataclass fields): {n_old} -> {n_new} ({n_new - n_old:+d})")
+    for sign, side, other in (("-", old, new), ("+", new, old)):
+        for path, name in sorted(side.keys() - other.keys()):
+            print(f"{sign} {side[path, name]:<9}  {path}  {name}")
 
 
 if __name__ == "__main__":

@@ -189,7 +189,7 @@ def _assimilate(initial_members, dynamics, observations: ObservationStream, conf
         m = analysis_mean(ens.mean, observations.values[j], H, gamma_sq, W)
         members = (m[:, None] + sqrt_km1 * (Xw @ Tsqrt)).T
 
-        diagnostics = {"form": W.form, "beta": W.beta, "w_max": W.max_entry()}
+        diagnostics = {"form": W.form, "beta": W.beta}
         if W.xi is not None:
             diagnostics["xi"] = W.xi
         records.append(
@@ -207,7 +207,7 @@ def _assimilate(initial_members, dynamics, observations: ObservationStream, conf
 
 
 def run_baseline_filter(initial_members, dynamics, observations: ObservationStream,
-                        config: FilterConfig, grid: Grid1D, steps_per_obs: int = 5) -> list[AnalysisRecord]:
+                        config: FilterConfig, grid: Grid1D, steps_per_obs: int) -> list[AnalysisRecord]:
     """ETKF with multiplicative inflation and banded covariance localization.
 
     Each cycle: forecast all members ``steps_per_obs`` dynamics steps,
@@ -221,7 +221,7 @@ def run_baseline_filter(initial_members, dynamics, observations: ObservationStre
 
 
 def run_weighted_filter(initial_members, dynamics, observations: ObservationStream,
-                        config: FilterConfig, grid: Grid1D, steps_per_obs: int = 5) -> list[AnalysisRecord]:
+                        config: FilterConfig, grid: Grid1D, steps_per_obs: int) -> list[AnalysisRecord]:
     """Modified ETKF whose analysis weight comes from the gradient second moment.
 
     No inflation anywhere: both the weight and the transform use the raw

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateWeightError
+from ..errors import ConfigError, NumericalError
 from ..solver import Grid1D
 from .ensemble import Ensemble, correlation_matrix_factor, gradient_second_moment
 
@@ -96,22 +96,11 @@ class WeightMatrix:
             np.fill_diagonal(W[d:], band[: band.size - d])
         return W
 
-    def max_entry(self) -> float:
-        if self.form == "lowrank":
-            # by Cauchy-Schwarz a Gram matrix peaks on its diagonal, and D >= 0
-            return float(self.diagonal().max())
-        return float(self.matrix.max())
-
     def column_blocks(self) -> list[slice]:
         """Column blocks of a ``"lowrank"`` G on disjoint rows: all of G, or one block per
         smooth region when clustered (``build_weight``), so G^T diag(v) G is block diagonal."""
         width = self.matrix.shape[1] // (1 if self.xi is None else 2)
         return [slice(lo, lo + width) for lo in range(0, self.matrix.shape[1], width)]
-
-    def diagonal(self) -> np.ndarray:
-        if self.form == "lowrank":
-            return self.beta * np.einsum("ik,ik->i", self.matrix, self.matrix) + self.D
-        return self.matrix[0]
 
     def observed_block(self, idx: np.ndarray) -> np.ndarray:
         """H W H^T of a band W for distinct observed cells ``idx``: its diagonal as a vector
@@ -209,7 +198,7 @@ def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> Weig
         raise ConfigError(f"build_weight applies to gsm variants, not '{config.variant}'")
     S = gradient_second_moment(ensemble, grid.dx)
     if not np.any(S > 0.0):
-        raise DegenerateWeightError("degenerate prior weight: gradient second moment is identically zero")
+        raise NumericalError("degenerate prior weight: gradient second moment is identically zero")
     n = S.size
     bandwidth = config.localization_bandwidth
 
@@ -244,8 +233,11 @@ def _rescale_diagonal(diag: np.ndarray, target: float) -> tuple[float, np.ndarra
     """
     peak = diag.max()
     if peak <= 0.0:
-        raise DegenerateWeightError("degenerate prior weight: no anomaly spread anywhere")
-    beta = target / peak
+        raise NumericalError("degenerate prior weight: no anomaly spread anywhere")
+    with np.errstate(over="ignore"):  # a roundoff-sized peak, as from identical members; raised below
+        beta = target / peak
+    if not np.isfinite(beta):
+        raise NumericalError(f"degenerate prior weight: target {target:.3e} / max diagonal {peak:.3e} overflows")
     scaled = beta * diag
     return float(beta), np.where(scaled == 0.0, _FLOOR_REL * scaled.max(), scaled)
 

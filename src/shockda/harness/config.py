@@ -126,12 +126,8 @@ class ExperimentConfig:
         return Grid1D(self.n)
 
     @property
-    def dx(self) -> float:
-        return self.grid().dx
-
-    @property
     def dt(self) -> float:
-        return self.cfl * self.dx
+        return self.cfl * self.grid().dx
 
     @property
     def n_steps(self) -> int:

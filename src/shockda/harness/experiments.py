@@ -56,11 +56,9 @@ class TruthBundle:
 
     Row s of ``velocity`` is the coarse run's velocity at step s.  Row 0 of
     ``truth_h``/``truth_u`` is the initial condition; row j >= 1 belongs to
-    observation time ``obs_times[j-1]``.
+    the config's observation time ``obs_times[j-1]``.
     """
 
-    grid: Grid1D
-    obs_times: np.ndarray
     velocity: np.ndarray
     truth_h: np.ndarray
     truth_u: np.ndarray
@@ -85,7 +83,6 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path | None = None) -> T
     """
     grid = config.grid()
     obs_steps = config.obs_step_indices
-    obs_times = config.obs_times
 
     fingerprint = _truth_fingerprint(config)
     if cache_dir is not None:
@@ -98,7 +95,7 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path | None = None) -> T
 
     if config.case == "oscillatory":
         refine = config.fine_refine
-        fine_grid = Grid1D(refine * (grid.n - 1) + 1, grid.x_min, grid.x_max)
+        fine_grid = Grid1D(refine * (grid.n - 1) + 1)
         fine_run = solve_coupled_swe(
             initial_condition(config, fine_grid),
             fine_grid,
@@ -113,14 +110,14 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path | None = None) -> T
         params = config.dam_params()
         inter = stoker_solve(params)
         rows_h, rows_u = [], []
-        for t in np.concatenate(([0.0], obs_times)):
+        for t in np.concatenate(([0.0], config.obs_times)):
             h_row, u_row = stoker_evaluate(params, inter, grid.points, float(t))
             rows_h.append(h_row)
             rows_u.append(u_row)
         truth_h = np.asarray(rows_h)
         truth_u = np.asarray(rows_u)
 
-    bundle = TruthBundle(grid, obs_times, velocity, truth_h, truth_u)
+    bundle = TruthBundle(velocity, truth_h, truth_u)
     if cache_dir is not None:
         _save_truth_cache(entry, fingerprint, bundle)
     return bundle
@@ -152,11 +149,10 @@ def _load_truth_cache(entry: Path, fingerprint: str, config: ExperimentConfig) -
             u, h, tu = stored["u"], stored["h"], stored["tu"]
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
         return None
-    grid = config.grid()
-    rows = (config.obs_times.size + 1, grid.n)
-    if u.shape != (config.n_steps + 1, grid.n) or h.shape != rows or tu.shape != rows:
+    rows = (config.obs_times.size + 1, config.n)
+    if u.shape != (config.n_steps + 1, config.n) or h.shape != rows or tu.shape != rows:
         return None
-    return TruthBundle(grid, config.obs_times, u, h, tu)
+    return TruthBundle(u, h, tu)
 
 
 @dataclass
@@ -416,7 +412,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         H = config.observation_operator()
         truth_rows = bundle.truth_h[1:]
-        observations = synthesize_observations(truth_rows, bundle.obs_times, H, config.gamma, config.seed)
+        observations = synthesize_observations(truth_rows, config.obs_times, H, config.gamma, config.seed)
         members = build_initial_ensemble(config, grid, config.seed)
         runner = run_baseline_filter if config.variant == "etkf_baseline" else run_weighted_filter
         with _forecast(bundle.velocity, grid, config.solver_config(), config.ensemble_size) as (dynamics, workers):
@@ -534,15 +530,15 @@ def run_truth_only(config: ExperimentConfig) -> RunArtifacts:
     """Generate and cache the truth, writing it as a (t, x, h, u) CSV."""
     with _run(config, "truth") as paths:
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
-        times = np.r_[0.0, bundle.obs_times]
+        times = np.r_[0.0, config.obs_times]
         write_csv(paths.truth_csv, ("t", "x", "h", "u"),
-                  (*_time_x_columns(times, bundle.grid), bundle.truth_h.ravel(), bundle.truth_u.ravel()))
+                  (*_time_x_columns(times, config.grid()), bundle.truth_h.ravel(), bundle.truth_u.ravel()))
     paths.truth = bundle
     return paths
 
 
-def compare_runs(summary_paths, out_path=None, windows=None, labels=None, column: str = "relative_error_full"):
-    """Join summary CSVs on their (shared) time grid and aggregate over windows.
+def compare_runs(summary_paths, out_path=None, windows=None, labels=None):
+    """Join the ``relative_error_full`` columns of summary CSVs on their (shared) time grid and aggregate over windows.
 
     Returns (times, {label: values}, {window: {label: mean}}); mismatched
     time grids are rejected naming the first offending time, and so is a
@@ -572,14 +568,14 @@ def compare_runs(summary_paths, out_path=None, windows=None, labels=None, column
         require_completed(path)
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
-            for name in ("t", column):
+            for name in ("t", "relative_error_full"):
                 if reader.fieldnames is None or name not in reader.fieldnames:
                     raise ConfigError(f"{path} has no '{name}' column")
             t_list, v_list = [], []
             for row in reader:
                 try:
                     t_list.append(float(row["t"]))
-                    v_list.append(float(row[column]))
+                    v_list.append(float(row["relative_error_full"]))
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{path} row {reader.line_num}: {exc}") from exc
         times = np.asarray(t_list)

@@ -47,25 +47,21 @@ _FACE_BLOCK = 16384
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid of n points spanning [x_min, x_max] inclusive."""
+    """Uniform grid of n points spanning the domain [-1, 1] inclusive."""
 
     n: int
-    x_min: float = -1.0
-    x_max: float = 1.0
 
     def __post_init__(self):
         if self.n < 11:
             raise ConfigError(f"grid needs at least 11 points, got n={self.n}")
-        if not self.x_max > self.x_min:
-            raise ConfigError("grid requires x_max > x_min")
 
     @property
     def dx(self) -> float:
-        return (self.x_max - self.x_min) / (self.n - 1)
+        return 2.0 / (self.n - 1)
 
     @property
     def points(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n)
+        return -1.0 + self.dx * np.arange(self.n)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, NumericalError
 from .solver import GRAVITY
 
 
@@ -59,12 +59,13 @@ def _compat_prime(h_m: float, p: DamBreakParams) -> float:
     return -np.sqrt(p.g / h_m) - phi + p.g * (h_m - p.h1) / (4.0 * phi * h_m * h_m)
 
 
-def stoker_solve(params: DamBreakParams, tol: float = 1e-14, max_iter: int = 100) -> StokerIntermediate:
+def stoker_solve(params: DamBreakParams) -> StokerIntermediate:
     """Find the intermediate state by safeguarded Newton on (h1, h0).
 
     The compatibility residual is positive at h1 and negative at h0, so a
     bisection bracket is maintained and used whenever a Newton step leaves
-    it.  Tolerance is on the residual magnitude.
+    it.  The tolerance is 1e-14 on the residual magnitude, reached within
+    100 iterations.
     """
     if params.h0 == params.h1:
         return StokerIntermediate(h_m=params.h0, u_m=0.0, s=0.0)
@@ -75,8 +76,8 @@ def stoker_solve(params: DamBreakParams, tol: float = 1e-14, max_iter: int = 100
         lo, hi = params.h1, params.h0
         x = 0.5 * (lo + hi)
         fx = _compat(x, params)
-        for _ in range(max_iter):
-            if abs(fx) < tol:
+        for _ in range(100):
+            if abs(fx) < 1e-14:
                 break
             if fx > 0.0:
                 lo = x
@@ -89,16 +90,15 @@ def stoker_solve(params: DamBreakParams, tol: float = 1e-14, max_iter: int = 100
             x = x_new
             fx = _compat(x, params)
         else:
-            raise ConvergenceError(
-                f"dam-break compatibility root did not converge in {max_iter} iterations "
-                f"(last residual {fx:.3e})"
+            raise NumericalError(
+                f"dam-break compatibility root did not converge in 100 iterations (last residual {fx:.3e})"
             )
 
         h_m = float(x)
         u_m = 2.0 * (np.sqrt(params.g * params.h0) - np.sqrt(params.g * h_m))
         s = h_m * u_m / (h_m - params.h1)
     if not np.isfinite([u_m, s]).all():
-        raise ConvergenceError(f"dam-break intermediate state is not finite (h_m={h_m:.3e})")
+        raise NumericalError(f"dam-break intermediate state is not finite (h_m={h_m:.3e})")
     return StokerIntermediate(h_m=h_m, u_m=float(u_m), s=float(s))
 
 
@@ -113,25 +113,21 @@ def rarefaction_invariant_residual(params: DamBreakParams, inter: StokerIntermed
     return float(inter.u_m + 2.0 * np.sqrt(params.g * inter.h_m) - 2.0 * np.sqrt(params.g * params.h0))
 
 
-def stoker_evaluate(params: DamBreakParams, inter: StokerIntermediate, x, t: float):
-    """Evaluate (h, u) at position(s) x and time t >= 0.
+def stoker_evaluate(params: DamBreakParams, inter: StokerIntermediate, x: np.ndarray, t: float):
+    """Evaluate the arrays (h, u) at the positions of the array x and time t >= 0.
 
     Piecewise in the similarity variable (x - x_dam)/t: undisturbed left
     state, rarefaction fan, intermediate state, undisturbed right state.
-    At t = 0 this returns the initial step.  Scalar x in gives scalar out.
+    At t = 0 this returns the initial step.
     """
     if t < 0.0:
         raise ConfigError("t must be nonnegative")
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-
     if t == 0.0:
-        h = np.where(x_arr < params.x_dam, params.h0, params.h1)
+        h = np.where(x < params.x_dam, params.h0, params.h1)
         u = np.zeros_like(h)
     else:
         with np.errstate(over="ignore"):  # only far outside the fan (a huge x_dam), where np.select drops it
-            xi = (x_arr - params.x_dam) / t
+            xi = (x - params.x_dam) / t
             c0 = np.sqrt(params.g * params.h0)
             foot = inter.u_m - np.sqrt(params.g * inter.h_m)
             fan_h = (2.0 * c0 - xi) ** 2 / (9.0 * params.g)
@@ -139,9 +135,6 @@ def stoker_evaluate(params: DamBreakParams, inter: StokerIntermediate, x, t: flo
         conds = [xi <= -c0, xi < foot, xi < inter.s]
         h = np.select(conds, [params.h0, fan_h, inter.h_m], default=params.h1)
         u = np.select(conds, [0.0, fan_u, inter.u_m], default=0.0)
-
-    if scalar:
-        return float(h[0]), float(u[0])
     return h, u
 
 

@@ -56,7 +56,7 @@ def test_analysis_mean_matches_normal_equations():
         n = int(rng.integers(11, 51))
         m = int(rng.integers(1, n + 1))
         K = n + int(rng.integers(2, 6))  # K > n keeps the weight full rank
-        grid = Grid1D(n=n, x_min=-1.0, x_max=1.0)
+        grid = Grid1D(n=n)
         ens = ensemble_moments(1.0 + 0.3 * rng.standard_normal((K, n)))
         form = forms[i % 3]
         if form == "diagonal":
@@ -119,7 +119,7 @@ def test_dam_break_solution_and_coupled_solver_agree():
         assert abs(rankine_hugoniot_residual(p, inter)) < 1e-12
         assert abs(rarefaction_invariant_residual(p, inter)) < 1e-12
 
-    grid = Grid1D(n=1001, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=1001)
     h = np.where(grid.points < 0.0, 1.0, 0.8)
     run = solve_coupled_swe(
         h, grid, SolverConfig(cfl=0.1), t_end=0.15,

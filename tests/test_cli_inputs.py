@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from shockda.harness import read_manifest
 from shockda.harness.cli import main
@@ -72,6 +72,9 @@ def _invocations(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(invocation=_invocations())
+# identical members: the weight scale target / max diagonal overflows, a numerical failure (exit 3)
+@example(invocation=(["assimilate", "--n=21", "--ensemble-size=5", "--case=sparse", "--dist=0", "--beta-max=1e300"],
+                     "ic_perturb_std = 0\n"))
 def test_every_cli_input_ends_in_a_mapped_exit_code_with_one_line(tmp_path, capsys, invocation):
     argv, text = invocation
     root = Path(tempfile.mkdtemp(dir=tmp_path))  # one directory per example, the truth cache included

@@ -15,19 +15,16 @@ from shockda.stoker import stoker_evaluate, stoker_solve
 from shockda.harness import (
     CASES,
     ExperimentConfig,
-    SMOOTH_WINDOW,
-    build_initial_ensemble,
     compare_runs,
     config_from_manifest,
     generate_truth,
-    initial_condition,
-    parse_config_file,
     read_manifest,
     run_experiment,
     run_free_moments,
     run_truth_only,
-    write_manifest,
 )
+from shockda.harness.config import parse_config_file
+from shockda.harness.experiments import SMOOTH_WINDOW, build_initial_ensemble, initial_condition, write_manifest
 from shockda.harness.cli import main
 from shockda.metrics import relative_error
 
@@ -46,7 +43,7 @@ def test_case_presets_reproduce_reference_parameters():
     dense = ExperimentConfig.for_case("dense")
     assert dense.n == 1001
     assert dense.cfl == 0.1
-    assert dense.dx == pytest.approx(2e-3, rel=1e-14)
+    assert dense.grid().dx == pytest.approx(2e-3, rel=1e-14)
     assert dense.dt == pytest.approx(2e-4, rel=1e-14)
     assert dense.obs_stride_steps == 5  # observations every 1e-3 time units
     assert dense.t_end == 0.15

@@ -103,10 +103,42 @@ def test_src_lines_against_prints_each_file_and_the_total_as_before_and_after(tm
     (after / "pkg" / "new.py").write_text("# note\nw = 4\n")
     result = _run_script(ROOT / "scripts" / "src_lines.py", "--root", str(after), "--against", str(before))
     assert result.returncode == 0, result.stderr
-    rows = {line.split()[0]: " ".join(line.split()[1:]) for line in result.stdout.splitlines()[1:]}
+    table = result.stdout.split("\n\n")[0]  # the name section follows a blank line
+    rows = {line.split()[0]: " ".join(line.split()[1:]) for line in table.splitlines()[1:]}
     assert rows == {
         "pkg/a.py": "4 -> 3 (-1) 2 -> 1 (-1)",
         "pkg/gone.py": "1 -> - (-1) 1 -> - (-1)",
         "pkg/new.py": "- -> 2 (+2) - -> 1 (+1)",
         "total": "5 -> 5 (+0) 3 -> 2 (-1)",
     }
+
+
+def test_src_lines_against_lists_the_names_and_options_on_one_side_only(tmp_path):
+    before, after = tmp_path / "before", tmp_path / "after"
+    for root in (before, after):
+        (root / "pkg").mkdir(parents=True)
+    (before / "pkg" / "a.py").write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\nclass Box:\n    width: float\n"
+        "    height: float = 1.0\n\n    def area(self, scale=1.0):\n        return self.width * self.height\n\n\n"
+        "def grow(box, factor=2.0, *, clip=None, check):\n    def inner(z=0):\n        return z\n    return box\n\n\n"
+        "class Gone(Exception):\n    pass\n"
+    )
+    (after / "pkg" / "a.py").write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\nclass Box:\n    width: float\n\n"
+        "    def area(self, scale=1.0):\n        return self.width\n\n\n"
+        "def grow(box, factor, *, clip=None, check):\n    return box\n\n\ndef fresh():\n    pass\n"
+    )
+    (after / "pkg" / "b.py").write_text("import dataclasses\n\n\n@dataclasses.dataclass\nclass Pair:\n    left: int\n")
+    result = _run_script(ROOT / "scripts" / "src_lines.py", "--root", str(after), "--against", str(before))
+    assert result.returncode == 0, result.stderr
+    names = [line.split() for line in result.stdout.split("\n\n")[1].splitlines()]
+    # Box.width, Box.height, area(scale=), grow(factor=), grow(clip=) -> Box.width, area(scale=), grow(clip=), Pair.left
+    assert names[0] == ["options", "(defaulted", "parameters", "+", "dataclass", "fields):", "5", "->", "4", "(-1)"]
+    assert names[1:] == [
+        ["-", "field", "pkg/a.py", "Box.height"],
+        ["-", "class", "pkg/a.py", "Gone"],
+        ["-", "parameter", "pkg/a.py", "grow(factor=)"],
+        ["+", "function", "pkg/a.py", "fresh"],
+        ["+", "class", "pkg/b.py", "Pair"],
+        ["+", "field", "pkg/b.py", "Pair.left"],
+    ]

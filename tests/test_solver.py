@@ -28,19 +28,14 @@ from shockda.solver import _FACE_BLOCK, _NGHOST, _swe_rhs
 
 
 def test_grid_spacing_and_points():
-    g = Grid1D(n=11, x_min=-1.0, x_max=1.0)
+    g = Grid1D(n=11)
     assert g.dx == pytest.approx(0.2)
     np.testing.assert_allclose(g.points, np.linspace(-1.0, 1.0, 11))
 
 
 def test_grid_rejects_too_few_points():
     with pytest.raises(ConfigError):
-        Grid1D(n=5, x_min=0.0, x_max=1.0)
-
-
-def test_grid_rejects_inverted_bounds():
-    with pytest.raises(ConfigError):
-        Grid1D(n=11, x_min=1.0, x_max=-1.0)
+        Grid1D(n=5)
 
 
 def test_solver_config_validates_cfl():
@@ -372,7 +367,7 @@ def test_rk3_exponential_one_step():
 
 def test_rk3_local_order_via_richardson():
     # one dt step vs two dt/2 steps on smooth SWE data differ at O(dt^4)
-    grid = Grid1D(n=101, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=101)
     x = grid.points
     state = np.stack([1.0 + 0.1 * np.exp(-((x / 0.25) ** 2)), np.zeros_like(x)])
 
@@ -468,7 +463,7 @@ def test_coupled_solve_matches_the_expression_loop_bitwise():
 
 
 def test_coupled_uniform_rest_state_is_constant():
-    grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=51)
     h = np.ones(51)
     run = solve_coupled_swe(h.copy(), grid, SolverConfig(cfl=0.1), t_end=20 * 0.1 * grid.dx,
                             record=[20])
@@ -477,7 +472,7 @@ def test_coupled_uniform_rest_state_is_constant():
 
 
 def test_coupled_records_velocity_every_step():
-    grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=51)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(h, grid, SolverConfig(cfl=0.1), t_end=10 * 0.1 * grid.dx)
     assert run.velocity.shape == (11, 51)
@@ -487,7 +482,7 @@ def test_coupled_records_velocity_every_step():
 
 
 def test_coupled_mass_conservation_before_waves_reach_boundary():
-    grid = Grid1D(n=401, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=401)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(
         h, grid, SolverConfig(cfl=0.1), t_end=0.1, record=[0, 200], store_velocity=False
@@ -498,7 +493,7 @@ def test_coupled_mass_conservation_before_waves_reach_boundary():
 
 def test_coupled_dam_break_total_variation_bound():
     # TV at t=0.1 stays within 1e-3 of the initial TV, and per step too
-    grid = Grid1D(n=201, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=201)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(
         h, grid, SolverConfig(cfl=0.1), t_end=0.1, record=range(101), store_velocity=False
@@ -509,7 +504,7 @@ def test_coupled_dam_break_total_variation_bound():
 
 
 def test_coupled_rejects_vacuum():
-    grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=51)
     # a violent step into near-dry water collapses the depth quickly
     h = np.where(grid.points < 0, 10.0, 1e-4)
     with pytest.raises(NumericalError):
@@ -518,7 +513,7 @@ def test_coupled_rejects_vacuum():
 
 def test_coupled_rejects_a_non_positive_or_non_finite_initial_depth():
     # raised at step 0, before the first step, with no RuntimeWarning
-    grid = Grid1D(n=11, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=11)
     solve_coupled_swe(np.ones(11), grid, SolverConfig(cfl=0.1), t_end=0.02)  # fine
     for bad in (0.0, -0.1, np.nan, np.inf):
         h = np.ones(11)
@@ -530,13 +525,13 @@ def test_coupled_rejects_a_non_positive_or_non_finite_initial_depth():
 
 
 def test_coupled_t_end_must_align_with_dt():
-    grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=51)
     with pytest.raises(ConfigError):
         solve_coupled_swe(np.ones(51), grid, SolverConfig(cfl=0.1), t_end=0.001234567)
 
 
 def test_coupled_record_subset():
-    grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=51)
     h = np.where(grid.points < 0, 1.0, 0.8)
 
     def run(record):
@@ -553,7 +548,7 @@ def test_coupled_record_subset():
 
 
 def test_coupled_determinism():
-    grid = Grid1D(n=101, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=101)
     h = np.where(grid.points < 0, 1.0, 0.8)
 
     def once():
@@ -570,7 +565,7 @@ def test_coupled_determinism():
 
 
 def test_transport_zero_velocity_keeps_constant_depth():
-    grid = Grid1D(n=51, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=51)
     cfg = SolverConfig(cfl=0.1)
     vel = np.zeros((2, 51))
     h = np.full(51, 0.9)
@@ -580,7 +575,7 @@ def test_transport_zero_velocity_keeps_constant_depth():
 
 def test_transport_translation_accuracy_and_order():
     def one_step_error(n, c=0.5):
-        grid = Grid1D(n=n, x_min=-1.0, x_max=1.0)
+        grid = Grid1D(n=n)
         cfg = SolverConfig(cfl=0.1)
         dt = cfg.cfl * grid.dx
         x = grid.points
@@ -619,7 +614,7 @@ def test_transport_steps_match_the_expression_loop_bitwise():
 
 
 def test_transport_batched_members_match_individual():
-    grid = Grid1D(n=41, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=41)
     cfg = SolverConfig(cfl=0.1)
     rng = np.random.default_rng(5)
     members = 1.0 + 0.05 * rng.standard_normal((6, 41))
@@ -631,7 +626,7 @@ def test_transport_batched_members_match_individual():
 
 
 def test_transport_step_index_out_of_range():
-    grid = Grid1D(n=41, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=41)
     cfg = SolverConfig(cfl=0.1)
     vel = np.zeros((3, 41))
     with pytest.raises(IndexError):
@@ -644,7 +639,7 @@ def test_transport_gsm_of_propagated_mean_peaks_at_shock(tmp_path):
     from shockda.assimilation.ensemble import ensemble_moments, gradient_second_moment
     from shockda.stoker import DamBreakParams, stoker_solve
 
-    grid = Grid1D(n=201, x_min=-1.0, x_max=1.0)
+    grid = Grid1D(n=201)
     cfg = SolverConfig(cfl=0.1)
     h = np.where(grid.points < 0, 1.0, 0.8)
     n_steps = 100

@@ -1,9 +1,11 @@
 """Weight-matrix construction, discontinuity clustering, and localization tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from shockda.errors import ConfigError, DegenerateWeightError
+from shockda.errors import ConfigError, NumericalError
 from shockda.solver import Grid1D
 from shockda.assimilation.ensemble import correlation_matrix_factor, ensemble_moments, gradient_second_moment
 from shockda.assimilation.weights import (
@@ -18,7 +20,7 @@ from shockda.assimilation.weights import (
 
 
 def _grid(n):
-    return Grid1D(n=n, x_min=-1.0, x_max=1.0)
+    return Grid1D(n=n)
 
 
 def _random_ensemble(rng, K, n, scale=0.1):
@@ -172,13 +174,13 @@ def test_mask_correlations_shape_check():
 
 
 def test_diagonal_weight_hand_case():
-    # S = (0.5, 2.5, 2.0) from the member profile (0, 1, 3) at dx=1;
-    # target 0.003 gives beta = 0.0012
+    # S = (0.5, 2.5, 2.0) / dx^2 from the member profile (0, 1, 3) at dx = 0.2;
+    # target 0.003 gives beta = 0.0012 dx^2 = 4.8e-5
     ens = ensemble_moments(np.tile([0.0, 1.0, 3.0], (2, 1)))
-    grid = Grid1D(n=11, x_min=0.0, x_max=10.0)  # dx = 1
+    grid = Grid1D(n=11)  # dx = 0.2
     W = build_weight(ens, _gsm_config(), grid)
     assert W.form == "band" and W.matrix.shape == (1, 3)
-    assert W.beta == pytest.approx(0.0012)
+    assert W.beta == pytest.approx(4.8e-5)
     np.testing.assert_allclose(W.toarray(), np.diag([0.0006, 0.003, 0.0024]), rtol=1e-12)
 
 
@@ -194,7 +196,7 @@ def test_weight_realized_max_hits_target():
     ):
         ens = _random_ensemble(rng, 12, 41)
         W = build_weight(ens, _gsm_config(variant=variant, localization_bandwidth=bandwidth, beta_max_target=target), grid)
-        assert W.max_entry() == pytest.approx(target, rel=1e-12)
+        assert W.toarray().max() == pytest.approx(target, rel=1e-12)
 
 
 def test_full_weight_matches_dense_reference():
@@ -265,14 +267,14 @@ def test_weight_psd_for_unmasked_and_clustered_forms():
             W = build_weight(ens, _gsm_config(variant=variant, localization_bandwidth=None), grid)
             eigs = np.linalg.eigvalsh(W.toarray())
             assert eigs.min() >= -1e-10
-            assert np.all(W.diagonal() >= 0.0)
+            assert np.all(np.diag(W.toarray()) >= 0.0)
 
 
 def test_diagonal_weight_psd():
     rng = np.random.default_rng(10)
     grid = _grid(23)
     W = build_weight(_random_ensemble(rng, 6, 23), _gsm_config(), grid)
-    assert np.all(W.diagonal() > 0.0)
+    assert np.all(np.diag(W.toarray()) > 0.0)
 
 
 def test_weight_floor_applied_to_flat_regions():
@@ -293,7 +295,7 @@ def test_weight_floor_applied_to_flat_regions():
 def test_weight_degenerate_flat_ensemble_rejected():
     grid = _grid(15)
     flat = ensemble_moments(np.full((4, 15), 0.7))
-    with pytest.raises(DegenerateWeightError):
+    with pytest.raises(NumericalError, match="gradient second moment is identically zero"):
         build_weight(flat, _gsm_config(), grid)
 
 
@@ -301,8 +303,21 @@ def test_weight_degenerate_no_spread_rejected_in_full_form():
     # identical members with a slope: gsm is positive but anomalies vanish
     grid = _grid(15)
     ens = ensemble_moments(np.tile(np.linspace(0, 1, 15), (4, 1)))
-    with pytest.raises(DegenerateWeightError):
+    with pytest.raises(NumericalError, match="no anomaly spread anywhere"):
         build_weight(ens, _gsm_config(localization_bandwidth=2), grid)
+
+
+def test_weight_scale_overflow_from_roundoff_anomalies_rejected():
+    # identical members whose mean rounds: the anomalies are roundoff, so the
+    # largest weight diagonal is about 1e-22 and target / max overflows
+    grid = _grid(21)
+    ens = ensemble_moments(np.tile(np.linspace(0.8, 1.0, 21), (5, 1)))
+    assert 0.0 < np.abs(ens.centered).max() < 1e-15
+    for bandwidth in (1, None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows"):
+                build_weight(ens, _gsm_config(localization_bandwidth=bandwidth, beta_max_target=1e300), grid)
 
 
 def test_weight_wrong_variant_rejected():
