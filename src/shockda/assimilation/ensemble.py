@@ -47,16 +47,15 @@ def sample_variance_diag(ensemble: Ensemble) -> np.ndarray:
     return np.einsum("ik,ik->i", X, X)
 
 
-def gradient_second_moment(ensemble, dx: float) -> np.ndarray:
-    """Ensemble second moment of spatial first differences, on grid points.
+def gradient_second_moment(members, dx: float) -> np.ndarray:
+    """Second moment of the spatial first differences of a (K, n) member stack, K >= 1, on grid points.
 
     Cell-interface values S_{i+1/2} = mean_k((v_{i+1} - v_i)/dx)^2 are
     averaged back to the grid, with the two one-sided end values halved:
     S_1 = S_{3/2}/2, S_i = (S_{i-1/2} + S_{i+1/2})/2, S_n = S_{n-1/2}/2.
     Note the 1/K normalization (a raw second moment, not a variance).
-    Accepts an Ensemble or a plain (K, n) member stack, K >= 1.
     """
-    members = ensemble.members if isinstance(ensemble, Ensemble) else np.asarray(ensemble, dtype=float)
+    members = np.asarray(members, dtype=float)
     if members.ndim != 2:
         raise ConfigError("expected a (K, n) member stack")
     if members.shape[1] < 2:

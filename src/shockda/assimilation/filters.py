@@ -198,7 +198,7 @@ def _assimilate(initial_members, dynamics, observations: ObservationStream, conf
                 prior_mean=ens.mean,
                 posterior_mean=m,
                 prior_variance=sample_variance_diag(ens),
-                prior_gsm=gradient_second_moment(ens, grid.dx),
+                prior_gsm=gradient_second_moment(ens.members, grid.dx),
                 diagnostics=diagnostics,
             )
         )

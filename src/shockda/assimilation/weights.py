@@ -196,7 +196,7 @@ def build_weight(ensemble: Ensemble, config: FilterConfig, grid: Grid1D) -> Weig
     """
     if config.variant not in ("gsm", "gsm_clustered"):
         raise ConfigError(f"build_weight applies to gsm variants, not '{config.variant}'")
-    S = gradient_second_moment(ensemble, grid.dx)
+    S = gradient_second_moment(ensemble.members, grid.dx)
     if not np.any(S > 0.0):
         raise NumericalError("degenerate prior weight: gradient second moment is identically zero")
     n = S.size

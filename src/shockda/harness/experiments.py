@@ -73,7 +73,7 @@ def _truth_fingerprint(config: ExperimentConfig) -> str:
     return ";".join(parts)
 
 
-def generate_truth(config: ExperimentConfig, cache_dir: Path | None = None) -> TruthBundle:
+def generate_truth(config: ExperimentConfig, cache_dir: Path) -> TruthBundle:
     """Coupled run for the velocity, plus the reference depth rows.
 
     Dense/sparse cases evaluate the analytic dam-break solution at the
@@ -85,11 +85,10 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path | None = None) -> T
     obs_steps = config.obs_step_indices
 
     fingerprint = _truth_fingerprint(config)
-    if cache_dir is not None:
-        entry = Path(cache_dir) / f"truth_{hashlib.sha256(fingerprint.encode()).hexdigest()[:16]}.npz"
-        cached = _load_truth_cache(entry, fingerprint, config)
-        if cached is not None:
-            return cached
+    entry = Path(cache_dir) / f"truth_{hashlib.sha256(fingerprint.encode()).hexdigest()[:16]}.npz"
+    cached = _load_truth_cache(entry, fingerprint, config)
+    if cached is not None:
+        return cached
 
     velocity = solve_coupled_swe(initial_condition(config, grid), grid, config.solver_config(), config.t_end).velocity
 
@@ -118,8 +117,7 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path | None = None) -> T
         truth_u = np.asarray(rows_u)
 
     bundle = TruthBundle(velocity, truth_h, truth_u)
-    if cache_dir is not None:
-        _save_truth_cache(entry, fingerprint, bundle)
+    _save_truth_cache(entry, fingerprint, bundle)
     return bundle
 
 
@@ -142,8 +140,8 @@ def _save_truth_cache(entry: Path, fingerprint: str, bundle: TruthBundle) -> Non
 def _load_truth_cache(entry: Path, fingerprint: str, config: ExperimentConfig) -> TruthBundle | None:
     """The cached bundle, or None on a miss: a missing, unreadable or truncated
     file, another fingerprint inside it, or a misshapen array."""
-    try:
-        with np.load(entry) as stored:
+    try:  # np.load given a path leaks the file when it rejects a truncated archive
+        with open(entry, "rb") as f, np.load(f) as stored:
             if str(stored["fingerprint"]) != fingerprint:
                 return None
             u, h, tu = stored["u"], stored["h"], stored["tu"]
@@ -193,11 +191,11 @@ def build_initial_ensemble(config: ExperimentConfig, grid: Grid1D, seed: int) ->
     return np.asfortranarray(members)
 
 
-def write_manifest(path: Path, config: ExperimentConfig, status: str, error: str | None = None,
-                   environment: dict | None = None) -> None:
+def write_manifest(path: Path, config: ExperimentConfig, status: str, environment: dict,
+                   error: str | None = None) -> None:
     lines = [f"shockda_version = {__version__}"]
     lines += [f"{k} = {v}" for k, v in config.to_items()]
-    lines += [f"{k} = {v}" for k, v in (environment or {}).items()]
+    lines += [f"{k} = {v}" for k, v in environment.items()]
     lines.append(f"status = {status}")
     if error is not None:
         lines.append(f"error = {error.splitlines()[0]}")
@@ -224,7 +222,8 @@ def _one_blas_thread():
     """
     try:
         with open("/proc/self/maps") as maps:  # the libraries mapped into this process
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+            # the path is the sixth field onward, so a path with a space stays whole
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()})
     except OSError:
         paths = []
     restore = []
@@ -265,8 +264,8 @@ def _run(config: ExperimentConfig, *names: str):
         write_manifest(paths.manifest, config, status="completed", environment=paths.environment)
     except BaseException as exc:
         with suppress(OSError):
-            write_manifest(paths.manifest, config, status="failed", error=str(exc) or type(exc).__name__,
-                           environment=paths.environment)
+            write_manifest(paths.manifest, config, status="failed", environment=paths.environment,
+                           error=str(exc) or type(exc).__name__)
         raise
 
 
@@ -512,7 +511,7 @@ def run_free_moments(config: ExperimentConfig) -> RunArtifacts:
             times.append(t)
             means.append(ens.mean)
             variances.append(sample_variance_diag(ens))
-            gsms.append(gradient_second_moment(ens, grid.dx))
+            gsms.append(gradient_second_moment(ens.members, grid.dx))
 
         if 0 in snap_steps:
             record(0.0)
@@ -537,8 +536,9 @@ def run_truth_only(config: ExperimentConfig) -> RunArtifacts:
     return paths
 
 
-def compare_runs(summary_paths, out_path=None, windows=None, labels=None):
-    """Join the ``relative_error_full`` columns of summary CSVs on their (shared) time grid and aggregate over windows.
+def compare_runs(summary_paths, out_path, windows, labels=None):
+    """Join the ``relative_error_full`` columns of summary CSVs on their (shared) time grid, aggregate over
+    ``windows`` and write the table to ``out_path``.
 
     Returns (times, {label: values}, {window: {label: mean}}); mismatched
     time grids are rejected naming the first offending time, and so is a
@@ -588,17 +588,16 @@ def compare_runs(summary_paths, out_path=None, windows=None, labels=None):
         columns[label] = np.asarray(v_list)
 
     aggregates = {}
-    for window in windows or []:
+    for window in windows:
         lo, hi = window
         mask = in_window(times_ref, lo, hi)
         if not mask.any():
             raise ConfigError(f"window [{lo}, {hi}] contains no comparison times")
         aggregates[(lo, hi)] = {label: float(columns[label][mask].mean()) for label in labels}
 
-    if out_path is not None:
-        # one row per time, then one labelled row per aggregate window
-        row_names = [*times_ref.tolist(), *(f"mean[{fmt17(lo)},{fmt17(hi)}]" for lo, hi in aggregates)]
-        values = [[*columns[label], *(means[label] for means in aggregates.values())] for label in labels]
-        write_csv(out_path, ("t", *labels), (row_names, *values))
+    # one row per time, then one labelled row per aggregate window
+    row_names = [*times_ref.tolist(), *(f"mean[{fmt17(lo)},{fmt17(hi)}]" for lo, hi in aggregates)]
+    values = [[*columns[label], *(means[label] for means in aggregates.values())] for label in labels]
+    write_csv(out_path, ("t", *labels), (row_names, *values))
 
     return times_ref, columns, aggregates

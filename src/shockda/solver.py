@@ -17,7 +17,8 @@ advanced in one vectorized call by stacking members along a leading axis.
 Inputs of any memory layout are read as they are; every array the solver
 allocates or returns is F-ordered.
 
-A time loop keeps one ``Workspace`` (WENO5 plan, right-hand-side and RK arrays) per run.
+A time loop keeps one ``Workspace`` (WENO5 plan, right-hand-side and RK
+arrays) per run and passes it to every kernel.
 """
 
 from __future__ import annotations
@@ -87,19 +88,19 @@ class SolverConfig:
 class Workspace(dict):
     """The WENO5 plans and arrays one time loop reuses at every step, each built on first use.
 
-    Key ("weno5", shape, boundary) holds a plan; key (name, shape, count)
-    holds that many F-ordered arrays.  A step function given no workspace
-    uses a fresh one, and never returns a workspace array.
+    Key ("weno5", shape, 1) holds the plan for that shape; key (name, shape,
+    count) holds that many F-ordered arrays.  A step function never returns
+    a workspace array.
     """
 
     def __missing__(self, key):
-        name, shape, arg = key
-        value = self[key] = (_weno5_plan(shape, arg) if name == "weno5"
-                             else [np.empty(shape, order="F") for _ in range(arg)])
+        name, shape, count = key
+        value = self[key] = (_weno5_plan(shape) if name == "weno5"
+                             else [np.empty(shape, order="F") for _ in range(count)])
         return value
 
 
-def lax_friedrichs_lambda(u, h, g: float = GRAVITY, workspace: Workspace | None = None):
+def lax_friedrichs_lambda(u, h, g: float, workspace: Workspace):
     """max(|u| + sqrt(g h)) over the grid, per leading row if batched.
 
     ``u`` broadcasts to the shape of ``h`` (one velocity row for a member
@@ -109,7 +110,7 @@ def lax_friedrichs_lambda(u, h, g: float = GRAVITY, workspace: Workspace | None 
     context, which is more useful than a RuntimeWarning at this level.
     """
     h = np.asarray(h, dtype=float)
-    (speed,) = (Workspace() if workspace is None else workspace)["speed", h.shape, 1]
+    (speed,) = workspace["speed", h.shape, 1]
     with np.errstate(invalid="ignore"):
         np.multiply(g, h, out=speed)
         np.add(np.abs(u), np.sqrt(speed, out=speed), out=speed)
@@ -173,8 +174,8 @@ def _weno5_split_face_ops(flat, d, span, mirrored, out, scratch) -> list:
     return ops
 
 
-def _weno5_plan(shape: tuple, boundary: str) -> list:
-    """``weno5_derivative``'s blocks for one (shape, boundary) over one F-ordered scratch allocation:
+def _weno5_plan(shape: tuple) -> list:
+    """``weno5_derivative``'s blocks for one shape over one F-ordered scratch allocation:
     each block's column window, split and ghost slices, face calls, face slices and result columns."""
     n, g, lead = shape[-1], _NGHOST, shape[:-1]
     n_rows = math.prod(lead)
@@ -189,11 +190,8 @@ def _weno5_plan(shape: tuple, boundary: str) -> list:
         span = (k + 1) * n_rows  # flat length of one face operand; the grid axis has flat step n_rows
         flat_p, flat_m = split_p[: n_rows * width], split_m[: n_rows * width]
         fp, fm = (buf.reshape(lead + (width,), order="F") for buf in (flat_p, flat_m))
-        if boundary == "periodic" and (lo < 0 or hi > n):
-            cols, inner = np.arange(lo, hi) % n, slice(0, width)
-        else:
-            cols, inner = slice(max(lo, 0), min(hi, n)), slice(max(lo, 0) - lo, min(hi, n) - lo)
-        # "extrapolate" ghosts repeat the end columns' split
+        cols, inner = slice(max(lo, 0), min(hi, n)), slice(max(lo, 0) - lo, min(hi, n) - lo)
+        # ghosts repeat the end columns' split
         ghosts = [(b[..., : inner.start], b[..., inner.start : inner.start + 1]) for b in (fp, fm) if inner.start]
         ghosts += [(b[..., inner.stop :], b[..., inner.stop - 1 : inner.stop]) for b in (fp, fm) if inner.stop < width]
         fhat, minus = faces[0][:span], faces[1][:span]
@@ -212,28 +210,24 @@ def _first_bad_index(arr) -> int:
     return int(np.argmax(flat_bad))
 
 
-def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate",
-                     workspace: Workspace | None = None, out=None):
-    """-d(flux)/dx by WENO5 with Lax-Friedrichs splitting, trailing axis.
+def weno5_derivative(field, flux, lam, dx: float, workspace: Workspace, out):
+    """-d(flux)/dx by WENO5 with Lax-Friedrichs splitting, trailing axis, into ``out``.
 
     ``lam`` is the splitting parameter (scalar, or shaped to broadcast
     against ``field`` with a trailing size-1 axis for batched input); it
-    must dominate the characteristic speeds.  ``boundary`` selects the
-    ghost-point fill: "extrapolate" repeats end values, "periodic" wraps.
-    The result goes into the caller's ``out`` if given, else into a new
-    F-ordered array; ``field`` and ``flux`` may have any layout.
+    must dominate the characteristic speeds.  Ghost points repeat the end
+    values.  ``field`` and ``flux`` may have any layout.
 
     The derivative is computed in blocks of grid cells whose interfaces
     hold at most ``_FACE_BLOCK`` elements (rows x columns).  Each block
     forms the split 0.5 * (flux +- lam * field) on its own stencil window
     (three columns beyond the block on each side) from a slice of the grid
-    columns; "extrapolate" ghost columns are copies of the end columns'
-    split, and a periodic window that leaves the grid gathers wrapped
-    columns.  The split and face scratch are flat F-ordered arrays of one
-    block, reused across blocks.  Along the grid axis the flat step is
-    then the row count d, so each stencil operand of a face is one
-    contiguous slice, shifted by d per stencil point, on numpy's
-    contiguous fast path, and a block's scratch stays in cache.  The
+    columns; ghost columns are copies of the end columns' split.  The
+    split and face scratch are flat F-ordered arrays of one block, reused
+    across blocks.  Along the grid axis the flat step is then the row
+    count d, so each stencil operand of a face is one contiguous slice,
+    shifted by d per stencil point, on numpy's contiguous fast path, and a
+    block's scratch stays in cache.  The
     blocks, the scratch and every face operand are a plan kept in
     ``workspace``, so a call in a time loop checks its inputs and then
     makes ufunc calls only.  Every element sees the same operations as in
@@ -250,14 +244,11 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate",
         raise NumericalError(f"non-finite field value at flat index {_first_bad_index(field)}")
     if not np.isfinite(flux).all():
         raise NumericalError(f"non-finite flux value at flat index {_first_bad_index(flux)}")
-    if boundary not in ("extrapolate", "periodic"):
-        raise ConfigError(f"unknown boundary closure '{boundary}'")
     rows, lam_shape = field.shape[:-1] + (1,), np.shape(lam)
     if len(lam_shape) > len(rows) or any(a not in (1, b) for a, b in zip(lam_shape[::-1], rows[::-1])):
         raise ConfigError(f"lam of shape {lam_shape} does not broadcast to {rows} for field of shape {field.shape}")
 
-    out = np.empty(field.shape, order="F") if out is None else out
-    plan = (Workspace() if workspace is None else workspace)["weno5", field.shape, boundary]
+    plan = workspace["weno5", field.shape, 1]
     for cols, fp_in, fm_in, ghosts, ops, left, right, target in plan:
         block_flux = flux[cols]
         lam_field = np.multiply(lam, field[cols], out=fm_in)
@@ -272,7 +263,7 @@ def weno5_derivative(field, flux, lam, dx: float, boundary: str = "extrapolate",
     return out
 
 
-def tvdrk3_step(state, rhs_evaluator, dt: float, step_index: int | None = None, workspace: Workspace | None = None):
+def tvdrk3_step(state, rhs_evaluator, dt: float, step_index: int, workspace: Workspace):
     """One step of the three-stage TVD Runge-Kutta scheme.
 
     Written in increment form (algebraically the usual convex
@@ -290,11 +281,10 @@ def tvdrk3_step(state, rhs_evaluator, dt: float, step_index: int | None = None, 
 
     def check(stage_state, stage_no):
         if not np.isfinite(stage_state).all():
-            where = f" at step {step_index}" if step_index is not None else ""
-            raise NumericalError(f"non-finite state in RK stage {stage_no}{where} (CFL violation or blowup)")
+            raise NumericalError(f"non-finite state in RK stage {stage_no} at step {step_index} (CFL violation or blowup)")
 
     state = np.asarray(state, dtype=float)
-    stage, dt_rhs = (Workspace() if workspace is None else workspace)["rk3", state.shape, 2]
+    stage, dt_rhs = workspace["rk3", state.shape, 2]
     result = np.empty(state.shape, order="F")
     np.add(state, np.multiply(dt, rhs_evaluator(state), out=stage), out=stage)
     check(stage, 1)
@@ -306,9 +296,8 @@ def tvdrk3_step(state, rhs_evaluator, dt: float, step_index: int | None = None, 
     return result
 
 
-def _swe_rhs(stacked, g: float, dx: float, workspace: Workspace | None = None):
+def _swe_rhs(stacked, g: float, dx: float, workspace: Workspace):
     """Semi-discrete RHS for the coupled system on a (..., 2, n) stack, in a ``workspace`` array."""
-    workspace = Workspace() if workspace is None else workspace
     flux, out = workspace["swe_rhs", stacked.shape, 2]
     h = stacked[..., 0, :]
     hu = stacked[..., 1, :]
@@ -319,7 +308,7 @@ def _swe_rhs(stacked, g: float, dx: float, workspace: Workspace | None = None):
     momentum_flux = np.multiply(hu, u, out=flux[..., 1, :])
     pressure = np.multiply(np.multiply(0.5 * g, h, out=u), h, out=u)
     np.add(momentum_flux, pressure, out=momentum_flux)
-    weno5_derivative(stacked, flux, lam, dx, workspace=workspace, out=out)
+    weno5_derivative(stacked, flux, lam, dx, workspace, out)
     # frozen end values realize the non-reflecting Dirichlet closure
     out[..., 0] = 0.0
     out[..., -1] = 0.0
@@ -402,28 +391,26 @@ def solve_coupled_swe(
     return CoupledRun(n_steps, h_rec, u_hist)
 
 
-def transport_step(h, velocity: np.ndarray, step_index: int, grid: Grid1D, config: SolverConfig,
-                   workspace: Workspace | None = None):
+def transport_step(h, velocity: np.ndarray, step_index: int, grid: Grid1D, config: SolverConfig, workspace: Workspace):
     """Advance depth by one step of h_t + (h u)_x = 0 with stored u.
 
     ``h`` may be a single profile (n,) or a member stack (K, n); row
     ``step_index`` of the (steps, n) ``velocity`` history is used for all
-    three RK stages.  The result is a new F-ordered array; a forecast
-    passes its run's ``workspace``.
+    three RK stages.  The result is a new F-ordered array; the arrays it
+    reuses come from the run's ``workspace``.
     """
     u = velocity[step_index]
     h = np.asarray(h, dtype=float)
     if h.shape[-1] != grid.n or u.shape[-1] != grid.n:
         raise ConfigError("depth/velocity length does not match the grid")
     dt = config.cfl * grid.dx
-    workspace = Workspace() if workspace is None else workspace
     flux, out = workspace["transport_rhs", h.shape, 2]
 
     def rhs(hc):
         lam = lax_friedrichs_lambda(u, hc, config.g, workspace)
-        weno5_derivative(hc, np.multiply(hc, u, out=flux), lam, grid.dx, workspace=workspace, out=out)
+        weno5_derivative(hc, np.multiply(hc, u, out=flux), lam, grid.dx, workspace, out)
         out[..., 0] = 0.0
         out[..., -1] = 0.0
         return out
 
-    return tvdrk3_step(h, rhs, dt, step_index=step_index, workspace=workspace)
+    return tvdrk3_step(h, rhs, dt, step_index, workspace)

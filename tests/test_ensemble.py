@@ -65,8 +65,8 @@ def test_variance_diag_identical_members_zero():
 
 
 def test_gsm_constant_members_zero():
-    ens = ensemble_moments(np.vstack([np.full(6, 0.3), np.full(6, 0.9)]))
-    np.testing.assert_array_equal(gradient_second_moment(ens, 0.1), 0.0)
+    members = np.vstack([np.full(6, 0.3), np.full(6, 0.9)])
+    np.testing.assert_array_equal(gradient_second_moment(members, 0.1), 0.0)
 
 
 def test_gsm_single_member_hand_case():
@@ -99,14 +99,6 @@ def test_gsm_matches_direct_formula_on_random_ensembles():
 
         out = gradient_second_moment(members, dx)
         np.testing.assert_allclose(out, expected, atol=1e-13)
-
-
-def test_gsm_accepts_ensemble_or_raw_members():
-    rng = np.random.default_rng(3)
-    members = rng.standard_normal((5, 12))
-    a = gradient_second_moment(members, 0.5)
-    b = gradient_second_moment(ensemble_moments(members), 0.5)
-    np.testing.assert_array_equal(a, b)
 
 
 def test_gsm_peaks_at_step_location():

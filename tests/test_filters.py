@@ -260,7 +260,7 @@ def _reference_csr(bands, n):
 def _reference_weight(kind, ens, bandwidth, grid, target=0.003):
     if kind == "covariance":
         return _reference_csr(_reference_bands(1.3 * ens.centered, bandwidth), grid.n)
-    S = gradient_second_moment(ens, grid.dx)
+    S = gradient_second_moment(ens.members, grid.dx)
     n = S.size
     if kind == "gsm" and bandwidth == 0:
         bands = [S]

@@ -7,6 +7,8 @@ the last tests check that each right-hand side still goes through
 ``solver.weno5_derivative`` and that a failure still names its RK stage.
 """
 
+import ctypes
+import io
 import multiprocessing
 import os
 import subprocess
@@ -42,7 +44,7 @@ def _config(tmp_path, name, **kw):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_forecast_bytes_and_layout_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, order):
     cfg = _config(tmp_path, "unused")
-    bundle = generate_truth(cfg)
+    bundle = generate_truth(cfg, cache_dir=cfg.cache_dir)
     rng = np.random.default_rng(5)
     start = np.array(1.0 + 0.05 * rng.standard_normal((8, cfg.n)), order=order)
     results = {}
@@ -227,3 +229,31 @@ def test_reference_cycle_bytes_do_not_depend_on_the_blas_environment(tmp_path):
             assert one.read_bytes() == two.read_bytes(), f"{variant}/{name}"
         for threads in ("1", "2"):
             assert read_manifest(tmp_path / threads / variant / "manifest.txt")["blas_threads"] == "1"
+
+
+def test_blas_pin_finds_a_library_whose_path_has_a_space(tmp_path, monkeypatch):
+    # a maps line names its file from the sixth field on, spaces included
+    with open("/proc/self/maps") as maps:
+        line = next((line for line in maps if "openblas" in line.lower()), None)
+    if line is None:
+        pytest.skip("no OpenBLAS mapped into this process")
+    library = Path(line[line.index("/"):].strip())
+    link = tmp_path / "a b" / library.name
+    link.parent.mkdir()
+    link.symlink_to(library)
+    monkeypatch.setattr(experiments, "open", lambda *args: io.StringIO(f"7f00-7f01 r--p 00000000 fe:00 1   {link}\n"),
+                        raising=False)
+
+    lib = ctypes.CDLL(str(library))
+    prefix, suffix = next((p, s) for p, s in experiments._OPENBLAS_AFFIXES if hasattr(lib, f"{p}get_num_threads{s}"))
+    get_threads, set_threads = (getattr(lib, f"{prefix}{name}_num_threads{suffix}") for name in ("get", "set"))
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    original = get_threads()
+    set_threads(2)
+    try:
+        with experiments._one_blas_thread() as threads:
+            assert threads == 1 and get_threads() == 1
+        assert get_threads() == 2
+    finally:
+        set_threads(original)

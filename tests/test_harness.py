@@ -224,9 +224,9 @@ def test_build_initial_ensemble_statistics_and_determinism():
 # ------------------------------------------------------------ truth pipeline
 
 
-def test_truth_dense_right_state_before_shock_arrival():
+def test_truth_dense_right_state_before_shock_arrival(tmp_path):
     cfg = _small()
-    bundle = generate_truth(cfg)
+    bundle = generate_truth(cfg, cache_dir=tmp_path)
 
     inter = stoker_solve(cfg.dam_params())
     h_exact, u_exact = stoker_evaluate(cfg.dam_params(), inter, cfg.grid().points, float(cfg.obs_times[-1]))
@@ -242,9 +242,9 @@ def test_truth_dense_right_state_before_shock_arrival():
     np.testing.assert_array_equal(bundle.truth_h[0], initial_condition(cfg, grid))
 
 
-def test_truth_degenerate_flat_state():
+def test_truth_degenerate_flat_state(tmp_path):
     cfg = _small(h1=1.0)
-    bundle = generate_truth(cfg)
+    bundle = generate_truth(cfg, cache_dir=tmp_path)
     np.testing.assert_array_equal(bundle.truth_h, np.ones_like(bundle.truth_h))
     np.testing.assert_array_equal(bundle.truth_u, np.zeros_like(bundle.truth_u))
     assert np.max(np.abs(bundle.velocity)) == 0.0
@@ -330,7 +330,8 @@ def _wrong_shape(path):
 def _wrong_fingerprint(path):
     # another geometry's entry under this geometry's file name
     other = _small("sparse", h1=0.9)
-    experiments._save_truth_cache(path, experiments._truth_fingerprint(other), generate_truth(other))
+    bundle = generate_truth(other, cache_dir=path.parent.parent / "other_cache")
+    experiments._save_truth_cache(path, experiments._truth_fingerprint(other), bundle)
 
 
 @pytest.mark.parametrize("corrupt", [_truncate, _wrong_shape, _wrong_fingerprint])
@@ -360,9 +361,8 @@ def _save_repeatedly(barrier, entry, fingerprint, bundle, times):
 def test_concurrent_writers_of_one_cache_key(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     cfg = _small(cache_dir=cache)
-    fresh = generate_truth(cfg)
+    fresh = generate_truth(cfg, cache_dir=cache)
     fingerprint = experiments._truth_fingerprint(cfg)
-    generate_truth(cfg, cache_dir=cache)
     (entry,) = cache.iterdir()
     entry.unlink()
 
@@ -397,7 +397,7 @@ def test_concurrent_writers_of_one_cache_key(tmp_path, monkeypatch):
 def test_manifest_round_trip(tmp_path):
     cfg = _small("sparse", seed=5, output_dir=tmp_path / "run", gamma=0.02)
     path = tmp_path / "manifest.txt"
-    write_manifest(path, cfg, status="completed")
+    write_manifest(path, cfg, status="completed", environment={})
     mapping = read_manifest(path)
     assert mapping["status"] == "completed"
     assert mapping["case"] == "sparse"
@@ -410,7 +410,7 @@ def test_manifest_round_trip(tmp_path):
     cfg_full = _small("dense", variant="etkf_baseline", output_dir=tmp_path / "full")
     assert cfg_full.localization_bandwidth is None
     path_full = tmp_path / "manifest_full.txt"
-    write_manifest(path_full, cfg_full, status="completed")
+    write_manifest(path_full, cfg_full, status="completed", environment={})
     assert read_manifest(path_full)["localization_bandwidth"] == "none"
     assert config_from_manifest(path_full) == cfg_full
 
@@ -419,7 +419,7 @@ def test_manifest_value_with_a_hash_round_trips_verbatim(tmp_path):
     # a manifest value is read whole: unlike a config file, " #" there starts no comment
     cfg = _small(output_dir=tmp_path / "runs" / "run #1")
     path = tmp_path / "manifest.txt"
-    write_manifest(path, cfg, status="completed")
+    write_manifest(path, cfg, status="completed", environment={})
     assert config_from_manifest(path) == cfg
     assert config_from_manifest(path).output_dir.name == "run #1"
 
@@ -427,7 +427,7 @@ def test_manifest_value_with_a_hash_round_trips_verbatim(tmp_path):
 def test_manifest_failure_records_error(tmp_path):
     cfg = _small(output_dir=tmp_path)
     path = tmp_path / "manifest.txt"
-    write_manifest(path, cfg, status="failed", error="depth went negative\nat step 3")
+    write_manifest(path, cfg, status="failed", environment={}, error="depth went negative\nat step 3")
     mapping = read_manifest(path)
     assert mapping["status"] == "failed"
     assert mapping["error"] == "depth went negative"
@@ -581,14 +581,12 @@ def test_compare_runs_self_and_mismatch(tmp_path):
     b = tmp_path / "b.csv"
     b.write_text("t,relative_error_full,relative_error_window\n0.1,0.5,0.4\n0.2,0.25,0.2\n")
 
-    times, columns, aggregates = compare_runs([a, b], windows=[(0.1, 0.2)], labels=["one", "two"])
+    out = tmp_path / "cmp.csv"
+    times, columns, aggregates = compare_runs([a, b], out, [(0.1, 0.2)], labels=["one", "two"])
     np.testing.assert_array_equal(times, [0.1, 0.2])
     np.testing.assert_array_equal(columns["one"], columns["two"])
     agg = aggregates[(0.1, 0.2)]
     assert agg["one"] == agg["two"] == pytest.approx(0.375)
-
-    out = tmp_path / "cmp.csv"
-    compare_runs([a, b], out_path=out, windows=[(0.1, 0.2)], labels=["one", "two"])
     text = out.read_text()
     assert text.splitlines()[0] == "t,one,two"
     assert "mean[" in text
@@ -596,15 +594,15 @@ def test_compare_runs_self_and_mismatch(tmp_path):
     c = tmp_path / "c.csv"
     c.write_text("t,relative_error_full,relative_error_window\n0.1,0.5,0.4\n0.3,0.25,0.2\n")
     with pytest.raises(ConfigError, match="time grids differ"):
-        compare_runs([a, c])
+        compare_runs([a, c], out, [])
     d = tmp_path / "d.csv"
     d.write_text("t,other\n0.1,0.5\n")
     with pytest.raises(ConfigError, match="relative_error_full"):
-        compare_runs([a, d])
+        compare_runs([a, d], out, [])
     with pytest.raises(ConfigError):
-        compare_runs([])
+        compare_runs([], out, [])
     with pytest.raises(ConfigError):
-        compare_runs([a, b], labels=["only-one"])
+        compare_runs([a, b], out, [], labels=["only-one"])
 
 
 def test_compare_rejects_duplicate_labels(tmp_path, capsys):
@@ -612,9 +610,9 @@ def test_compare_rejects_duplicate_labels(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_text("t,relative_error_full\n0.1,0.5\n")
     b.write_text("t,relative_error_full\n0.1,0.9\n")
-    with pytest.raises(ConfigError, match="distinct"):
-        compare_runs([a, b], labels=["x", "x"])
     out = tmp_path / "c.csv"
+    with pytest.raises(ConfigError, match="distinct"):
+        compare_runs([a, b], out, [], labels=["x", "x"])
     assert main(["compare", str(a), str(b), "--label", "x", "--label", "x", "--out", str(out)]) == 2
     assert "distinct" in capsys.readouterr().err
     assert not out.exists()
@@ -723,7 +721,7 @@ def test_compare_rejects_a_malformed_summary(tmp_path, capsys, text, message):
     summary = tmp_path / "s.csv"
     summary.write_text(text)
     with pytest.raises(ConfigError, match=message):
-        compare_runs([summary])
+        compare_runs([summary], tmp_path / "c.csv", [])
     assert main(["compare", str(summary), "--out", str(tmp_path / "c.csv")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "c.csv").exists()
@@ -809,7 +807,7 @@ def test_compare_rejects_summary_of_failed_rerun(tmp_path, capsys):
     assert summary.exists()
 
     with pytest.raises(ConfigError, match=r"summary\.csv.*status = failed"):
-        compare_runs([summary])
+        compare_runs([summary], tmp_path / "c.csv", [])
     capsys.readouterr()
     assert main(["compare", str(summary), "--out", str(tmp_path / "c.csv")]) == 2
     assert "status = failed" in capsys.readouterr().err

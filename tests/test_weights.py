@@ -207,7 +207,7 @@ def test_full_weight_matches_dense_reference():
         cfg = _gsm_config(localization_bandwidth=bandwidth)
         W = build_weight(ens, cfg, grid)
 
-        S = gradient_second_moment(ens, grid.dx)
+        S = gradient_second_moment(ens.members, grid.dx)
         Xt = correlation_matrix_factor(ens)
         dense = np.sqrt(S)[:, None] * (Xt @ Xt.T) * np.sqrt(S)[None, :]
         dense *= toeplitz_band_mask(25, bandwidth)
@@ -225,7 +225,7 @@ def test_clustered_weight_matches_dense_reference():
     assert W.form == "band" and W.matrix.shape == (5, 31)
     assert W.xi == detect_discontinuity(ens.mean, grid.dx)
 
-    S = gradient_second_moment(ens, grid.dx)
+    S = gradient_second_moment(ens.members, grid.dx)
     Xt = correlation_matrix_factor(ens)
     R = mask_correlations(Xt @ Xt.T, cluster_regions(W.xi, 2, 31))
     dense = np.sqrt(S)[:, None] * R * np.sqrt(S)[None, :]
