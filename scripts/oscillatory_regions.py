@@ -22,7 +22,7 @@ import numpy as np
 
 from shockda.assimilation.weights import VARIANTS
 from shockda.harness import ExperimentConfig, run_experiment
-from shockda.metrics import relative_error
+from shockda.metrics import in_window, relative_error
 from shockda.stoker import stoker_solve
 
 
@@ -31,11 +31,12 @@ def shock_region_error(cfg, arts, t_lo=0.15, t_hi=0.3):
     x = cfg.grid().points
     s = stoker_solve(cfg.dam_params()).s
     values = []
-    for rec, truth in zip(arts.records, arts.truth.truth_h[1:]):  # row j + 1 is the truth at analysis j
-        if t_lo <= rec.t <= t_hi:
-            xi = int(np.argmin(np.abs(x - s * rec.t)))
+    # row j of the posterior means and row j + 1 of the truth belong to analysis time t_j
+    for t, posterior, truth in zip(cfg.obs_times, arts.posterior_mean, arts.truth.truth_h[1:]):
+        if t_lo <= t <= t_hi:
+            xi = int(np.argmin(np.abs(x - s * t)))
             window = (x[max(xi - 1, 0)], x[min(xi + 1, x.size - 1)])
-            values.append(relative_error(rec.posterior_mean, truth, window=window, x=x))
+            values.append(relative_error(posterior, truth, window=window, x=x))
     return float(np.mean(values))
 
 
@@ -59,8 +60,9 @@ def main(argv=None):
                     output_dir=f"{out}/{variant}_{seed}", cache_dir=f"{out}/cache",
                 )
                 arts = run_experiment(cfg)
-                full = arts.series[0].mean_over(0.03, 0.3)
-                window = arts.series[1].mean_over(0.15, 0.3)
+                full_errors, window_errors = arts.relative_errors  # whole domain, smooth window
+                full = full_errors[in_window(cfg.obs_times, 0.03, 0.3)].mean()
+                window = window_errors[in_window(cfg.obs_times, 0.15, 0.3)].mean()
                 print(f"{args.n},{args.ensemble_size},{seed},{variant},{full:.6f},{window:.6f},"
                       f"{shock_region_error(cfg, arts):.6f}", flush=True)
 

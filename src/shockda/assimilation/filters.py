@@ -20,8 +20,6 @@ K x K transform
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ConfigError, NumericalError
@@ -149,20 +147,10 @@ def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, gamm
     return m_hat + W.band_product(z)
 
 
-@dataclass
-class AnalysisRecord:
-    """Diagnostics captured at one assimilation time."""
-
-    t: float
-    prior_mean: np.ndarray
-    posterior_mean: np.ndarray
-    prior_variance: np.ndarray
-    prior_gsm: np.ndarray
-    diagnostics: dict
-
-
 def _assimilate(initial_members, dynamics, observations: ObservationStream, config: FilterConfig,
-                grid: Grid1D, steps_per_obs: int) -> list[AnalysisRecord]:
+                grid: Grid1D, steps_per_obs: int) -> tuple[np.ndarray, ...]:
+    """Run the cycles; return the prior mean, posterior mean, prior variance and prior gsm as C-ordered
+    (cycles, n) arrays, row j for analysis j: a contiguous row sums in the order of a fresh 1-D array."""
     members = np.array(initial_members, dtype=float)
     if members.ndim != 2:
         raise ConfigError("initial ensemble must be a (K, n) stack")
@@ -172,9 +160,9 @@ def _assimilate(initial_members, dynamics, observations: ObservationStream, conf
     sqrt_km1 = np.sqrt(K - 1)
     baseline = config.variant == "etkf_baseline"
 
-    records = []
+    prior_mean, posterior_mean, prior_variance, prior_gsm = np.empty((4, observations.times.size, members.shape[1]))
     step = 0
-    for j, t_obs in enumerate(observations.times):
+    for j in range(observations.times.size):
         for _ in range(steps_per_obs):
             members = dynamics(members, step)
             step += 1
@@ -189,31 +177,22 @@ def _assimilate(initial_members, dynamics, observations: ObservationStream, conf
         m = analysis_mean(ens.mean, observations.values[j], H, gamma_sq, W)
         members = (m[:, None] + sqrt_km1 * (Xw @ Tsqrt)).T
 
-        diagnostics = {"form": W.form, "beta": W.beta}
-        if W.xi is not None:
-            diagnostics["xi"] = W.xi
-        records.append(
-            AnalysisRecord(
-                t=float(t_obs),
-                prior_mean=ens.mean,
-                posterior_mean=m,
-                prior_variance=sample_variance_diag(ens),
-                prior_gsm=gradient_second_moment(ens.members, grid.dx),
-                diagnostics=diagnostics,
-            )
-        )
+        prior_mean[j] = ens.mean
+        posterior_mean[j] = m
+        prior_variance[j] = sample_variance_diag(ens)
+        prior_gsm[j] = gradient_second_moment(ens.members, grid.dx)
 
-    return records
+    return prior_mean, posterior_mean, prior_variance, prior_gsm
 
 
 def run_baseline_filter(initial_members, dynamics, observations: ObservationStream,
-                        config: FilterConfig, grid: Grid1D, steps_per_obs: int) -> list[AnalysisRecord]:
+                        config: FilterConfig, grid: Grid1D, steps_per_obs: int) -> tuple[np.ndarray, ...]:
     """ETKF with multiplicative inflation and banded covariance localization.
 
     Each cycle: forecast all members ``steps_per_obs`` dynamics steps,
     inflate the centered ensemble by alpha, use the localized inflated
     covariance as the analysis weight, and transform the inflated
-    anomalies into posterior anomalies.
+    anomalies into posterior anomalies.  Returns ``_assimilate``'s arrays.
     """
     if config.variant != "etkf_baseline":
         raise ConfigError(f"baseline filter got variant '{config.variant}'")
@@ -221,12 +200,12 @@ def run_baseline_filter(initial_members, dynamics, observations: ObservationStre
 
 
 def run_weighted_filter(initial_members, dynamics, observations: ObservationStream,
-                        config: FilterConfig, grid: Grid1D, steps_per_obs: int) -> list[AnalysisRecord]:
+                        config: FilterConfig, grid: Grid1D, steps_per_obs: int) -> tuple[np.ndarray, ...]:
     """Modified ETKF whose analysis weight comes from the gradient second moment.
 
     No inflation anywhere: both the weight and the transform use the raw
     centered ensemble.  The clustered variant re-detects the jump from the
-    prior mean at every assimilation time.
+    prior mean at every assimilation time.  Returns ``_assimilate``'s arrays.
     """
     if config.variant not in ("gsm", "gsm_clustered"):
         raise ConfigError(f"weighted filter got variant '{config.variant}'")

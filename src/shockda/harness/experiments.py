@@ -27,10 +27,10 @@ import numpy as np
 from .. import __version__, solver
 from ..errors import ConfigError
 from ..solver import Grid1D, SolverConfig, solve_coupled_swe, transport_step
-from ..stoker import ObservationStream, stoker_evaluate, stoker_solve, synthesize_observations
+from ..stoker import stoker_evaluate, stoker_solve, synthesize_observations
 from ..assimilation.ensemble import ensemble_moments, gradient_second_moment, sample_variance_diag
-from ..assimilation.filters import AnalysisRecord, run_baseline_filter, run_weighted_filter
-from ..metrics import ErrorSeries, in_window, pointwise_error, relative_error
+from ..assimilation.filters import run_baseline_filter, run_weighted_filter
+from ..metrics import in_window, pointwise_error, relative_error
 from .config import ExperimentConfig
 from .._csvio import fmt17, write_csv
 
@@ -166,9 +166,9 @@ class RunArtifacts:
     moments_csv: Path | None = None
     summary_csv: Path | None = None
     truth_csv: Path | None = None
-    records: list[AnalysisRecord] | None = None
+    posterior_mean: np.ndarray | None = None  # (cycles, n), row j for analysis j
+    relative_errors: np.ndarray | None = None  # (2, cycles): full domain, then SMOOTH_WINDOW
     truth: TruthBundle | None = None
-    series: list | None = None
     # how the run was executed, recorded in the manifest and ignored by config_from_manifest
     environment: dict = field(default_factory=dict)
 
@@ -404,8 +404,10 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
     first line of its message to the manifest before the error propagates.
     """
     with _run(config, "solution", "error", "moments", "summary") as paths:
-        for t in config.snapshot_times:  # moments.csv takes its rows from analyses; times after t_end are ignored
-            if t <= config.t_end and not np.any(np.abs(config.obs_times - t) <= 1e-9):
+        # moments.csv takes its rows from analyses; times after t_end are ignored
+        near = np.abs(np.subtract.outer(config.obs_times, config.snapshot_times)) <= 1e-9  # (cycles, snapshots)
+        for t, hit in zip(config.snapshot_times, near.any(axis=0)):
+            if t <= config.t_end and not hit:
                 raise ConfigError(f"snapshot time {t} is not an observation time (every {config.obs_times[0]:g})")
         grid = config.grid()
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
@@ -416,61 +418,34 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         runner = run_baseline_filter if config.variant == "etkf_baseline" else run_weighted_filter
         with _forecast(bundle.velocity, grid, config.solver_config(), config.ensemble_size) as (dynamics, workers):
             paths.environment["forecast_workers"] = workers
-            records = runner(members, dynamics, observations, config.filter_config(), grid,
-                             steps_per_obs=config.obs_stride_steps)
+            prior_mean, posterior_mean, prior_variance, prior_gsm = runner(
+                members, dynamics, observations, config.filter_config(), grid, steps_per_obs=config.obs_stride_steps)
 
-        times = observations.times
-        rel_full = [relative_error(r.posterior_mean, truth_rows[j]) for j, r in enumerate(records)]
-        rel_win = [
-            relative_error(r.posterior_mean, truth_rows[j], window=SMOOTH_WINDOW, x=grid.points)
-            for j, r in enumerate(records)
-        ]
-        series = [ErrorSeries(times, rel_full), ErrorSeries(times, rel_win)]
-
-        _write_solution_csv(paths.solution_csv, grid, records, observations, truth_rows)
-        _write_error_csv(paths.error_csv, grid, times, records, truth_rows)
-        write_csv(
-            paths.summary_csv,
-            ("t", "relative_error_full", "relative_error_window"),
-            (times, np.asarray(rel_full), np.asarray(rel_win)),
-        )
-        snapshots = [r for r in records if any(abs(r.t - s) <= 1e-9 for s in config.snapshot_times)]
-        _write_moments_csv(
-            paths.moments_csv, grid, [r.t for r in snapshots],
-            [r.prior_mean for r in snapshots], [r.prior_variance for r in snapshots], [r.prior_gsm for r in snapshots],
-        )
-    paths.records = records
+        times = config.obs_times
+        relative_errors = np.array([
+            [relative_error(m, truth) for m, truth in zip(posterior_mean, truth_rows)],
+            [relative_error(m, truth, SMOOTH_WINDOW, grid.points) for m, truth in zip(posterior_mean, truth_rows)],
+        ])
+        obs = np.full(posterior_mean.shape, "", dtype=object)
+        obs[:, H.indices] = observations.values
+        t_col, x_col = _time_x_columns(times, grid)
+        write_csv(paths.solution_csv, ("t", "x", "truth", "obs", "prior_mean", "posterior_mean"),
+                  (t_col, x_col, truth_rows.ravel(), obs.ravel(), prior_mean.ravel(), posterior_mean.ravel()))
+        write_csv(paths.error_csv, ("t", "x", "pointwise_error"),
+                  (t_col, x_col, pointwise_error(posterior_mean, truth_rows).ravel()))
+        write_csv(paths.summary_csv, ("t", "relative_error_full", "relative_error_window"), (times, *relative_errors))
+        snap = near.any(axis=1)
+        _write_moments_csv(paths.moments_csv, grid, times[snap],
+                           prior_mean[snap], prior_variance[snap], prior_gsm[snap])
+    paths.posterior_mean = posterior_mean
+    paths.relative_errors = relative_errors
     paths.truth = bundle
-    paths.series = series
     return paths
 
 
 def _time_x_columns(times, grid):
     """The (t, x) columns of a table with one row per time and grid point."""
     return np.repeat(times, grid.n), np.tile(grid.points, len(times))
-
-
-def _write_solution_csv(path, grid, records, observations: ObservationStream, truth_rows) -> None:
-    posterior = np.array([rec.posterior_mean for rec in records])
-    obs = np.full(posterior.shape, "", dtype=object)
-    obs[:, observations.operator.indices] = observations.values
-    write_csv(
-        path,
-        ("t", "x", "truth", "obs", "prior_mean", "posterior_mean"),
-        (
-            *_time_x_columns(observations.times, grid),
-            truth_rows.ravel(),
-            obs.ravel(),
-            np.ravel([rec.prior_mean for rec in records]),
-            posterior.ravel(),
-        ),
-    )
-
-
-def _write_error_csv(path, grid, times, records, truth_rows) -> None:
-    posterior = np.array([rec.posterior_mean for rec in records])
-    err = pointwise_error(posterior, truth_rows)
-    write_csv(path, ("t", "x", "pointwise_error"), (*_time_x_columns(times, grid), err.ravel()))
 
 
 def _write_moments_csv(path, grid, times, means, variances, gsms) -> None:
@@ -541,9 +516,10 @@ def compare_runs(summary_paths, out_path, windows, labels=None):
     ``windows`` and write the table to ``out_path``.
 
     Returns (times, {label: values}, {window: {label: mean}}); mismatched
-    time grids are rejected naming the first offending time, and so is a
-    label given twice.  A summary left over from a run that did not
-    complete is rejected (``require_completed``).
+    time grids are rejected naming the first row that differs, or the first
+    row the shorter file lacks, and so is a label given twice.  A summary
+    left over from a run that did not complete is rejected
+    (``require_completed``).
     """
     summary_paths = [Path(p) for p in summary_paths]
     if not summary_paths:
@@ -581,10 +557,11 @@ def compare_runs(summary_paths, out_path, windows, labels=None):
         times = np.asarray(t_list)
         if times_ref is None:
             times_ref = times
-        elif times.shape != times_ref.shape or not np.array_equal(times, times_ref):
-            bad = 0 if times.shape != times_ref.shape else int(np.argmax(times != times_ref))
-            t_bad = times[bad] if bad < times.size else float("nan")
-            raise ConfigError(f"time grids differ: {path} at t={t_bad!r} (row {bad + 2})")
+        elif not np.array_equal(times, times_ref):
+            common = min(times.size, times_ref.size)
+            bad = next((i for i in range(common) if times[i] != times_ref[i]), common)
+            where = f"has t={float(times[bad])}" if bad < times.size else f"lacks t={float(times_ref[bad])}"
+            raise ConfigError(f"time grids differ: {path} {where} at row {bad + 2}")
         columns[label] = np.asarray(v_list)
 
     aggregates = {}

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -47,26 +45,3 @@ def relative_error(estimate, truth, window=None, x=None) -> float:
     if denom == 0.0:
         raise ConfigError("relative error undefined: truth is identically zero on the window")
     return float(np.sum(err) / denom)
-
-
-@dataclass
-class ErrorSeries:
-    """An error curve over time."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.times.shape != self.values.shape:
-            raise ConfigError("times and values must have matching lengths")
-        if self.values.size and self.values.min() < 0.0:
-            raise ConfigError("error values must be nonnegative")
-
-    def mean_over(self, t_lo: float, t_hi: float) -> float:
-        mask = in_window(self.times, t_lo, t_hi)
-        if not mask.any():
-            raise ConfigError(f"no error samples inside [{t_lo}, {t_hi}]")
-        return float(self.values[mask].mean())
-

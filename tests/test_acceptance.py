@@ -28,7 +28,7 @@ from shockda.assimilation.ensemble import ensemble_moments, gradient_second_mome
 from shockda.assimilation.filters import analysis_mean, etkf_transform
 from shockda.assimilation.weights import FilterConfig, build_weight
 from shockda.harness import ExperimentConfig, config_from_manifest, run_experiment
-from shockda.metrics import ErrorSeries, relative_error
+from shockda.metrics import in_window, relative_error
 from shockda.solver import Grid1D, SolverConfig, Workspace, solve_coupled_swe, tvdrk3_step, weno5_derivative
 from shockda.stoker import (
     DamBreakParams,
@@ -179,6 +179,11 @@ def test_gradient_second_moment_matches_direct_evaluation():
     np.testing.assert_array_equal(out, [0.5, 2.5, 2.0])
 
 
+def _time_mean(cfg, values, t_lo, t_hi):
+    # the mean of one value per analysis over the analysis times in [t_lo, t_hi]
+    return values[in_window(cfg.obs_times, t_lo, t_hi)].mean()
+
+
 @pytest.mark.slow
 def test_dense_weighted_filter_beats_baseline(tmp_path):
     # mean relative error over t in [0.03, 0.15]: the gradient-weighted run
@@ -194,7 +199,7 @@ def test_dense_weighted_filter_beats_baseline(tmp_path):
                 output_dir=tmp_path / f"desk_{variant}_{seed}",
                 cache_dir=tmp_path / "cache_desk",
             )
-            errs[variant] = run_experiment(cfg).series[0].mean_over(0.03, 0.15)
+            errs[variant] = _time_mean(cfg, run_experiment(cfg).relative_errors[0], 0.03, 0.15)
         wins += errs["gsm"] < errs["etkf_baseline"]
     assert wins >= 4, f"weighted run beat the baseline for only {wins}/5 desk seeds"
     assert time.monotonic() - t0 < 300.0
@@ -207,7 +212,7 @@ def test_dense_weighted_filter_beats_baseline(tmp_path):
             output_dir=tmp_path / f"full_{variant}",
             cache_dir=tmp_path / "cache_full",
         )
-        errs[variant] = run_experiment(cfg).series[0].mean_over(0.03, 0.15)
+        errs[variant] = _time_mean(cfg, run_experiment(cfg).relative_errors[0], 0.03, 0.15)
     assert errs["gsm"] < errs["etkf_baseline"], (
         f"full scale: weighted {errs['gsm']:.4e} vs baseline {errs['etkf_baseline']:.4e}"
     )
@@ -241,12 +246,12 @@ def test_sparse_clustering_shrinks_shock_overshoot(tmp_path):
         region = _shock_cells(cfg, cfg.t_end)
         truth_end = arts["gsm"].truth.truth_h[-1]  # row j + 1 is the truth at analysis j
         peak = {
-            v: np.max(np.abs(a.records[-1].posterior_mean[region] - truth_end[region]))
+            v: np.max(np.abs(a.posterior_mean[-1][region] - truth_end[region]))
             for v, a in arts.items()
         }
         shock_wins += peak["gsm_clustered"] < peak["gsm"]
 
-        means = {v: a.series[0].mean_over(0.03, 0.3) for v, a in arts.items()}
+        means = {v: _time_mean(cfg, a.relative_errors[0], 0.03, 0.3) for v, a in arts.items()}
         assert means["gsm"] < means["etkf_baseline"], f"seed {seed}: {means}"
         assert means["gsm_clustered"] < means["etkf_baseline"], f"seed {seed}: {means}"
     assert shock_wins >= 4, f"clustering lowered the shock peak for only {shock_wins}/5 seeds"
@@ -274,19 +279,20 @@ def test_oscillatory_weighted_filters_beat_baseline(tmp_path):
                 cache_dir=tmp_path / "cache",
             )
             arts[variant] = run_experiment(cfg)
-        means = {v: a.series[0].mean_over(0.03, 0.3) for v, a in arts.items()}
+        means = {v: _time_mean(cfg, a.relative_errors[0], 0.03, 0.3) for v, a in arts.items()}
         assert means["gsm"] < means["etkf_baseline"], f"seed {seed}: {means}"
         assert means["gsm_clustered"] < means["etkf_baseline"], f"seed {seed}: {means}"
         shock = {}
         for v in ("gsm", "gsm_clustered"):
             errs = []
-            for rec, truth in zip(arts[v].records, arts[v].truth.truth_h[1:]):  # row j + 1 for analysis j
-                cells = _shock_cells(cfg, rec.t)
-                errs.append(relative_error(rec.posterior_mean[cells], truth[cells]))
-            shock[v] = ErrorSeries(cfg.obs_times, errs).mean_over(0.15, 0.3)
+            # row j of the posterior means and row j + 1 of the truth for analysis j
+            for t, posterior, truth in zip(cfg.obs_times, arts[v].posterior_mean, arts[v].truth.truth_h[1:]):
+                cells = _shock_cells(cfg, t)
+                errs.append(relative_error(posterior[cells], truth[cells]))
+            shock[v] = _time_mean(cfg, np.array(errs), 0.15, 0.3)
         assert shock["gsm_clustered"] < shock["gsm"], f"seed {seed} shock-region errors: {shock}"
         if seed == 1:
-            window = {v: a.series[1].mean_over(0.15, 0.3) for v, a in arts.items()}
+            window = {v: _time_mean(cfg, a.relative_errors[1], 0.15, 0.3) for v, a in arts.items()}
     elapsed = time.monotonic() - t0
 
     assert window["gsm"] < window["etkf_baseline"], f"window errors: {window}"

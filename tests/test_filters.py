@@ -456,9 +456,9 @@ def test_static_estimation_converges_monotonically():
     H = ObservationOperator.dense(n)
     stream = _make_stream(truth, np.linspace(0.1, 0.8, 8), H, gamma=0.01, exact=True)
     cfg = FilterConfig(variant="etkf_baseline", alpha=1.5, localization_bandwidth=None)
-    records = run_baseline_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=1)
+    posterior = run_baseline_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=1)[1]
 
-    errors = [np.linalg.norm(r.posterior_mean - truth) / np.linalg.norm(truth) for r in records]
+    errors = [np.linalg.norm(m - truth) / np.linalg.norm(truth) for m in posterior]
     assert all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     assert errors[-1] < 1e-6
     assert errors[-1] < errors[0] / 100.0
@@ -490,10 +490,10 @@ def test_posterior_ensemble_mean_equals_analysis_mean():
         (FilterConfig(variant="gsm_clustered", beta_max_target=0.0027, localization_bandwidth=1, dist=1), run_weighted_filter),
     ):
         handed = []
-        records = runner(members, _members_seen(handed), stream, cfg, grid, steps_per_obs=1)
-        assert len(handed) == len(records) == 3
-        for posterior, record in zip(handed[1:], records):
-            np.testing.assert_allclose(ensemble_moments(posterior).mean, record.posterior_mean, atol=1e-12)
+        posterior_mean = runner(members, _members_seen(handed), stream, cfg, grid, steps_per_obs=1)[1]
+        assert len(handed) == len(posterior_mean) == 3
+        for posterior, m in zip(handed[1:], posterior_mean):
+            np.testing.assert_allclose(ensemble_moments(posterior).mean, m, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -516,21 +516,21 @@ def test_baseline_filter_under_linear_dynamics_follows_the_kalman_recursion(n, k
         H = getattr(ObservationOperator, obs)(n)
     stream = ObservationStream(np.arange(1.0, cycles + 1), H, gamma, 1.0 + rng.standard_normal((cycles, H.m)))
     members = 1.0 + 0.3 * rng.standard_normal((K, n))
-    records = run_baseline_filter(members, lambda v, step: v @ M.T, stream,
-                                  FilterConfig(variant="etkf_baseline", alpha=alpha, localization_bandwidth=bandwidth),
-                                  Grid1D(n), steps_per_obs=steps_per_obs)
+    config = FilterConfig(variant="etkf_baseline", alpha=alpha, localization_bandwidth=bandwidth)
+    posterior = run_baseline_filter(members, lambda v, step: v @ M.T, stream, config, Grid1D(n),
+                                    steps_per_obs=steps_per_obs)[1]
 
     offsets = np.arange(n)
     mask = np.ones((n, n)) if bandwidth is None else np.abs(offsets[:, None] - offsets) <= bandwidth
     Ms, Hm, noise = np.linalg.matrix_power(M, steps_per_obs), H.matrix(), gamma**2 * np.eye(H.m)
     m, P = members.mean(axis=0), np.cov(members, rowvar=False)
-    assert len(records) == cycles
-    for y, record in zip(stream.values, records):
+    assert len(posterior) == cycles
+    for y, posterior_mean in zip(stream.values, posterior):
         m, Pf = Ms @ m, alpha**2 * Ms @ P @ Ms.T
         W = Pf * mask
         m = m + W @ Hm.T @ np.linalg.solve(Hm @ W @ Hm.T + noise, y - Hm @ m)
         P = Pf - Pf @ Hm.T @ np.linalg.solve(Hm @ Pf @ Hm.T + noise, Hm @ Pf)
-        assert np.linalg.norm(record.posterior_mean - m) <= 1e-10 * np.linalg.norm(m)
+        assert np.linalg.norm(posterior_mean - m) <= 1e-10 * np.linalg.norm(m)
 
 
 
@@ -558,14 +558,15 @@ def test_weighted_filter_under_linear_dynamics_matches_a_dense_ensemble_oracle(n
     members = 1.0 + 0.3 * rng.standard_normal((K, n))
     grid = Grid1D(n)
     config = FilterConfig(variant=variant, beta_max_target=target, localization_bandwidth=bandwidth, dist=dist)
-    records = run_weighted_filter(members, lambda v, step: v @ M.T, stream, config, grid, steps_per_obs=steps_per_obs)
+    posterior = run_weighted_filter(members, lambda v, step: v @ M.T, stream, config, grid,
+                                    steps_per_obs=steps_per_obs)[1]
 
     offsets = np.arange(n)
     band = np.ones((n, n)) if bandwidth is None else np.abs(offsets[:, None] - offsets) <= bandwidth
     diff = (np.eye(n, k=1) - np.eye(n))[:-1] / grid.dx  # forward differences, (n-1) x n
     Hm = H.matrix()
-    assert len(records) == cycles
-    for y, record in zip(stream.values, records):
+    assert len(posterior) == cycles
+    for y, posterior_mean in zip(stream.values, posterior):
         for _ in range(steps_per_obs):
             members = members @ M.T
         m = members.mean(axis=0)
@@ -582,7 +583,7 @@ def test_weighted_filter_under_linear_dynamics_matches_a_dense_ensemble_oracle(n
         HX = Hm @ X
         Xa = X @ scipy.linalg.sqrtm(np.linalg.inv(np.eye(K) + HX.T @ HX / gamma**2))
         members = m + np.sqrt(K - 1) * Xa.T
-        assert np.linalg.norm(record.posterior_mean - m) <= 1e-10 * np.linalg.norm(m)
+        assert np.linalg.norm(posterior_mean - m) <= 1e-10 * np.linalg.norm(m)
 
 
 def test_filter_runs_are_deterministic():
@@ -598,9 +599,9 @@ def test_filter_runs_are_deterministic():
     handed_a, handed_b = [], []
     a = run_weighted_filter(members, _members_seen(handed_a), stream, cfg, grid, steps_per_obs=2)
     b = run_weighted_filter(members, _members_seen(handed_b), stream, cfg, grid, steps_per_obs=2)
-    assert len(a) == len(b) == 2
-    for ra, rb in zip(a, b):
-        np.testing.assert_equal(vars(ra), vars(rb))  # every field; arrays element for element
+    assert len(a[1]) == len(b[1]) == 2
+    for ra, rb in zip(a, b, strict=True):
+        np.testing.assert_array_equal(ra, rb)  # every array, element for element
     for ma, mb in zip(handed_a, handed_b, strict=True):
         np.testing.assert_array_equal(ma, mb)
 
@@ -636,7 +637,7 @@ def test_filter_variant_mismatch_rejected():
         run_weighted_filter(members, _identity_dynamics, stream, FilterConfig(variant="etkf_baseline", alpha=1.5), grid, 1)
 
 
-def test_filter_iteration_interface_and_diagnostics():
+def test_filter_iteration_interface():
     rng = np.random.default_rng(14)
     n, K = 21, 6
     grid = Grid1D(n=n)
@@ -646,15 +647,13 @@ def test_filter_iteration_interface_and_diagnostics():
     times = [0.1, 0.2]
     stream = _make_stream(truth, times, H, gamma=0.01, rng=rng)
     cfg = FilterConfig(variant="gsm_clustered", localization_bandwidth=1, dist=2, beta_max_target=0.0027)
-    records = run_weighted_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=1)
+    arrays = run_weighted_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=1)
 
-    assert [r.t for r in records] == times
-    for r in records:
-        assert r.prior_mean.shape == (n,)
-        assert r.posterior_mean.shape == (n,)
-        assert set(r.diagnostics) == {"form", "beta", "xi"}
-        assert r.diagnostics["form"] == "band"
-        assert 0 <= r.diagnostics["xi"] < n
+    # prior mean, posterior mean, prior variance and prior gsm: one C-ordered row per analysis time
+    assert len(arrays) == 4
+    for a in arrays:
+        assert a.shape == (len(times), n)
+        assert a.flags.c_contiguous
 
 
 def test_weighted_filter_reduces_error_against_baseline_static():
@@ -672,10 +671,10 @@ def test_weighted_filter_reduces_error_against_baseline_static():
     base = run_baseline_filter(
         members, _identity_dynamics, stream,
         FilterConfig(variant="etkf_baseline", alpha=1.5, localization_bandwidth=0), grid, steps_per_obs=1,
-    )
+    )[1]
     weighted = run_weighted_filter(
         members, _identity_dynamics, stream,
         FilterConfig(variant="gsm", beta_max_target=0.003, localization_bandwidth=0), grid, steps_per_obs=1,
-    )
-    err = lambda records: np.mean([np.linalg.norm(r.posterior_mean - truth) for r in records])
+    )[1]
+    err = lambda posterior: np.mean([np.linalg.norm(m - truth) for m in posterior])
     assert err(weighted) < 2.0 * err(base)  # sanity bracket, not a benchmark

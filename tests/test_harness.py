@@ -502,13 +502,16 @@ def test_run_experiment_sparse_blanks_unobserved_points(tmp_path):
     assert rows[1]["obs"] == ""
     assert float(rows[0]["truth"]) == 1.0
 
-    # every curve in the series pair is over the same analysis times, and
-    # the second is the error restricted to the smooth window
-    full, windowed = arts.series
-    first = arts.records[0]
+    # both error curves are over the analysis times, the second restricted to
+    # the smooth window, and they are summary.csv's two columns bit for bit
+    full, windowed = arts.relative_errors
     x = cfg.grid().points
-    assert windowed.values[0] == relative_error(first.posterior_mean, arts.truth.truth_h[1], window=SMOOTH_WINDOW, x=x)
-    np.testing.assert_array_equal(full.times, windowed.times)
+    assert windowed[0] == relative_error(arts.posterior_mean[0], arts.truth.truth_h[1], window=SMOOTH_WINDOW, x=x)
+    assert full.shape == windowed.shape == cfg.obs_times.shape
+    with open(arts.summary_csv, newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    np.testing.assert_array_equal(full, [float(r["relative_error_full"]) for r in summary])
+    np.testing.assert_array_equal(windowed, [float(r["relative_error_window"]) for r in summary])
 
 
 def test_run_experiment_degenerate_flat_truth_is_recovered(tmp_path):
@@ -546,8 +549,10 @@ def test_truth_cache_shared_across_variants(tmp_path):
     arts_b = run_experiment(_small(variant="etkf_baseline", output_dir=tmp_path / "b", **kw))
     np.testing.assert_array_equal(arts_w.truth.velocity, arts_b.truth.velocity)
     np.testing.assert_array_equal(arts_w.truth.truth_h, arts_b.truth.truth_h)
-    # same synthesized observations, so the prior at the first analysis matches
-    np.testing.assert_array_equal(arts_w.records[0].prior_mean, arts_b.records[0].prior_mean)
+    # same synthesized observations, so the prior at the first analysis (solution.csv's first n rows) matches
+    n = arts_w.truth.truth_h.shape[1]
+    priors = [np.loadtxt(a.solution_csv, delimiter=",", skiprows=1, usecols=4, max_rows=n) for a in (arts_w, arts_b)]
+    np.testing.assert_array_equal(*priors)
 
 
 def test_run_truth_only_and_free_moments(tmp_path):
@@ -593,8 +598,15 @@ def test_compare_runs_self_and_mismatch(tmp_path):
 
     c = tmp_path / "c.csv"
     c.write_text("t,relative_error_full,relative_error_window\n0.1,0.5,0.4\n0.3,0.25,0.2\n")
-    with pytest.raises(ConfigError, match="time grids differ"):
+    with pytest.raises(ConfigError, match=r"time grids differ: .*c\.csv has t=0\.3 at row 3$"):
         compare_runs([a, c], out, [])
+    # a shorter summary is named by the first row it lacks, with t as a plain float
+    short = tmp_path / "short.csv"
+    short.write_text("t,relative_error_full,relative_error_window\n0.1,0.5,0.4\n")
+    with pytest.raises(ConfigError, match=r"time grids differ: .*short\.csv lacks t=0\.2 at row 3$"):
+        compare_runs([a, short], out, [])
+    with pytest.raises(ConfigError, match=r"time grids differ: .*a\.csv has t=0\.2 at row 3$"):
+        compare_runs([short, a], out, [])
     d = tmp_path / "d.csv"
     d.write_text("t,other\n0.1,0.5\n")
     with pytest.raises(ConfigError, match="relative_error_full"):

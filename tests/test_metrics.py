@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shockda.errors import ConfigError
-from shockda.metrics import ErrorSeries, pointwise_error, relative_error
+from shockda.metrics import pointwise_error, relative_error
 
 
 def test_pointwise_hand_case():
@@ -96,16 +96,3 @@ def test_relative_error_window_validation():
 def test_relative_error_zero_truth_rejected():
     with pytest.raises(ConfigError):
         relative_error(np.ones(3), np.zeros(3))
-
-
-def test_error_series_validation_and_mean():
-    s = ErrorSeries(times=[0.1, 0.2, 0.3], values=[0.3, 0.2, 0.1])
-    assert s.mean_over(0.1, 0.2) == pytest.approx(0.25)
-    assert s.mean_over(0.1, 0.3) == pytest.approx(0.2)
-    with pytest.raises(ConfigError):
-        s.mean_over(0.5, 0.9)
-    with pytest.raises(ConfigError):
-        ErrorSeries(times=[0.1], values=[0.1, 0.2])
-    with pytest.raises(ConfigError):
-        ErrorSeries(times=[0.1], values=[-0.1])
-
