@@ -36,11 +36,22 @@ With ``--against DIR`` (the ``--out`` of an earlier run, say of the parent
 commit) it also prints to stderr, for each CSV whose bytes differ from
 DIR's copy, the largest |difference| of each numeric column relative to
 the max |value| of DIR's column, and a text column whose cells differ.
+
+With ``--table PATH`` it also writes the desk table: for every numeric
+column of every CSV but the reference-scale run's, the row count N, max
+|x|, sum |x| and sum w_i x_i with w_i = (i + 1)/N (which catches permuted
+rows), each at ``%.17g``; an empty cell counts as 0 in the sums.  The
+sums are ``math.fsum``, correctly rounded, so they do not depend on the
+summation order.  ``tests/data/desk_table.csv`` is this table for seed 1,
+and ``tests/test_desk_table.py`` checks a fresh run against it:
+
+    PYTHONPATH=src python3 scripts/artifact_hashes.py --out runs/hashes --seed 1 --table tests/data/desk_table.csv
 """
 
 import argparse
 import csv
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +63,7 @@ from shockda.harness import CASES, ExperimentConfig, compare_runs, run_experimen
 COMPARE_WINDOW = (0.05, 0.15)
 # (case, variant) pairs also run without a localization mask
 UNMASKED = (("dense", "gsm"), ("sparse", "gsm_clustered"))
+TABLE_HEADER = ("csv", "column", "rows", "max_abs", "sum_abs", "weighted_sum")
 
 
 def main(argv=None):
@@ -59,28 +71,14 @@ def main(argv=None):
     p.add_argument("--out", required=True, help="artifact directory (each run gets a subdirectory)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--against", type=Path, help="artifact directory to report the drift of differing CSVs against")
+    p.add_argument("--table", type=Path, help="also write the desk table (column sizes and sums) to this CSV")
     args = p.parse_args(argv)
     out = Path(args.out)
 
-    for case in CASES:
-        extra = {"fine_refine": 4} if case == "oscillatory" else {}
-
-        def config(name, **overrides):
-            return ExperimentConfig.for_case(
-                case, n=201, ensemble_size=50, seed=args.seed, output_dir=out / case / name, **extra, **overrides
-            )
-
-        for variant in VARIANTS:
-            run_experiment(config(variant, variant=variant))
-        for variant in (v for c, v in UNMASKED if c == case):
-            run_experiment(config(f"{variant}_unmasked", variant=variant, localization_bandwidth=None))
-        run_truth_only(config("truth"))
-        run_free_moments(config("moments"))
-        compare_runs(
-            [out / case / variant / "summary.csv" for variant in VARIANTS],
-            out_path=out / case / "comparison.csv",
-            windows=[COMPARE_WINDOW],
-        )
+    desk_runs(out, args.seed)
+    if args.table is not None:
+        with open(args.table, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows([TABLE_HEADER, *desk_table(out)])
     run_experiment(ExperimentConfig.for_case(
         "sparse", variant="gsm_clustered", n=1001, ensemble_size=100, t_end=0.05, seed=args.seed,
         output_dir=out / "reference" / "sparse_gsm_clustered",
@@ -96,6 +94,47 @@ def main(argv=None):
     if args.against is not None:
         for line in drift_report(out, args.against):
             print(line, file=sys.stderr)
+
+
+def desk_runs(out: Path, seed: int) -> None:
+    """Every desk-scale run, truth, free-moments and comparison output, under ``out/<case>/``."""
+    for case in CASES:
+        extra = {"fine_refine": 4} if case == "oscillatory" else {}
+
+        def config(name, **overrides):
+            return ExperimentConfig.for_case(
+                case, n=201, ensemble_size=50, seed=seed, output_dir=out / case / name, **extra, **overrides
+            )
+
+        for variant in VARIANTS:
+            run_experiment(config(variant, variant=variant))
+        for variant in (v for c, v in UNMASKED if c == case):
+            run_experiment(config(f"{variant}_unmasked", variant=variant, localization_bandwidth=None))
+        run_truth_only(config("truth"))
+        run_free_moments(config("moments"))
+        compare_runs(
+            [out / case / variant / "summary.csv" for variant in VARIANTS],
+            out_path=out / case / "comparison.csv",
+            windows=[COMPARE_WINDOW],
+        )
+
+
+def desk_table(out: Path) -> list[list[str]]:
+    """One row per numeric column of each CSV under ``out/<case>/``: csv, column, N, max |x|, sum |x|
+    and sum w_i x_i with w_i = (i + 1)/N, the numbers at ``%.17g``; an empty cell is 0 in the sums."""
+    rows = []
+    for path in sorted(p for case in CASES for p in (out / case).rglob("*.csv")):
+        with open(path, newline="") as f:
+            header, *cells = list(csv.reader(f))
+        for j, name in enumerate(header):
+            x = _floats([r[j] for r in cells])
+            if x is None:
+                continue
+            x = np.nan_to_num(x, nan=0.0)
+            weights = (np.arange(x.size) + 1.0) / x.size
+            stats = (np.max(np.abs(x), initial=0.0), math.fsum(np.abs(x)), math.fsum(weights * x))
+            rows.append([path.relative_to(out).as_posix(), name, str(x.size), *(f"{v:.17g}" for v in stats)])
+    return rows
 
 
 def _floats(cells):

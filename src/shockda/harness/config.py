@@ -208,6 +208,15 @@ def _str_to_value(key: str, raw):
         raise ConfigError(f"config key '{key}' has invalid value '{text}'") from exc
 
 
+def read_text(path: Path) -> str:
+    """The text of ``path``, line endings untranslated; a file that does not decode is a ConfigError naming it."""
+    try:
+        with open(path, newline="") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` file; a '#' at the start of a line or after whitespace starts a comment
     (so ``run#1`` is a value), blank lines skipped."""
@@ -215,7 +224,7 @@ def parse_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not stripped:
             continue

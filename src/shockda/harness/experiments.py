@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import hashlib
+import io
 import mmap
 import os
 import signal
@@ -31,7 +32,7 @@ from ..stoker import stoker_evaluate, stoker_solve, synthesize_observations
 from ..assimilation.ensemble import ensemble_moments, gradient_second_moment, sample_variance_diag
 from ..assimilation.filters import run_baseline_filter, run_weighted_filter
 from ..metrics import in_window, pointwise_error, relative_error
-from .config import ExperimentConfig
+from .config import ExperimentConfig, read_text
 from .._csvio import fmt17, write_csv
 
 # fixed smooth-region window for the restricted error curve
@@ -374,7 +375,7 @@ def read_manifest(path) -> dict:
     if not path.exists():
         raise ConfigError(f"manifest not found: {path}")
     mapping = {}
-    for line in path.read_text().splitlines():
+    for line in read_text(path).splitlines():
         if not line.strip():
             continue
         key, _, value = line.partition("=")
@@ -542,18 +543,17 @@ def compare_runs(summary_paths, out_path, windows, labels=None):
         if not path.exists():
             raise ConfigError(f"summary not found: {path}")
         require_completed(path)
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            for name in ("t", "relative_error_full"):
-                if reader.fieldnames is None or name not in reader.fieldnames:
-                    raise ConfigError(f"{path} has no '{name}' column")
-            t_list, v_list = [], []
-            for row in reader:
-                try:
-                    t_list.append(float(row["t"]))
-                    v_list.append(float(row["relative_error_full"]))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{path} row {reader.line_num}: {exc}") from exc
+        reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+        for name in ("t", "relative_error_full"):
+            if reader.fieldnames is None or name not in reader.fieldnames:
+                raise ConfigError(f"{path} has no '{name}' column")
+        t_list, v_list = [], []
+        for row in reader:
+            try:
+                t_list.append(float(row["t"]))
+                v_list.append(float(row["relative_error_full"]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path} row {reader.line_num}: {exc}") from exc
         times = np.asarray(t_list)
         if times_ref is None:
             times_ref = times

@@ -2,7 +2,8 @@
 
 Flags and config-file lines are drawn for ``truth``, ``moments`` and
 ``assimilate`` over every ExperimentConfig field: valid, boundary,
-out-of-range, non-finite, huge, wrong-type and empty values.  The runs stay
+out-of-range, non-finite, huge, wrong-type and empty values, and a line
+that is not UTF-8.  The runs stay
 tiny: n <= 61, K <= 8, fine_refine <= 4 and a t_end of a few observation
 strides.  The output and truth-cache directories are fixed, not drawn.
 """
@@ -48,7 +49,8 @@ _SIZED = ("n", "ensemble_size", "cfl", "fine_refine")
 _FLAGS = {"case": "--case", "variant": "--variant", "n": "--n", "cfl": "--cfl", "ensemble_size": "--ensemble-size",
           "alpha": "--alpha", "beta_max_target": "--beta-max", "dist": "--dist",
           "localization_bandwidth": "--bandwidth", "gamma": "--gamma", "seed": "--seed", "t_end": "--t-end"}
-_EXTRA_LINES = ("", "# a comment", "bogus_key = 1", "no equals sign", "output_dir = elsewhere")
+# "\udcff\udcfe" stands for the bytes 0xff 0xfe, which are not UTF-8: the file is written with surrogateescape
+_EXTRA_LINES = ("", "# a comment", "bogus_key = 1", "no equals sign", "output_dir = elsewhere", "\udcff\udcfe = 3")
 
 
 @st.composite
@@ -75,10 +77,12 @@ def _invocations(draw):
 # identical members: the weight scale target / max diagonal overflows, a numerical failure (exit 3)
 @example(invocation=(["assimilate", "--n=21", "--ensemble-size=5", "--case=sparse", "--dist=0", "--beta-max=1e300"],
                      "ic_perturb_std = 0\n"))
+# a config file that is not UTF-8, a config error (exit 2)
+@example(invocation=(["truth", "--n=41"], "n = 41\n\udcff\udcfe = 3\n"))
 def test_every_cli_input_ends_in_a_mapped_exit_code_with_one_line(tmp_path, capsys, invocation):
     argv, text = invocation
     root = Path(tempfile.mkdtemp(dir=tmp_path))  # one directory per example, the truth cache included
-    (root / "run.cfg").write_text(text)
+    (root / "run.cfg").write_bytes(text.encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -453,6 +453,9 @@ def test_parse_config_file(tmp_path):
     bad.write_text("n 61\n")
     with pytest.raises(ConfigError, match="bad.cfg:1"):
         parse_config_file(bad)
+    bad.write_bytes(b"n = 41\n\xff\xfe = 3\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg: 'utf-8' codec can't decode byte 0xff"):
+        parse_config_file(bad)
     with pytest.raises(ConfigError):
         parse_config_file(tmp_path / "nope.cfg")
 
@@ -723,19 +726,21 @@ def test_cli_moments_without_snapshot_times_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("time,relative_error_full\n0.1,0.5\n", r"s\.csv has no 't' column"),
-        ("t,relative_error_full\n0.1,0.5\n0.2,oops\n", r"s\.csv row 3: .*'oops'"),
-        ("t,relative_error_full\n0.1,0.5\n0.2\n", r"s\.csv row 3"),
+        (b"time,relative_error_full\n0.1,0.5\n", r"s\.csv has no 't' column"),
+        (b"t,relative_error_full\n0.1,0.5\n0.2,oops\n", r"s\.csv row 3: .*'oops'"),
+        (b"t,relative_error_full\n0.1,0.5\n0.2\n", r"s\.csv row 3"),
+        (b"t,relative_error_full\n0.1,0.5\n0.2,0.\xff\n", r"s\.csv: 'utf-8' codec can't decode byte 0xff"),
     ],
-    ids=["no t column", "non-numeric cell", "short row"],
+    ids=["no t column", "non-numeric cell", "short row", "not utf-8"],
 )
 def test_compare_rejects_a_malformed_summary(tmp_path, capsys, text, message):
     summary = tmp_path / "s.csv"
-    summary.write_text(text)
+    summary.write_bytes(text)
     with pytest.raises(ConfigError, match=message):
         compare_runs([summary], tmp_path / "c.csv", [])
     assert main(["compare", str(summary), "--out", str(tmp_path / "c.csv")]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "c.csv").exists()
 
 
@@ -823,6 +828,20 @@ def test_compare_rejects_summary_of_failed_rerun(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(summary), "--out", str(tmp_path / "c.csv")]) == 2
     assert "status = failed" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_a_sibling_manifest_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    summary = tmp_path / "run" / "summary.csv"
+    summary.parent.mkdir()
+    summary.write_text("t,relative_error_full\n0.1,0.5\n")
+    manifest = summary.parent / "manifest.txt"
+    manifest.write_bytes(b"case = dense\nstatus = compl\xffted\n")
+    with pytest.raises(ConfigError, match="manifest.txt"):
+        config_from_manifest(manifest)
+    assert main(["compare", str(summary), "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {manifest}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1, err
     assert not (tmp_path / "c.csv").exists()
 
 
