@@ -35,8 +35,8 @@ def shock_region_error(cfg, arts, t_lo=0.15, t_hi=0.3):
     for t, posterior, truth in zip(cfg.obs_times, arts.posterior_mean, arts.truth.truth_h[1:]):
         if t_lo <= t <= t_hi:
             xi = int(np.argmin(np.abs(x - s * t)))
-            window = (x[max(xi - 1, 0)], x[min(xi + 1, x.size - 1)])
-            values.append(relative_error(posterior, truth, window=window, x=x))
+            cells = in_window(x, x[max(xi - 1, 0)], x[min(xi + 1, x.size - 1)])
+            values.append(relative_error(posterior[cells], truth[cells]))
     return float(np.mean(values))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import ConfigError, NumericalError
 from ..solver import Grid1D
-from ..stoker import ObservationOperator, ObservationStream
+from ..stoker import ObservationOperator
 from .ensemble import ensemble_moments, gradient_second_moment, sample_variance_diag
 from .weights import FilterConfig, WeightMatrix, build_weight, covariance_weight
 
@@ -46,9 +46,6 @@ def etkf_transform(X: np.ndarray, H: ObservationOperator, gamma_sq: float) -> np
     gamma_sq = _checked_gamma_sq(gamma_sq)
     X = np.asarray(X, dtype=float)
     K = X.shape[1]
-    if H.m == 0:
-        return np.eye(K)
-
     HX = H.apply(X.T).T  # (m, K)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite system is raised below, with no warning
         A = np.eye(K) + HX.T @ (HX / gamma_sq)
@@ -147,22 +144,24 @@ def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, gamm
     return m_hat + W.band_product(z)
 
 
-def _assimilate(initial_members, dynamics, observations: ObservationStream, config: FilterConfig,
+def _assimilate(initial_members, dynamics, y, H: ObservationOperator, gamma_sq: float, config: FilterConfig,
                 grid: Grid1D, steps_per_obs: int) -> tuple[np.ndarray, ...]:
-    """Run the cycles; return the prior mean, posterior mean, prior variance and prior gsm as C-ordered
-    (cycles, n) arrays, row j for analysis j: a contiguous row sums in the order of a fresh 1-D array."""
+    """Run one cycle per row of the (cycles, m) observations ``y``; return the prior mean, posterior mean,
+    prior variance and prior gsm as C-ordered (cycles, n) arrays, row j for analysis j: a contiguous row
+    sums in the order of a fresh 1-D array."""
     members = np.array(initial_members, dtype=float)
     if members.ndim != 2:
         raise ConfigError("initial ensemble must be a (K, n) stack")
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[1] != H.m:
+        raise ConfigError(f"observations {y.shape} are not (cycles, {H.m})")
     K = members.shape[0]
-    H = observations.operator
-    gamma_sq = observations.gamma_sq
     sqrt_km1 = np.sqrt(K - 1)
     baseline = config.variant == "etkf_baseline"
 
-    prior_mean, posterior_mean, prior_variance, prior_gsm = np.empty((4, observations.times.size, members.shape[1]))
+    prior_mean, posterior_mean, prior_variance, prior_gsm = np.empty((4, y.shape[0], members.shape[1]))
     step = 0
-    for j in range(observations.times.size):
+    for j in range(y.shape[0]):
         for _ in range(steps_per_obs):
             members = dynamics(members, step)
             step += 1
@@ -174,7 +173,7 @@ def _assimilate(initial_members, dynamics, observations: ObservationStream, conf
             W = covariance_weight(Xw, config.localization_bandwidth)
         else:
             W = build_weight(ens, config, grid)
-        m = analysis_mean(ens.mean, observations.values[j], H, gamma_sq, W)
+        m = analysis_mean(ens.mean, y[j], H, gamma_sq, W)
         members = (m[:, None] + sqrt_km1 * (Xw @ Tsqrt)).T
 
         prior_mean[j] = ens.mean
@@ -185,7 +184,7 @@ def _assimilate(initial_members, dynamics, observations: ObservationStream, conf
     return prior_mean, posterior_mean, prior_variance, prior_gsm
 
 
-def run_baseline_filter(initial_members, dynamics, observations: ObservationStream,
+def run_baseline_filter(initial_members, dynamics, y, H: ObservationOperator, gamma_sq: float,
                         config: FilterConfig, grid: Grid1D, steps_per_obs: int) -> tuple[np.ndarray, ...]:
     """ETKF with multiplicative inflation and banded covariance localization.
 
@@ -196,10 +195,10 @@ def run_baseline_filter(initial_members, dynamics, observations: ObservationStre
     """
     if config.variant != "etkf_baseline":
         raise ConfigError(f"baseline filter got variant '{config.variant}'")
-    return _assimilate(initial_members, dynamics, observations, config, grid, steps_per_obs)
+    return _assimilate(initial_members, dynamics, y, H, gamma_sq, config, grid, steps_per_obs)
 
 
-def run_weighted_filter(initial_members, dynamics, observations: ObservationStream,
+def run_weighted_filter(initial_members, dynamics, y, H: ObservationOperator, gamma_sq: float,
                         config: FilterConfig, grid: Grid1D, steps_per_obs: int) -> tuple[np.ndarray, ...]:
     """Modified ETKF whose analysis weight comes from the gradient second moment.
 
@@ -209,4 +208,4 @@ def run_weighted_filter(initial_members, dynamics, observations: ObservationStre
     """
     if config.variant not in ("gsm", "gsm_clustered"):
         raise ConfigError(f"weighted filter got variant '{config.variant}'")
-    return _assimilate(initial_members, dynamics, observations, config, grid, steps_per_obs)
+    return _assimilate(initial_members, dynamics, y, H, gamma_sq, config, grid, steps_per_obs)

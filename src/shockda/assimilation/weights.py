@@ -35,7 +35,7 @@ class FilterConfig:
     ``localization_bandwidth`` b masks entries with |i-j| > b (b=0 keeps
     the diagonal only); None disables masking, as does any b >= n-1.  The
     observation noise Gamma = gamma^2 I is not a filter setting: the filter
-    takes gamma^2 from the observations.
+    takes gamma^2 with y and H, as ``analysis_mean`` does.
     """
 
     variant: str = "gsm"

@@ -414,21 +414,23 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         H = config.observation_operator()
         truth_rows = bundle.truth_h[1:]
-        observations = synthesize_observations(truth_rows, config.obs_times, H, config.gamma, config.seed)
+        y = synthesize_observations(truth_rows, H, config.gamma, config.seed)
         members = build_initial_ensemble(config, grid, config.seed)
         runner = run_baseline_filter if config.variant == "etkf_baseline" else run_weighted_filter
         with _forecast(bundle.velocity, grid, config.solver_config(), config.ensemble_size) as (dynamics, workers):
             paths.environment["forecast_workers"] = workers
             prior_mean, posterior_mean, prior_variance, prior_gsm = runner(
-                members, dynamics, observations, config.filter_config(), grid, steps_per_obs=config.obs_stride_steps)
+                members, dynamics, y, H, config.gamma**2, config.filter_config(), grid,
+                steps_per_obs=config.obs_stride_steps)
 
         times = config.obs_times
+        window = in_window(grid.points, *SMOOTH_WINDOW)
         relative_errors = np.array([
             [relative_error(m, truth) for m, truth in zip(posterior_mean, truth_rows)],
-            [relative_error(m, truth, SMOOTH_WINDOW, grid.points) for m, truth in zip(posterior_mean, truth_rows)],
+            [relative_error(m[window], truth[window]) for m, truth in zip(posterior_mean, truth_rows)],
         ])
         obs = np.full(posterior_mean.shape, "", dtype=object)
-        obs[:, H.indices] = observations.values
+        obs[:, H.indices] = y
         t_col, x_col = _time_x_columns(times, grid)
         write_csv(paths.solution_csv, ("t", "x", "truth", "obs", "prior_mean", "posterior_mean"),
                   (t_col, x_col, truth_rows.ravel(), obs.ravel(), prior_mean.ravel(), posterior_mean.ravel()))
@@ -518,24 +520,27 @@ def compare_runs(summary_paths, out_path, windows, labels=None):
 
     Returns (times, {label: values}, {window: {label: mean}}); mismatched
     time grids are rejected naming the first row that differs, or the first
-    row the shorter file lacks, and so is a label given twice.  A summary
-    left over from a run that did not complete is rejected
-    (``require_completed``).
+    row the shorter file lacks, and so is a label given twice, empty, or
+    ``t``, the time column's name.  A summary left over from a run that did
+    not complete is rejected (``require_completed``).
     """
     summary_paths = [Path(p) for p in summary_paths]
     if not summary_paths:
         raise ConfigError("no summaries to compare")
     if labels is None:
-        labels = []
+        taken = ["t"]  # the time column's name
         for p in summary_paths:
             label = p.parent.name or p.stem
-            while label in labels:
+            while label in taken:
                 label += "+"
-            labels.append(label)
+            taken.append(label)
+        labels = taken[1:]
     elif len(labels) != len(summary_paths):
         raise ConfigError("labels must match the number of summaries")
     elif len(set(labels)) != len(labels):
         raise ConfigError(f"labels must be distinct, got {labels}")
+    elif "t" in labels or "" in labels:
+        raise ConfigError(f"a label may be neither empty nor 't', the time column's name, got {labels}")
 
     times_ref = None
     columns: dict = {}

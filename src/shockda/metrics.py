@@ -21,27 +21,10 @@ def in_window(points, lo: float, hi: float) -> np.ndarray:
     return (points >= lo - 1e-12) & (points <= hi + 1e-12)
 
 
-def relative_error(estimate, truth, window=None, x=None) -> float:
-    """Sum|estimate - truth| / Sum|truth|, optionally over a spatial window.
-
-    ``window`` is a closed interval (a, b) of the grid coordinates ``x``,
-    which must then be given; membership is ``in_window``.
-    """
+def relative_error(estimate, truth) -> float:
+    """Sum|estimate - truth| / Sum|truth|; for a spatial window, pass both restricted to ``in_window``'s mask."""
     err = pointwise_error(estimate, truth)
-    truth = np.asarray(truth, dtype=float)
-    if window is not None:
-        if x is None:
-            raise ConfigError("a spatial window needs the grid coordinates x")
-        x = np.asarray(x, dtype=float)
-        if x.shape != truth.shape:
-            raise ConfigError("x must match the state length")
-        a, b = window
-        mask = in_window(x, a, b)
-        if not mask.any():
-            raise ConfigError(f"window [{a}, {b}] does not intersect the grid")
-        err = err[mask]
-        truth = truth[mask]
-    denom = np.sum(np.abs(truth))
+    denom = np.sum(np.abs(np.asarray(truth, dtype=float)))
     if denom == 0.0:
-        raise ConfigError("relative error undefined: truth is identically zero on the window")
+        raise ConfigError("relative error undefined: truth is identically zero")
     return float(np.sum(err) / denom)

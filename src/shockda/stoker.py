@@ -8,7 +8,7 @@ from the rarefaction Riemann invariant with the velocity from the shock
 jump conditions.
 
 Also provides point-selection observation operators and Gaussian synthetic
-observation streams drawn from a seeded generator.
+observations drawn from a seeded generator.
 """
 
 from __future__ import annotations
@@ -178,40 +178,16 @@ class ObservationOperator:
         return H
 
 
-@dataclass
-class ObservationStream:
-    """Observation instants, operator, noise level, and the drawn values."""
+def synthesize_observations(truth_rows, H: ObservationOperator, gamma: float, seed: int) -> np.ndarray:
+    """Draw y_j = H truth_rows[j] + eta_j, eta_j ~ N(0, gamma^2 I), seeded: the (rows, m) observations.
 
-    times: np.ndarray
-    operator: ObservationOperator
-    gamma: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.times.size, self.operator.m):
-            raise ConfigError("observation values must have shape (times, m)")
-
-    @property
-    def gamma_sq(self) -> float:
-        """Scalar variance of the diagonal noise covariance gamma^2 I."""
-        return self.gamma**2
-
-
-def synthesize_observations(truth_rows, times, H: ObservationOperator, gamma: float, seed: int) -> ObservationStream:
-    """Draw y_j = H truth_rows[j] + eta_j, eta_j ~ N(0, gamma^2 I), seeded; row j is the truth at ``times[j]``.
-
-    Noise is drawn in one row-major block over (time, observation index),
-    so a stream regenerates bit-identically from its seed.
+    Noise is drawn in one row-major block over (row, observation index),
+    so the observations regenerate bit-identically from their seed.
     """
     if gamma <= 0.0:
         raise ConfigError("gamma must be positive")
-    times = np.asarray(times, dtype=float)
     truth_rows = np.asarray(truth_rows, dtype=float)
-    if truth_rows.shape != (times.size, H.n_state):
-        raise ConfigError(f"truth rows {truth_rows.shape} do not match {times.size} times x {H.n_state} points")
+    if truth_rows.ndim != 2 or truth_rows.shape[1] != H.n_state:
+        raise ConfigError(f"truth rows {truth_rows.shape} are not (rows, {H.n_state} points)")
     rng = np.random.default_rng(seed)
-    noise = gamma * rng.standard_normal((times.size, H.m))
-    return ObservationStream(times, H, gamma, H.apply(truth_rows) + noise)
-
+    return H.apply(truth_rows) + gamma * rng.standard_normal((truth_rows.shape[0], H.m))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from shockda.errors import ConfigError, NumericalError
 from shockda.solver import Grid1D
-from shockda.stoker import ObservationOperator, ObservationStream
+from shockda.stoker import ObservationOperator
 from shockda.assimilation.ensemble import correlation_matrix_factor, ensemble_moments, gradient_second_moment
 from shockda.assimilation.filters import analysis_mean, etkf_transform, run_baseline_filter, run_weighted_filter
 from shockda.assimilation.weights import (
@@ -437,11 +437,12 @@ def _identity_dynamics(members, step):
 
 
 def _make_stream(truth, times, H, gamma, rng=None, exact=False):
+    """The filter's observation arguments (y, H, gamma^2), one row of y per time."""
     if exact:
-        values = np.tile(H.apply(truth), (len(times), 1))
+        y = np.tile(H.apply(truth), (len(times), 1))
     else:
-        values = H.apply(truth) + gamma * rng.standard_normal((len(times), H.m))
-    return ObservationStream(times=np.asarray(times), operator=H, gamma=gamma, values=values)
+        y = H.apply(truth) + gamma * rng.standard_normal((len(times), H.m))
+    return y, H, gamma**2
 
 
 def test_static_estimation_converges_monotonically():
@@ -456,7 +457,7 @@ def test_static_estimation_converges_monotonically():
     H = ObservationOperator.dense(n)
     stream = _make_stream(truth, np.linspace(0.1, 0.8, 8), H, gamma=0.01, exact=True)
     cfg = FilterConfig(variant="etkf_baseline", alpha=1.5, localization_bandwidth=None)
-    posterior = run_baseline_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=1)[1]
+    posterior = run_baseline_filter(members, _identity_dynamics, *stream, cfg, grid, steps_per_obs=1)[1]
 
     errors = [np.linalg.norm(m - truth) / np.linalg.norm(truth) for m in posterior]
     assert all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
@@ -490,7 +491,7 @@ def test_posterior_ensemble_mean_equals_analysis_mean():
         (FilterConfig(variant="gsm_clustered", beta_max_target=0.0027, localization_bandwidth=1, dist=1), run_weighted_filter),
     ):
         handed = []
-        posterior_mean = runner(members, _members_seen(handed), stream, cfg, grid, steps_per_obs=1)[1]
+        posterior_mean = runner(members, _members_seen(handed), *stream, cfg, grid, steps_per_obs=1)[1]
         assert len(handed) == len(posterior_mean) == 3
         for posterior, m in zip(handed[1:], posterior_mean):
             np.testing.assert_allclose(ensemble_moments(posterior).mean, m, atol=1e-12)
@@ -514,10 +515,10 @@ def test_baseline_filter_under_linear_dynamics_follows_the_kalman_recursion(n, k
         H = ObservationOperator(np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False)), n)
     else:
         H = getattr(ObservationOperator, obs)(n)
-    stream = ObservationStream(np.arange(1.0, cycles + 1), H, gamma, 1.0 + rng.standard_normal((cycles, H.m)))
+    obs = 1.0 + rng.standard_normal((cycles, H.m))
     members = 1.0 + 0.3 * rng.standard_normal((K, n))
     config = FilterConfig(variant="etkf_baseline", alpha=alpha, localization_bandwidth=bandwidth)
-    posterior = run_baseline_filter(members, lambda v, step: v @ M.T, stream, config, Grid1D(n),
+    posterior = run_baseline_filter(members, lambda v, step: v @ M.T, obs, H, gamma**2, config, Grid1D(n),
                                     steps_per_obs=steps_per_obs)[1]
 
     offsets = np.arange(n)
@@ -525,7 +526,7 @@ def test_baseline_filter_under_linear_dynamics_follows_the_kalman_recursion(n, k
     Ms, Hm, noise = np.linalg.matrix_power(M, steps_per_obs), H.matrix(), gamma**2 * np.eye(H.m)
     m, P = members.mean(axis=0), np.cov(members, rowvar=False)
     assert len(posterior) == cycles
-    for y, posterior_mean in zip(stream.values, posterior):
+    for y, posterior_mean in zip(obs, posterior):
         m, Pf = Ms @ m, alpha**2 * Ms @ P @ Ms.T
         W = Pf * mask
         m = m + W @ Hm.T @ np.linalg.solve(Hm @ W @ Hm.T + noise, y - Hm @ m)
@@ -554,11 +555,11 @@ def test_weighted_filter_under_linear_dynamics_matches_a_dense_ensemble_oracle(n
         H = ObservationOperator(np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False)), n)
     else:
         H = getattr(ObservationOperator, obs)(n)
-    stream = ObservationStream(np.arange(1.0, cycles + 1), H, gamma, 1.0 + rng.standard_normal((cycles, H.m)))
+    obs = 1.0 + rng.standard_normal((cycles, H.m))
     members = 1.0 + 0.3 * rng.standard_normal((K, n))
     grid = Grid1D(n)
     config = FilterConfig(variant=variant, beta_max_target=target, localization_bandwidth=bandwidth, dist=dist)
-    posterior = run_weighted_filter(members, lambda v, step: v @ M.T, stream, config, grid,
+    posterior = run_weighted_filter(members, lambda v, step: v @ M.T, obs, H, gamma**2, config, grid,
                                     steps_per_obs=steps_per_obs)[1]
 
     offsets = np.arange(n)
@@ -566,7 +567,7 @@ def test_weighted_filter_under_linear_dynamics_matches_a_dense_ensemble_oracle(n
     diff = (np.eye(n, k=1) - np.eye(n))[:-1] / grid.dx  # forward differences, (n-1) x n
     Hm = H.matrix()
     assert len(posterior) == cycles
-    for y, posterior_mean in zip(stream.values, posterior):
+    for y, posterior_mean in zip(obs, posterior):
         for _ in range(steps_per_obs):
             members = members @ M.T
         m = members.mean(axis=0)
@@ -597,8 +598,8 @@ def test_filter_runs_are_deterministic():
     cfg = FilterConfig(variant="gsm", localization_bandwidth=0)
 
     handed_a, handed_b = [], []
-    a = run_weighted_filter(members, _members_seen(handed_a), stream, cfg, grid, steps_per_obs=2)
-    b = run_weighted_filter(members, _members_seen(handed_b), stream, cfg, grid, steps_per_obs=2)
+    a = run_weighted_filter(members, _members_seen(handed_a), *stream, cfg, grid, steps_per_obs=2)
+    b = run_weighted_filter(members, _members_seen(handed_b), *stream, cfg, grid, steps_per_obs=2)
     assert len(a[1]) == len(b[1]) == 2
     for ra, rb in zip(a, b, strict=True):
         np.testing.assert_array_equal(ra, rb)  # every array, element for element
@@ -621,7 +622,7 @@ def test_dynamics_called_between_observations_with_global_step():
     H = ObservationOperator.dense(n)
     stream = _make_stream(truth, [0.1, 0.2, 0.3], H, gamma=0.01, rng=rng)
     cfg = FilterConfig(variant="gsm", localization_bandwidth=0)
-    run_weighted_filter(members, recording_dynamics, stream, cfg, grid, steps_per_obs=5)
+    run_weighted_filter(members, recording_dynamics, *stream, cfg, grid, steps_per_obs=5)
     assert calls == list(range(15))
 
 
@@ -632,9 +633,9 @@ def test_filter_variant_mismatch_rejected():
     H = ObservationOperator.dense(15)
     stream = _make_stream(np.ones(15), [0.1], H, gamma=0.01, rng=rng)
     with pytest.raises(ConfigError):
-        run_baseline_filter(members, _identity_dynamics, stream, FilterConfig(variant="gsm"), grid, 1)
+        run_baseline_filter(members, _identity_dynamics, *stream, FilterConfig(variant="gsm"), grid, 1)
     with pytest.raises(ConfigError):
-        run_weighted_filter(members, _identity_dynamics, stream, FilterConfig(variant="etkf_baseline", alpha=1.5), grid, 1)
+        run_weighted_filter(members, _identity_dynamics, *stream, FilterConfig(variant="etkf_baseline", alpha=1.5), grid, 1)
 
 
 def test_filter_iteration_interface():
@@ -647,7 +648,7 @@ def test_filter_iteration_interface():
     times = [0.1, 0.2]
     stream = _make_stream(truth, times, H, gamma=0.01, rng=rng)
     cfg = FilterConfig(variant="gsm_clustered", localization_bandwidth=1, dist=2, beta_max_target=0.0027)
-    arrays = run_weighted_filter(members, _identity_dynamics, stream, cfg, grid, steps_per_obs=1)
+    arrays = run_weighted_filter(members, _identity_dynamics, *stream, cfg, grid, steps_per_obs=1)
 
     # prior mean, posterior mean, prior variance and prior gsm: one C-ordered row per analysis time
     assert len(arrays) == 4
@@ -669,11 +670,11 @@ def test_weighted_filter_reduces_error_against_baseline_static():
     stream = _make_stream(truth, times, H, gamma=0.01, rng=rng)
 
     base = run_baseline_filter(
-        members, _identity_dynamics, stream,
+        members, _identity_dynamics, *stream,
         FilterConfig(variant="etkf_baseline", alpha=1.5, localization_bandwidth=0), grid, steps_per_obs=1,
     )[1]
     weighted = run_weighted_filter(
-        members, _identity_dynamics, stream,
+        members, _identity_dynamics, *stream,
         FilterConfig(variant="gsm", beta_max_target=0.003, localization_bandwidth=0), grid, steps_per_obs=1,
     )[1]
     err = lambda posterior: np.mean([np.linalg.norm(m - truth) for m in posterior])

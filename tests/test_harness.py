@@ -26,7 +26,7 @@ from shockda.harness import (
 from shockda.harness.config import parse_config_file
 from shockda.harness.experiments import SMOOTH_WINDOW, build_initial_ensemble, initial_condition, write_manifest
 from shockda.harness.cli import main
-from shockda.metrics import relative_error
+from shockda.metrics import in_window, relative_error
 
 
 def _small(case="dense", **kw):
@@ -508,13 +508,33 @@ def test_run_experiment_sparse_blanks_unobserved_points(tmp_path):
     # both error curves are over the analysis times, the second restricted to
     # the smooth window, and they are summary.csv's two columns bit for bit
     full, windowed = arts.relative_errors
-    x = cfg.grid().points
-    assert windowed[0] == relative_error(arts.posterior_mean[0], arts.truth.truth_h[1], window=SMOOTH_WINDOW, x=x)
+    window = in_window(cfg.grid().points, *SMOOTH_WINDOW)
+    assert windowed[0] == relative_error(arts.posterior_mean[0][window], arts.truth.truth_h[1][window])
     assert full.shape == windowed.shape == cfg.obs_times.shape
     with open(arts.summary_csv, newline="") as fh:
         summary = list(csv.DictReader(fh))
     np.testing.assert_array_equal(full, [float(r["relative_error_full"]) for r in summary])
     np.testing.assert_array_equal(windowed, [float(r["relative_error_window"]) for r in summary])
+
+
+@pytest.mark.parametrize("case, variant", [("dense", "gsm"), ("sparse", "gsm_clustered")])
+def test_summary_is_recomputed_from_the_solution_table(tmp_path, case, variant):
+    # sum|posterior - truth| / sum|truth| per analysis, over the domain and the smooth-window cells,
+    # from the written solution.csv alone
+    cfg = _small(case, variant=variant, output_dir=tmp_path / "run", cache_dir=tmp_path / "cache")
+    arts = run_experiment(cfg)
+    with open(arts.solution_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    shape = (cfg.obs_times.size, cfg.n)
+    x, truth, posterior = (np.array([float(r[k]) for r in rows]).reshape(shape)
+                           for k in ("x", "truth", "posterior_mean"))
+    window = in_window(x[0], -0.39, 0.39)
+    with open(arts.summary_csv, newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    assert len(summary) == shape[0]
+    for p, t, r in zip(posterior, truth, summary):
+        assert float(r["relative_error_full"]) == np.sum(np.abs(p - t)) / np.sum(np.abs(t))
+        assert float(r["relative_error_window"]) == np.sum(np.abs(p[window] - t[window])) / np.sum(np.abs(t[window]))
 
 
 def test_run_experiment_degenerate_flat_truth_is_recovered(tmp_path):
@@ -631,6 +651,28 @@ def test_compare_rejects_duplicate_labels(tmp_path, capsys):
     assert main(["compare", str(a), str(b), "--label", "x", "--label", "x", "--out", str(out)]) == 2
     assert "distinct" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compare_keeps_the_time_column_apart_from_the_run_labels(tmp_path, capsys):
+    # a run directory named t would head a second t column, which csv.DictReader reads as the time
+    for name, value in (("t", 0.5), ("a", 0.9)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.csv").write_text(f"t,relative_error_full\n0.1,{value}\n")
+    summaries = [str(tmp_path / "t" / "summary.csv"), str(tmp_path / "a" / "summary.csv")]
+    out = tmp_path / "g.csv"
+    assert main(["compare", *summaries, "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["t", "t+", "a"]
+    assert [float(rows[0][k]) for k in ("t", "t+", "a")] == [0.1, 0.5, 0.9]
+
+    for label in ("t", ""):
+        out.unlink(missing_ok=True)
+        assert main(["compare", *summaries, "--label", label, "--label", "b", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------------- CLI

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shockda.errors import ConfigError
-from shockda.metrics import pointwise_error, relative_error
+from shockda.metrics import in_window, pointwise_error, relative_error
 
 
 def test_pointwise_hand_case():
@@ -61,7 +61,8 @@ def test_relative_error_window_selects_points():
     tru = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
     est = tru + np.array([10.0, 0.1, 0.1, 0.2, 10.0])
     # only the middle three points fall in [-0.5, 0.5]
-    val = relative_error(est, tru, window=(-0.5, 0.5), x=x)
+    window = in_window(x, -0.5, 0.5)
+    val = relative_error(est[window], tru[window])
     assert val == pytest.approx(0.4 / 4.0, rel=1e-14)
 
 
@@ -70,7 +71,8 @@ def test_relative_error_window_endpoint_slack():
     tru = np.ones(3)
     est = np.array([2.0, 1.0, 2.0])
     # endpoints shifted by less than the 1e-12 slack still count
-    v = relative_error(est, tru, window=(0.0 + 5e-13, 0.2 - 5e-13), x=x)
+    window = in_window(x, 0.0 + 5e-13, 0.2 - 5e-13)
+    v = relative_error(est[window], tru[window])
     assert v == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
@@ -79,18 +81,8 @@ def test_relative_error_full_grid_window_matches_unwindowed():
     x = np.linspace(-1.0, 1.0, 33)
     tru = rng.uniform(0.5, 1.5, size=33)
     est = tru + 0.1 * rng.standard_normal(33)
-    assert relative_error(est, tru, window=(-1.0, 1.0), x=x) == relative_error(est, tru)
-
-
-def test_relative_error_window_validation():
-    tru = np.ones(4)
-    est = np.zeros(4)
-    with pytest.raises(ConfigError):
-        relative_error(est, tru, window=(0.0, 1.0))  # no x
-    with pytest.raises(ConfigError):
-        relative_error(est, tru, window=(5.0, 6.0), x=np.linspace(0, 1, 4))
-    with pytest.raises(ConfigError):
-        relative_error(est, tru, window=(0.0, 1.0), x=np.linspace(0, 1, 5))
+    window = in_window(x, -1.0, 1.0)
+    assert relative_error(est[window], tru[window]) == relative_error(est, tru)
 
 
 def test_relative_error_zero_truth_rejected():

@@ -82,6 +82,11 @@ def test_oscillatory_regions_prints_one_finite_row_per_variant():
     for row in rows:
         assert row.split(",")[:3] == ["41", "8", "1"]
         assert all(math.isfinite(float(value)) for value in row.split(",")[4:]), row
+    assert rows == [
+        "41,8,1,etkf_baseline,0.006047,0.005294,0.013552",
+        "41,8,1,gsm,0.006497,0.005281,0.014564",
+        "41,8,1,gsm_clustered,0.006087,0.004831,0.010542",
+    ]
 
 
 def test_src_lines_total_is_the_line_count_of_the_package_sources():

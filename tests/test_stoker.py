@@ -5,12 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from shockda.assimilation.filters import run_baseline_filter, run_weighted_filter
+from shockda.assimilation.weights import FilterConfig
 from shockda.errors import ConfigError, NumericalError
 from shockda.solver import Grid1D, SolverConfig, solve_coupled_swe
 from shockda.stoker import (
     DamBreakParams,
     ObservationOperator,
-    ObservationStream,
     rankine_hugoniot_residual,
     rarefaction_invariant_residual,
     stoker_evaluate,
@@ -213,19 +214,19 @@ def test_synthesize_observations_deterministic():
     times = np.linspace(0.01, 0.1, 10)
     truth = np.repeat(1.0 + times[:, None], 41, axis=1)
 
-    a = synthesize_observations(truth, times, H, gamma=0.01, seed=42)
-    b = synthesize_observations(truth, times, H, gamma=0.01, seed=42)
-    np.testing.assert_array_equal(a.values, b.values)
-    c = synthesize_observations(truth, times, H, gamma=0.01, seed=43)
-    assert not np.array_equal(a.values, c.values)
+    a = synthesize_observations(truth, H, gamma=0.01, seed=42)
+    b = synthesize_observations(truth, H, gamma=0.01, seed=42)
+    np.testing.assert_array_equal(a, b)
+    c = synthesize_observations(truth, H, gamma=0.01, seed=43)
+    assert not np.array_equal(a, c)
 
 
 def test_synthesize_observations_tiny_gamma_recovers_truth():
     H = ObservationOperator.dense(21)
     truth = np.linspace(0.8, 1.0, 21)
 
-    stream = synthesize_observations(truth[None], [0.1], H, gamma=1e-300, seed=1)
-    np.testing.assert_allclose(stream.values[0], truth, atol=1e-290)
+    y = synthesize_observations(truth[None], H, gamma=1e-300, seed=1)
+    np.testing.assert_allclose(y[0], truth, atol=1e-290)
 
 
 def test_synthesize_observations_noise_variance():
@@ -234,16 +235,22 @@ def test_synthesize_observations_noise_variance():
     times = np.linspace(1e-3, 1.0, 1000)
     truth_vec = np.linspace(0.8, 1.0, 101)
 
-    stream = synthesize_observations(np.tile(truth_vec, (times.size, 1)), times, H, gamma=0.01, seed=7)
-    noise = stream.values - truth_vec
+    y = synthesize_observations(np.tile(truth_vec, (times.size, 1)), H, gamma=0.01, seed=7)
+    noise = y - truth_vec
     assert 0.9 * 0.01**2 <= np.var(noise) <= 1.1 * 0.01**2
 
 
 def test_observation_stream_shape_validation():
-    H = ObservationOperator.dense(5)
-    with pytest.raises(ConfigError):
-        ObservationStream(times=np.array([0.1, 0.2]), operator=H, gamma=0.01, values=np.zeros((3, 5)))
-    # one truth row per time: a single row would otherwise broadcast over both times
+    # the filters take one row of H.m observations per cycle
+    H = ObservationOperator.every_other(11)
+    members = 1.0 + 0.1 * np.random.default_rng(3).standard_normal((4, 11))
+    for runner, config in ((run_baseline_filter, FilterConfig(variant="etkf_baseline")),
+                           (run_weighted_filter, FilterConfig(variant="gsm"))):
+        for y in (np.zeros((2, 11)), np.zeros(6), np.zeros((2, 6, 1))):  # the state's width, rank 1, rank 3
+            with pytest.raises(ConfigError, match="observations"):
+                runner(members, lambda v, step: v, y, H, 0.01**2, config, Grid1D(11), 1)
     with pytest.raises(ConfigError, match="truth rows"):
-        synthesize_observations(np.ones((1, 5)), [0.1, 0.2], H, gamma=0.01, seed=1)
+        synthesize_observations(np.ones((2, 10)), H, gamma=0.01, seed=1)
+    with pytest.raises(ConfigError, match="truth rows"):
+        synthesize_observations(np.ones(11), H, gamma=0.01, seed=1)
 
