@@ -26,13 +26,14 @@ from shockda.metrics import in_window, relative_error
 from shockda.stoker import stoker_solve
 
 
-def shock_region_error(cfg, arts, t_lo=0.15, t_hi=0.3):
-    """Mean relative L1 error over t in [t_lo, t_hi] on the cells within one of s*t."""
+def shock_region_error(cfg, solution_csv, t_lo=0.15, t_hi=0.3):
+    """Mean relative L1 error over t in [t_lo, t_hi] on the cells within one of s*t, from solution.csv."""
     x = cfg.grid().points
     s = stoker_solve(cfg.dam_params()).s
+    # solution.csv has one row per (analysis, cell); its obs column, blank off the observed cells, is not read
+    truths, posteriors = np.loadtxt(solution_csv, delimiter=",", skiprows=1, usecols=(2, 5), unpack=True)
     values = []
-    # row j of the posterior means and row j + 1 of the truth belong to analysis time t_j
-    for t, posterior, truth in zip(cfg.obs_times, arts.posterior_mean, arts.truth.truth_h[1:]):
+    for t, posterior, truth in zip(cfg.obs_times, posteriors.reshape(-1, x.size), truths.reshape(-1, x.size)):
         if t_lo <= t <= t_hi:
             xi = int(np.argmin(np.abs(x - s * t)))
             cells = in_window(x, x[max(xi - 1, 0)], x[min(xi + 1, x.size - 1)])
@@ -59,12 +60,14 @@ def main(argv=None):
                     variant=variant, fine_refine=args.fine_refine,
                     output_dir=f"{out}/{variant}_{seed}", cache_dir=f"{out}/cache",
                 )
-                arts = run_experiment(cfg)
-                full_errors, window_errors = arts.relative_errors  # whole domain, smooth window
+                solution_csv, _, _, summary_csv, _ = run_experiment(cfg)
+                # summary.csv: t, then the error over the whole domain and over the smooth window
+                full_errors, window_errors = np.loadtxt(summary_csv, delimiter=",", skiprows=1,
+                                                        usecols=(1, 2), unpack=True)
                 full = full_errors[in_window(cfg.obs_times, 0.03, 0.3)].mean()
                 window = window_errors[in_window(cfg.obs_times, 0.15, 0.3)].mean()
                 print(f"{args.n},{args.ensemble_size},{seed},{variant},{full:.6f},{window:.6f},"
-                      f"{shock_region_error(cfg, arts):.6f}", flush=True)
+                      f"{shock_region_error(cfg, solution_csv):.6f}", flush=True)
 
 
 if __name__ == "__main__":

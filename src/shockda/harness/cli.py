@@ -94,11 +94,11 @@ def _parse_windows(specs) -> list[tuple[float, float]]:
 
 def _dispatch(args) -> int:
     if args.command == "truth":
-        artifacts = run_truth_only(_assemble_config(args))
+        written = run_truth_only(_assemble_config(args))
     elif args.command == "moments":
-        artifacts = run_free_moments(_assemble_config(args, extra_defaults=_MOMENTS_DEFAULTS))
+        written = run_free_moments(_assemble_config(args, extra_defaults=_MOMENTS_DEFAULTS))
     elif args.command == "assimilate":
-        artifacts = run_experiment(_assemble_config(args))
+        written = run_experiment(_assemble_config(args))
     elif args.command == "compare":
         times, columns, aggregates = compare_runs(
             args.summaries, out_path=args.out, windows=_parse_windows(args.window), labels=args.label
@@ -111,7 +111,7 @@ def _dispatch(args) -> int:
     else:  # pragma: no cover - argparse enforces the choices
         raise ConfigError(f"unknown command {args.command}")
 
-    for path in artifacts.written():
+    for path in written:
         print(f"wrote {path}")
     return 0
 

@@ -66,6 +66,11 @@ class ExperimentConfig:
         self.output_dir = Path(self.output_dir)
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
+        # a manifest holds one stripped value per line, so only such a path reads back as itself
+        for name in ("output_dir", "cache_dir"):
+            text = str(getattr(self, name))
+            if text.splitlines() != [text] or text.strip() != text:
+                raise ConfigError(f"{name} must be one line with no surrounding whitespace, got {text!r}")
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
         for name, kind in _FIELD_TYPES.items():  # a NaN fails every comparison below
             if kind in (float, tuple) and not np.isfinite(getattr(self, name)).all():

@@ -20,7 +20,7 @@ import signal
 import tempfile
 import zipfile
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -154,30 +154,6 @@ def _load_truth_cache(entry: Path, fingerprint: str, config: ExperimentConfig) -
     return TruthBundle(u, h, tu)
 
 
-@dataclass
-class RunArtifacts:
-    """Paths of the per-run CSV artifacts, plus in-memory results.
-
-    Only the files a command actually writes are set; the rest stay None.
-    """
-
-    manifest: Path
-    solution_csv: Path | None = None
-    error_csv: Path | None = None
-    moments_csv: Path | None = None
-    summary_csv: Path | None = None
-    truth_csv: Path | None = None
-    posterior_mean: np.ndarray | None = None  # (cycles, n), row j for analysis j
-    relative_errors: np.ndarray | None = None  # (2, cycles): full domain, then SMOOTH_WINDOW
-    truth: TruthBundle | None = None
-    # how the run was executed, recorded in the manifest and ignored by config_from_manifest
-    environment: dict = field(default_factory=dict)
-
-    def written(self) -> list[Path]:
-        paths = [self.solution_csv, self.error_csv, self.moments_csv, self.summary_csv, self.truth_csv, self.manifest]
-        return [p for p in paths if p is not None]
-
-
 def build_initial_ensemble(config: ExperimentConfig, grid: Grid1D, seed: int) -> np.ndarray:
     """Case initial depth plus i.i.d. Gaussian point noise, seeded.
 
@@ -247,25 +223,27 @@ def _one_blas_thread():
 
 @contextmanager
 def _run(config: ExperimentConfig, *names: str):
-    """Yield the RunArtifacts of a run writing ``<name>.csv`` per name; record how it ended.
+    """Yield ``(paths, environment)`` for a run writing ``<name>.csv`` per name; record how it ended.
 
+    ``paths`` lists those CSVs in ``config.output_dir``, in the order named;
+    ``environment`` is the dict the run fills in with how it was executed.
     The output directory is made inside the guard, and the run goes on one
     BLAS thread (``_one_blas_thread``).  On success the manifest says
     ``status = completed``; any exception writes ``status = failed`` (an
     OSError from that write is suppressed) and propagates.  Either way the
-    manifest also records ``paths.environment``.
+    manifest also records ``environment``.
     """
     out = config.output_dir
-    paths = RunArtifacts(out / "manifest.txt", **{f"{name}_csv": out / f"{name}.csv" for name in names})
+    environment: dict = {}
     try:
         with _one_blas_thread() as threads:
-            paths.environment["blas_threads"] = threads
+            environment["blas_threads"] = threads
             out.mkdir(parents=True, exist_ok=True)
-            yield paths
-        write_manifest(paths.manifest, config, status="completed", environment=paths.environment)
+            yield [out / f"{name}.csv" for name in names], environment
+        write_manifest(out / "manifest.txt", config, status="completed", environment=environment)
     except BaseException as exc:
         with suppress(OSError):
-            write_manifest(paths.manifest, config, status="failed", environment=paths.environment,
+            write_manifest(out / "manifest.txt", config, status="failed", environment=environment,
                            error=str(exc) or type(exc).__name__)
         raise
 
@@ -398,13 +376,14 @@ def config_from_manifest(path) -> ExperimentConfig:
     return ExperimentConfig.for_case(mapping.pop("case", "dense"), **mapping)
 
 
-def run_experiment(config: ExperimentConfig) -> RunArtifacts:
-    """Run one filter variant end to end and write all artifacts.
+def run_experiment(config: ExperimentConfig) -> list[Path]:
+    """Run one filter variant end to end; return the paths it wrote, its four CSVs and then the manifest.
 
     Any failure, an I/O error included, writes ``status = failed`` and the
     first line of its message to the manifest before the error propagates.
     """
-    with _run(config, "solution", "error", "moments", "summary") as paths:
+    with _run(config, "solution", "error", "moments", "summary") as (paths, environment):
+        solution_csv, error_csv, moments_csv, summary_csv = paths
         # moments.csv takes its rows from analyses; times after t_end are ignored
         near = np.abs(np.subtract.outer(config.obs_times, config.snapshot_times)) <= 1e-9  # (cycles, snapshots)
         for t, hit in zip(config.snapshot_times, near.any(axis=0)):
@@ -418,7 +397,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         members = build_initial_ensemble(config, grid, config.seed)
         runner = run_baseline_filter if config.variant == "etkf_baseline" else run_weighted_filter
         with _forecast(bundle.velocity, grid, config.solver_config(), config.ensemble_size) as (dynamics, workers):
-            paths.environment["forecast_workers"] = workers
+            environment["forecast_workers"] = workers
             prior_mean, posterior_mean, prior_variance, prior_gsm = runner(
                 members, dynamics, y, H, config.gamma**2, config.filter_config(), grid,
                 steps_per_obs=config.obs_stride_steps)
@@ -432,18 +411,15 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         obs = np.full(posterior_mean.shape, "", dtype=object)
         obs[:, H.indices] = y
         t_col, x_col = _time_x_columns(times, grid)
-        write_csv(paths.solution_csv, ("t", "x", "truth", "obs", "prior_mean", "posterior_mean"),
+        write_csv(solution_csv, ("t", "x", "truth", "obs", "prior_mean", "posterior_mean"),
                   (t_col, x_col, truth_rows.ravel(), obs.ravel(), prior_mean.ravel(), posterior_mean.ravel()))
-        write_csv(paths.error_csv, ("t", "x", "pointwise_error"),
+        write_csv(error_csv, ("t", "x", "pointwise_error"),
                   (t_col, x_col, pointwise_error(posterior_mean, truth_rows).ravel()))
-        write_csv(paths.summary_csv, ("t", "relative_error_full", "relative_error_window"), (times, *relative_errors))
+        write_csv(summary_csv, ("t", "relative_error_full", "relative_error_window"), (times, *relative_errors))
         snap = near.any(axis=1)
-        _write_moments_csv(paths.moments_csv, grid, times[snap],
+        _write_moments_csv(moments_csv, grid, times[snap],
                            prior_mean[snap], prior_variance[snap], prior_gsm[snap])
-    paths.posterior_mean = posterior_mean
-    paths.relative_errors = relative_errors
-    paths.truth = bundle
-    return paths
+    return [*paths, config.output_dir / "manifest.txt"]
 
 
 def _time_x_columns(times, grid):
@@ -460,14 +436,14 @@ def _write_moments_csv(path, grid, times, means, variances, gsms) -> None:
     )
 
 
-def run_free_moments(config: ExperimentConfig) -> RunArtifacts:
-    """The no-assimilation moment diagnostic: write moments.csv and a manifest.
+def run_free_moments(config: ExperimentConfig) -> list[Path]:
+    """The no-assimilation moment diagnostic: write moments.csv and a manifest, and return their paths.
 
     The initial ensemble is propagated with no analysis, and its mean,
     variance and gradient second moment are written at the snapshot times:
     at least one, each on a solver step.
     """
-    with _run(config, "moments") as paths:
+    with _run(config, "moments") as (paths, environment):
         dt = config.dt
         if not config.snapshot_times:
             raise ConfigError("the moment diagnostic needs at least one snapshot time")
@@ -494,24 +470,23 @@ def run_free_moments(config: ExperimentConfig) -> RunArtifacts:
         if 0 in snap_steps:
             record(0.0)
         with _forecast(bundle.velocity, grid, config.solver_config(), config.ensemble_size) as (dynamics, workers):
-            paths.environment["forecast_workers"] = workers
+            environment["forecast_workers"] = workers
             for step in range(max(snap_steps)):
                 members = dynamics(members, step)
                 if (step + 1) in snap_steps:
                     record((step + 1) * dt)
-        _write_moments_csv(paths.moments_csv, grid, times, means, variances, gsms)
-    return paths
+        _write_moments_csv(paths[0], grid, times, means, variances, gsms)
+    return [*paths, config.output_dir / "manifest.txt"]
 
 
-def run_truth_only(config: ExperimentConfig) -> RunArtifacts:
-    """Generate and cache the truth, writing it as a (t, x, h, u) CSV."""
-    with _run(config, "truth") as paths:
+def run_truth_only(config: ExperimentConfig) -> list[Path]:
+    """Generate and cache the truth, write it as a (t, x, h, u) CSV, and return its path and the manifest's."""
+    with _run(config, "truth") as (paths, _):
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         times = np.r_[0.0, config.obs_times]
-        write_csv(paths.truth_csv, ("t", "x", "h", "u"),
+        write_csv(paths[0], ("t", "x", "h", "u"),
                   (*_time_x_columns(times, config.grid()), bundle.truth_h.ravel(), bundle.truth_u.ravel()))
-    paths.truth = bundle
-    return paths
+    return [*paths, config.output_dir / "manifest.txt"]
 
 
 def compare_runs(summary_paths, out_path, windows, labels=None):

@@ -27,7 +27,7 @@ import pytest
 from shockda.assimilation.ensemble import ensemble_moments, gradient_second_moment
 from shockda.assimilation.filters import analysis_mean, etkf_transform
 from shockda.assimilation.weights import FilterConfig, build_weight
-from shockda.harness import ExperimentConfig, config_from_manifest, run_experiment
+from shockda.harness import ExperimentConfig, config_from_manifest, generate_truth, run_experiment
 from shockda.metrics import in_window, relative_error
 from shockda.solver import Grid1D, SolverConfig, Workspace, solve_coupled_swe, tvdrk3_step, weno5_derivative
 from shockda.stoker import (
@@ -184,6 +184,14 @@ def _time_mean(cfg, values, t_lo, t_hi):
     return values[in_window(cfg.obs_times, t_lo, t_hi)].mean()
 
 
+def _read_back(cfg, written):
+    # a run's (cycles, n) posterior means from solution.csv, and its two relative-error curves from
+    # summary.csv (whole domain, smooth window), one value per analysis
+    solution_csv, _, _, summary_csv, _ = written
+    posterior = np.loadtxt(solution_csv, delimiter=",", skiprows=1, usecols=5).reshape(-1, cfg.n)
+    return posterior, np.loadtxt(summary_csv, delimiter=",", skiprows=1, usecols=(1, 2), unpack=True)
+
+
 @pytest.mark.slow
 def test_dense_weighted_filter_beats_baseline(tmp_path):
     # mean relative error over t in [0.03, 0.15]: the gradient-weighted run
@@ -199,7 +207,7 @@ def test_dense_weighted_filter_beats_baseline(tmp_path):
                 output_dir=tmp_path / f"desk_{variant}_{seed}",
                 cache_dir=tmp_path / "cache_desk",
             )
-            errs[variant] = _time_mean(cfg, run_experiment(cfg).relative_errors[0], 0.03, 0.15)
+            errs[variant] = _time_mean(cfg, _read_back(cfg, run_experiment(cfg))[1][0], 0.03, 0.15)
         wins += errs["gsm"] < errs["etkf_baseline"]
     assert wins >= 4, f"weighted run beat the baseline for only {wins}/5 desk seeds"
     assert time.monotonic() - t0 < 300.0
@@ -212,7 +220,7 @@ def test_dense_weighted_filter_beats_baseline(tmp_path):
             output_dir=tmp_path / f"full_{variant}",
             cache_dir=tmp_path / "cache_full",
         )
-        errs[variant] = _time_mean(cfg, run_experiment(cfg).relative_errors[0], 0.03, 0.15)
+        errs[variant] = _time_mean(cfg, _read_back(cfg, run_experiment(cfg))[1][0], 0.03, 0.15)
     assert errs["gsm"] < errs["etkf_baseline"], (
         f"full scale: weighted {errs['gsm']:.4e} vs baseline {errs['etkf_baseline']:.4e}"
     )
@@ -234,24 +242,24 @@ def test_sparse_clustering_shrinks_shock_overshoot(tmp_path):
     t0 = time.monotonic()
     shock_wins = 0
     for seed in range(1, 6):
-        arts = {}
+        runs = {}
         for variant in ("etkf_baseline", "gsm", "gsm_clustered"):
             cfg = ExperimentConfig.for_case(
                 "sparse", seed=seed, variant=variant, **DESK,
                 output_dir=tmp_path / f"{variant}_{seed}",
                 cache_dir=tmp_path / "cache",
             )
-            arts[variant] = run_experiment(cfg)
+            runs[variant] = _read_back(cfg, run_experiment(cfg))
 
         region = _shock_cells(cfg, cfg.t_end)
-        truth_end = arts["gsm"].truth.truth_h[-1]  # row j + 1 is the truth at analysis j
+        truth_end = generate_truth(cfg, cache_dir=cfg.cache_dir).truth_h[-1]  # row j + 1 is the truth at analysis j
         peak = {
-            v: np.max(np.abs(a.posterior_mean[-1][region] - truth_end[region]))
-            for v, a in arts.items()
+            v: np.max(np.abs(posterior[-1][region] - truth_end[region]))
+            for v, (posterior, _) in runs.items()
         }
         shock_wins += peak["gsm_clustered"] < peak["gsm"]
 
-        means = {v: _time_mean(cfg, a.relative_errors[0], 0.03, 0.3) for v, a in arts.items()}
+        means = {v: _time_mean(cfg, errors[0], 0.03, 0.3) for v, (_, errors) in runs.items()}
         assert means["gsm"] < means["etkf_baseline"], f"seed {seed}: {means}"
         assert means["gsm_clustered"] < means["etkf_baseline"], f"seed {seed}: {means}"
     assert shock_wins >= 4, f"clustering lowered the shock peak for only {shock_wins}/5 seeds"
@@ -271,28 +279,29 @@ def test_oscillatory_weighted_filters_beat_baseline(tmp_path):
     t0 = time.monotonic()
     window = {}
     for seed in range(1, 6):
-        arts = {}
+        runs = {}
         for variant in ("etkf_baseline", "gsm", "gsm_clustered"):
             cfg = ExperimentConfig.for_case(
                 "oscillatory", seed=seed, variant=variant, fine_refine=4, **DESK,
                 output_dir=tmp_path / f"{variant}_{seed}",
                 cache_dir=tmp_path / "cache",
             )
-            arts[variant] = run_experiment(cfg)
-        means = {v: _time_mean(cfg, a.relative_errors[0], 0.03, 0.3) for v, a in arts.items()}
+            runs[variant] = _read_back(cfg, run_experiment(cfg))
+        means = {v: _time_mean(cfg, errors[0], 0.03, 0.3) for v, (_, errors) in runs.items()}
         assert means["gsm"] < means["etkf_baseline"], f"seed {seed}: {means}"
         assert means["gsm_clustered"] < means["etkf_baseline"], f"seed {seed}: {means}"
+        truth_rows = generate_truth(cfg, cache_dir=cfg.cache_dir).truth_h[1:]
         shock = {}
         for v in ("gsm", "gsm_clustered"):
             errs = []
             # row j of the posterior means and row j + 1 of the truth for analysis j
-            for t, posterior, truth in zip(cfg.obs_times, arts[v].posterior_mean, arts[v].truth.truth_h[1:]):
+            for t, posterior, truth in zip(cfg.obs_times, runs[v][0], truth_rows):
                 cells = _shock_cells(cfg, t)
                 errs.append(relative_error(posterior[cells], truth[cells]))
             shock[v] = _time_mean(cfg, np.array(errs), 0.15, 0.3)
         assert shock["gsm_clustered"] < shock["gsm"], f"seed {seed} shock-region errors: {shock}"
         if seed == 1:
-            window = {v: _time_mean(cfg, a.relative_errors[1], 0.15, 0.3) for v, a in arts.items()}
+            window = {v: _time_mean(cfg, errors[1], 0.15, 0.3) for v, (_, errors) in runs.items()}
     elapsed = time.monotonic() - t0
 
     assert window["gsm"] < window["etkf_baseline"], f"window errors: {window}"
@@ -308,10 +317,8 @@ def test_rerun_from_manifest_is_bit_identical(tmp_path):
         )
         first = run_experiment(cfg)
         replay_cfg = dataclasses.replace(
-            config_from_manifest(first.manifest), output_dir=tmp_path / f"{case}_{variant}_replay"
+            config_from_manifest(first[-1]), output_dir=tmp_path / f"{case}_{variant}_replay"
         )
         replay = run_experiment(replay_cfg)
-        for name in ("solution_csv", "error_csv", "moments_csv", "summary_csv"):
-            a = getattr(first, name)
-            b = getattr(replay, name)
-            assert a.read_bytes() == b.read_bytes(), f"{case}/{variant}: {name} differs between reruns"
+        for a, b in zip(first[:-1], replay[:-1]):  # every CSV, not the manifest
+            assert a.read_bytes() == b.read_bytes(), f"{case}/{variant}: {a.name} differs between reruns"

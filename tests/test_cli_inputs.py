@@ -5,7 +5,10 @@ Flags and config-file lines are drawn for ``truth``, ``moments`` and
 out-of-range, non-finite, huge, wrong-type and empty values, and a line
 that is not UTF-8.  The runs stay
 tiny: n <= 61, K <= 8, fine_refine <= 4 and a t_end of a few observation
-strides.  The output and truth-cache directories are fixed, not drawn.
+strides.  The output directory's name is drawn too, line breaks and
+leading whitespace included; the truth cache is its sibling.  A run that
+exits 0 writes a manifest whose config lines replay as written, and prints
+one ``wrote`` line per file in its directory, the manifest last.
 """
 
 import tempfile
@@ -15,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from shockda.harness import read_manifest
+from shockda.harness import config_from_manifest, read_manifest
 from shockda.harness.cli import main
 
 # (plausible values, out-of-range or malformed ones) per field.  A plausible value is huge only where it
@@ -51,6 +54,8 @@ _FLAGS = {"case": "--case", "variant": "--variant", "n": "--n", "cfl": "--cfl", 
           "localization_bandwidth": "--bandwidth", "gamma": "--gamma", "seed": "--seed", "t_end": "--t-end"}
 # "\udcff\udcfe" stands for the bytes 0xff 0xfe, which are not UTF-8: the file is written with surrogateescape
 _EXTRA_LINES = ("", "# a comment", "bogus_key = 1", "no equals sign", "output_dir = elsewhere", "\udcff\udcfe = 3")
+# names of the output directory; "\u2028" (line separator) is a line break to str.splitlines
+_OUT_NAMES = ("run", "run dir", "run#1", " run", "run\nseed = 5", "run\u2028x")
 
 
 @st.composite
@@ -73,28 +78,38 @@ def _invocations(draw):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(invocation=_invocations())
+@given(invocation=_invocations(), out_name=st.sampled_from(_OUT_NAMES))
 # identical members: the weight scale target / max diagonal overflows, a numerical failure (exit 3)
 @example(invocation=(["assimilate", "--n=21", "--ensemble-size=5", "--case=sparse", "--dist=0", "--beta-max=1e300"],
-                     "ic_perturb_std = 0\n"))
+                     "ic_perturb_std = 0\n"), out_name="run")
 # a config file that is not UTF-8, a config error (exit 2)
-@example(invocation=(["truth", "--n=41"], "n = 41\n\udcff\udcfe = 3\n"))
-def test_every_cli_input_ends_in_a_mapped_exit_code_with_one_line(tmp_path, capsys, invocation):
+@example(invocation=(["truth", "--n=41"], "n = 41\n\udcff\udcfe = 3\n"), out_name="run")
+# a line break in the output directory used to write a manifest line of its own, seed = 5
+@example(invocation=(["truth", "--n=21", "--t-end=0.05"], "\n"), out_name="run\nseed = 5")
+def test_every_cli_input_ends_in_a_mapped_exit_code_with_one_line(tmp_path, capsys, invocation, out_name):
     argv, text = invocation
     root = Path(tempfile.mkdtemp(dir=tmp_path))  # one directory per example, the truth cache included
     (root / "run.cfg").write_bytes(text.encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main([*argv, "--config", str(root / "run.cfg"), "--out", str(root / "run")])
-    err = capsys.readouterr().err
+        code = main([*argv, "--config", str(root / "run.cfg"), "--out", str(root / out_name)])
+    out, err = capsys.readouterr()
     assert [str(w.message) for w in caught] == []  # a warning would be a second stderr line
     assert code in (0, 2, 3, 4), err
     if code == 0:
         assert err == ""
-        manifest = read_manifest(root / "run" / "manifest.txt")
+        run_dir = root / out_name
+        manifest_path = run_dir / "manifest.txt"
+        # the config lines follow the version line, and read back as the same config
+        config_lines = [f"{k} = {v}" for k, v in config_from_manifest(manifest_path).to_items()]
+        assert manifest_path.read_text().splitlines()[1 : 1 + len(config_lines)] == config_lines
+        wrote = [Path(line.removeprefix("wrote ")) for line in out.splitlines()]
+        assert all(line.startswith("wrote ") for line in out.splitlines()), out
+        assert wrote[-1] == manifest_path and sorted(wrote) == sorted(run_dir.iterdir()), out
+        manifest = read_manifest(manifest_path)
         snapshots = [float(t) for t in manifest["snapshot_times"].split(",") if t]
-        written = sorted((root / "run").glob("*.csv"))
+        written = sorted(run_dir.glob("*.csv"))
         assert written
         for path in written:
             rows = len(path.read_text().splitlines()) - 1

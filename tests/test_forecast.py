@@ -25,8 +25,6 @@ from shockda.harness import ExperimentConfig, config_from_manifest, experiments,
 from shockda.harness.cli import main
 from shockda.harness.experiments import initial_condition
 
-CSVS = ("solution_csv", "error_csv", "moments_csv", "summary_csv")
-
 
 def _force_split(monkeypatch, cpus):
     """Let this process see ``cpus`` CPUs and make a desk ensemble several face blocks long."""
@@ -68,12 +66,12 @@ def test_split_run_writes_the_in_process_bytes_and_leaves_no_worker(tmp_path, mo
     _force_split(monkeypatch, 2)
     split = run_experiment(_config(tmp_path, "split"))
     assert multiprocessing.active_children() == []
-    for name in CSVS:
-        assert getattr(one, name).read_bytes() == getattr(split, name).read_bytes(), name
-    assert read_manifest(one.manifest)["forecast_workers"] == "1"
-    mapping = read_manifest(split.manifest)
+    for a, b in zip(one[:-1], split[:-1]):  # every CSV, not the manifest
+        assert a.read_bytes() == b.read_bytes(), a.name
+    assert read_manifest(one[-1])["forecast_workers"] == "1"
+    mapping = read_manifest(split[-1])
     assert (mapping["forecast_workers"], mapping["status"]) == ("2", "completed")
-    assert config_from_manifest(split.manifest) == _config(tmp_path, "split")
+    assert config_from_manifest(split[-1]) == _config(tmp_path, "split")
 
 
 def _negative_depth_in_last_member(monkeypatch):

@@ -338,18 +338,19 @@ def _wrong_fingerprint(path):
 def test_corrupt_truth_cache_entry_is_recomputed(tmp_path, corrupt):
     cache = tmp_path / "cache"
     fresh = run_experiment(_small("sparse", output_dir=tmp_path / "fresh", cache_dir=cache))
+    truth = generate_truth(_small("sparse"), cache_dir=cache)  # the fresh run's, from the cache
     (entry,) = cache.iterdir()
     corrupt(entry)
     rerun = run_experiment(_small("sparse", output_dir=tmp_path / "rerun", cache_dir=cache))
-    for a, b in zip(fresh.written()[:-1], rerun.written()[:-1]):  # every CSV, not the manifest
+    for a, b in zip(fresh[:-1], rerun[:-1]):  # every CSV, not the manifest
         assert a.read_bytes() == b.read_bytes(), a.name
-    assert read_manifest(rerun.manifest)["status"] == "completed"
+    assert read_manifest(rerun[-1])["status"] == "completed"
     # the rerun overwrote the entry with the recomputed arrays
     assert list(cache.iterdir()) == [entry]
     with np.load(entry) as stored:
-        np.testing.assert_array_equal(stored["u"], fresh.truth.velocity)
-        np.testing.assert_array_equal(stored["h"], fresh.truth.truth_h)
-        np.testing.assert_array_equal(stored["tu"], fresh.truth.truth_u)
+        np.testing.assert_array_equal(stored["u"], truth.velocity)
+        np.testing.assert_array_equal(stored["h"], truth.truth_h)
+        np.testing.assert_array_equal(stored["tu"], truth.truth_u)
 
 
 def _save_repeatedly(barrier, entry, fingerprint, bundle, times):
@@ -433,6 +434,24 @@ def test_manifest_failure_records_error(tmp_path):
     assert mapping["error"] == "depth went negative"
 
 
+def test_a_path_that_would_not_read_back_from_the_manifest_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # a manifest holds one stripped value per line: a line break in a path wrote a line of its own
+    # (here seed = 5, which a replay then ran), and surrounding whitespace did not read back
+    monkeypatch.chdir(tmp_path)
+    assert main(["truth", "--n", "21", "--t-end", "0.05", "--out", "runs/a\nseed = 5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output_dir must be one line") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+    for key in ("output_dir", "cache_dir"):
+        for text in ("runs/a\nseed = 5", "runs/a\u2028x", "runs/a\n", " runs/a", "runs/a\t"):
+            with pytest.raises(ConfigError, match=f"^{key} must be one line"):
+                ExperimentConfig(**{key: text})
+        # a space or a '#' inside the path is kept
+        cfg = ExperimentConfig(**{key: "runs/a b#1"})
+        write_manifest(tmp_path / "manifest.txt", cfg, status="completed", environment={})
+        assert config_from_manifest(tmp_path / "manifest.txt") == cfg
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
@@ -475,8 +494,8 @@ def test_run_experiment_writes_artifacts_and_is_reproducible(tmp_path):
     arts_a = run_experiment(cfg_a)
     arts_b = run_experiment(cfg_b)
 
-    for art in (arts_a, arts_b):
-        for p in art.written():
+    for written in (arts_a, arts_b):
+        for p in written:
             assert p.exists(), p
 
     for name in ("solution.csv", "error.csv", "summary.csv", "moments.csv"):
@@ -497,24 +516,21 @@ def test_run_experiment_writes_artifacts_and_is_reproducible(tmp_path):
 
 def test_run_experiment_sparse_blanks_unobserved_points(tmp_path):
     cfg = _small("sparse", variant="gsm_clustered", output_dir=tmp_path / "run", cache_dir=tmp_path / "cache")
-    arts = run_experiment(cfg)
-    with open(arts.solution_csv, newline="") as fh:
+    solution_csv, _, _, summary_csv, _ = run_experiment(cfg)
+    with open(solution_csv, newline="") as fh:
         rows = list(csv.DictReader(fh))
     # first analysis time, observed point 0 and unobserved point 1
     assert rows[0]["obs"] != ""
     assert rows[1]["obs"] == ""
     assert float(rows[0]["truth"]) == 1.0
 
-    # both error curves are over the analysis times, the second restricted to
-    # the smooth window, and they are summary.csv's two columns bit for bit
-    full, windowed = arts.relative_errors
+    # both error curves are over the analysis times, the second restricted to the smooth window
+    full, windowed = np.loadtxt(summary_csv, delimiter=",", skiprows=1, usecols=(1, 2), unpack=True)
     window = in_window(cfg.grid().points, *SMOOTH_WINDOW)
-    assert windowed[0] == relative_error(arts.posterior_mean[0][window], arts.truth.truth_h[1][window])
+    posterior = np.array([float(r["posterior_mean"]) for r in rows[: cfg.n]])  # the first analysis
+    truth = generate_truth(cfg, cache_dir=cfg.cache_dir).truth_h[1]
+    assert windowed[0] == relative_error(posterior[window], truth[window])
     assert full.shape == windowed.shape == cfg.obs_times.shape
-    with open(arts.summary_csv, newline="") as fh:
-        summary = list(csv.DictReader(fh))
-    np.testing.assert_array_equal(full, [float(r["relative_error_full"]) for r in summary])
-    np.testing.assert_array_equal(windowed, [float(r["relative_error_window"]) for r in summary])
 
 
 @pytest.mark.parametrize("case, variant", [("dense", "gsm"), ("sparse", "gsm_clustered")])
@@ -522,14 +538,14 @@ def test_summary_is_recomputed_from_the_solution_table(tmp_path, case, variant):
     # sum|posterior - truth| / sum|truth| per analysis, over the domain and the smooth-window cells,
     # from the written solution.csv alone
     cfg = _small(case, variant=variant, output_dir=tmp_path / "run", cache_dir=tmp_path / "cache")
-    arts = run_experiment(cfg)
-    with open(arts.solution_csv, newline="") as fh:
+    solution_csv, _, _, summary_csv, _ = run_experiment(cfg)
+    with open(solution_csv, newline="") as fh:
         rows = list(csv.DictReader(fh))
     shape = (cfg.obs_times.size, cfg.n)
     x, truth, posterior = (np.array([float(r[k]) for r in rows]).reshape(shape)
                            for k in ("x", "truth", "posterior_mean"))
     window = in_window(x[0], -0.39, 0.39)
-    with open(arts.summary_csv, newline="") as fh:
+    with open(summary_csv, newline="") as fh:
         summary = list(csv.DictReader(fh))
     assert len(summary) == shape[0]
     for p, t, r in zip(posterior, truth, summary):
@@ -540,8 +556,8 @@ def test_summary_is_recomputed_from_the_solution_table(tmp_path, case, variant):
 def test_run_experiment_degenerate_flat_truth_is_recovered(tmp_path):
     cfg = _small(h1=1.0, ic_perturb_std=0.01, gamma=1e-8,
                  output_dir=tmp_path / "run", cache_dir=tmp_path / "cache")
-    arts = run_experiment(cfg)
-    with open(arts.summary_csv, newline="") as fh:
+    summary_csv = run_experiment(cfg)[3]
+    with open(summary_csv, newline="") as fh:
         rel = [float(r["relative_error_full"]) for r in csv.DictReader(fh)]
     assert max(rel) < 1e-6
 
@@ -566,31 +582,34 @@ def test_run_truth_only_failure_writes_manifest(tmp_path):
     assert mapping["error"]
 
 
-def test_truth_cache_shared_across_variants(tmp_path):
+def test_truth_cache_shared_across_variants(tmp_path, monkeypatch):
     kw = dict(ensemble_size=8, seed=2, cache_dir=tmp_path / "cache")
-    arts_w = run_experiment(_small(variant="gsm", output_dir=tmp_path / "w", **kw))
-    arts_b = run_experiment(_small(variant="etkf_baseline", output_dir=tmp_path / "b", **kw))
-    np.testing.assert_array_equal(arts_w.truth.velocity, arts_b.truth.velocity)
-    np.testing.assert_array_equal(arts_w.truth.truth_h, arts_b.truth.truth_h)
+    configs = [_small(variant=variant, output_dir=tmp_path / variant, **kw) for variant in ("gsm", "etkf_baseline")]
+    written = [run_experiment(cfg) for cfg in configs]
+    calls = _count_coupled_solves(monkeypatch)
+    truth_w, truth_b = (generate_truth(cfg, cache_dir=cfg.cache_dir) for cfg in configs)
+    assert calls == []  # both variants' truth is the one cached entry
+    np.testing.assert_array_equal(truth_w.velocity, truth_b.velocity)
+    np.testing.assert_array_equal(truth_w.truth_h, truth_b.truth_h)
     # same synthesized observations, so the prior at the first analysis (solution.csv's first n rows) matches
-    n = arts_w.truth.truth_h.shape[1]
-    priors = [np.loadtxt(a.solution_csv, delimiter=",", skiprows=1, usecols=4, max_rows=n) for a in (arts_w, arts_b)]
+    n = truth_w.truth_h.shape[1]
+    priors = [np.loadtxt(paths[0], delimiter=",", skiprows=1, usecols=4, max_rows=n) for paths in written]
     np.testing.assert_array_equal(*priors)
 
 
 def test_run_truth_only_and_free_moments(tmp_path):
     cfg = _small(output_dir=tmp_path / "truth", cache_dir=tmp_path / "cache",
                  snapshot_times=(0.05, 0.10, 0.15))
-    arts = run_truth_only(cfg)
-    assert arts.truth_csv.exists()
-    with open(arts.truth_csv, newline="") as fh:
+    truth_csv, _ = run_truth_only(cfg)
+    assert truth_csv.exists()
+    with open(truth_csv, newline="") as fh:
         header = next(csv.reader(fh))
     assert header == ["t", "x", "h", "u"]
 
     mom_cfg = _small(output_dir=tmp_path / "moments", cache_dir=tmp_path / "cache",
                      snapshot_times=(0.05, 0.10, 0.15))
-    mom = run_free_moments(mom_cfg)
-    with open(mom.moments_csv, newline="") as fh:
+    moments_csv, _ = run_free_moments(mom_cfg)
+    with open(moments_csv, newline="") as fh:
         rows = list(csv.DictReader(fh))
     times = sorted({row["t"] for row in rows})
     assert len(times) == 3
