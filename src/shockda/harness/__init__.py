@@ -6,7 +6,6 @@ from .experiments import (
     config_from_manifest,
     generate_truth,
     read_manifest,
-    require_completed,
     run_experiment,
     run_free_moments,
     run_truth_only,

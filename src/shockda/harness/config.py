@@ -66,6 +66,8 @@ class ExperimentConfig:
         self.output_dir = Path(self.output_dir)
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
+            if str(self.cache_dir).lower() == "none":  # a manifest's text for None, the default cache
+                raise ConfigError(f"cache_dir {str(self.cache_dir)!r} would read back from a manifest as None")
         # a manifest holds one stripped value per line, so only such a path reads back as itself
         for name in ("output_dir", "cache_dir"):
             text = str(getattr(self, name))

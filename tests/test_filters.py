@@ -7,8 +7,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from shockda.errors import ConfigError, NumericalError
-from shockda.solver import Grid1D
-from shockda.stoker import ObservationOperator
+from shockda.harness.config import CASES, ExperimentConfig
+from shockda.harness.experiments import build_initial_ensemble, generate_truth
+from shockda.solver import Grid1D, Workspace, transport_step
+from shockda.stoker import ObservationOperator, synthesize_observations
 from shockda.assimilation.ensemble import correlation_matrix_factor, ensemble_moments, gradient_second_moment
 from shockda.assimilation.filters import analysis_mean, etkf_transform, run_baseline_filter, run_weighted_filter
 from shockda.assimilation.weights import (
@@ -585,6 +587,38 @@ def test_weighted_filter_under_linear_dynamics_matches_a_dense_ensemble_oracle(n
         Xa = X @ scipy.linalg.sqrtm(np.linalg.inv(np.eye(K) + HX.T @ HX / gamma**2))
         members = m + np.sqrt(K - 1) * Xa.T
         assert np.linalg.norm(posterior_mean - m) <= 1e-10 * np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("case, variant", [
+    *((case, variant) for case in CASES for variant in ("etkf_baseline", "gsm")),
+    ("dense", "gsm_clustered"),
+])
+def test_cycled_filter_is_mirror_symmetric(case, variant, tmp_path):
+    # x -> -x maps a twin experiment to itself with the velocity negated: WENO5 with Lax-Friedrichs
+    # splitting is mirror-symmetric up to roundoff, every_other on odd n keeps its observed set, and the
+    # gsm weight reads |dh|^2.  gsm_clustered on sparse and oscillatory is not: cluster_regions centres
+    # the discontinuity region on the left cell of the jump face
+    cfg = ExperimentConfig.for_case(case, n=201, ensemble_size=20, t_end=0.05, seed=1, variant=variant,
+                                    **({"fine_refine": 4} if case == "oscillatory" else {}))
+    grid, H = cfg.grid(), cfg.observation_operator()
+    bundle = generate_truth(cfg, cache_dir=tmp_path)
+    y = synthesize_observations(bundle.truth_h[1:], H, cfg.gamma, cfg.seed)
+    members = build_initial_ensemble(cfg, grid, cfg.seed)
+    runner = run_baseline_filter if variant == "etkf_baseline" else run_weighted_filter
+
+    def run(members, y, velocity):
+        workspace = Workspace()
+
+        def dynamics(h, step):
+            return transport_step(h, velocity, step, grid, cfg.solver_config(), workspace)
+
+        return runner(members, dynamics, y, H, cfg.gamma**2, cfg.filter_config(), grid, cfg.obs_stride_steps)
+
+    plain = run(members, y, bundle.velocity)
+    mirrored = run(np.asfortranarray(members[:, ::-1]), y[:, ::-1], -bundle.velocity[:, ::-1])
+    # prior mean, posterior mean, prior variance and prior gsm
+    for a, b in zip(plain, mirrored, strict=True):
+        assert np.abs(b[:, ::-1] - a).max() <= 1e-12 * np.abs(a).max()
 
 
 def test_filter_runs_are_deterministic():

@@ -450,6 +450,14 @@ def test_a_path_that_would_not_read_back_from_the_manifest_is_a_config_error(tmp
         cfg = ExperimentConfig(**{key: "runs/a b#1"})
         write_manifest(tmp_path / "manifest.txt", cfg, status="completed", environment={})
         assert config_from_manifest(tmp_path / "manifest.txt") == cfg
+    # the manifest writes None as none, so a cache_dir of that text would replay with the default cache;
+    # an output_dir has no None and reads back as the path none
+    for text in ("none", "None", "NONE"):
+        with pytest.raises(ConfigError, match="^cache_dir"):
+            ExperimentConfig(cache_dir=text)
+    cfg = ExperimentConfig(output_dir="none")
+    write_manifest(tmp_path / "manifest.txt", cfg, status="completed", environment={})
+    assert config_from_manifest(tmp_path / "manifest.txt") == cfg
 
 
 def test_parse_config_file(tmp_path):

@@ -9,8 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from shockda.harness.cli import main
-
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
@@ -32,24 +30,6 @@ def test_script_help_exits_cleanly(script):
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr + result.stdout
     assert "usage:" in result.stdout
-
-
-def test_plot_figures_refuses_csvs_of_a_failed_rerun(tmp_path):
-    # the failed seed-2 rerun leaves seed-1 CSVs beside a failed manifest;
-    # the refusal comes before matplotlib is needed
-    small = ["--case", "dense", "--n", "41", "--ensemble-size", "8"]
-    out = tmp_path / "run"
-    assert main(["assimilate", *small, "--seed", "1", "--out", str(out)]) == 0
-    (out / "error.csv").unlink()
-    (out / "error.csv").mkdir()
-    assert main(["assimilate", *small, "--seed", "2", "--out", str(out)]) == 4
-
-    result = _run_script(ROOT / "scripts" / "plot_figures.py", "errors", str(out / "summary.csv"),
-                         "--out", str(tmp_path / "errors.png"))
-    assert result.returncode != 0
-    assert "status = failed" in result.stderr
-    assert "Traceback" not in result.stderr + result.stdout
-    assert not (tmp_path / "errors.png").exists()
 
 
 def test_artifact_hashes_reports_the_drift_of_differing_csvs(tmp_path):
