@@ -21,10 +21,12 @@ K=100, t_end=0.05, whose forecast is split over two processes on a machine
 with two CPUs (its bytes do not depend on the split).
 
 It prints ``sha256  relative/path`` per CSV (57 in all), sorted by path,
-then ``sha256  relative/path:name`` for the ``u``, ``h`` and ``tu`` arrays of
-each truth-cache entry the runs created (4 entries, 12 lines), sorted the
-same way: the hash covers each array's dtype, shape and bytes, so equal
-lines mean ``array_equal`` truths whatever else the cache file holds.
+then ``sha256  cache/dir:name`` for the ``u``, ``h`` and ``tu`` arrays of
+the truth-cache entry in each cache directory the runs created (4
+directories, 12 lines), sorted by directory: the hash covers each array's
+dtype, shape and bytes, so equal lines mean ``array_equal`` truths whatever
+else the cache file holds.  A line names the directory, not the entry,
+whose file name is a hash of the cache fingerprint's text.
 ``manifest.txt`` is left out because it records absolute paths. Two
 commits wrote byte-identical artifacts and identical truths when their
 outputs are equal:
@@ -85,12 +87,8 @@ def main(argv=None):
     ))
     for path in sorted(out.rglob("*.csv")):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}")
-    for path in sorted(out.rglob("truth_*.npz")):
-        with np.load(path) as stored:
-            for name in ("u", "h", "tu"):
-                array = stored[name]
-                digest = hashlib.sha256(f"{array.dtype.str}{array.shape}".encode() + array.tobytes()).hexdigest()
-                print(f"{digest}  {path.relative_to(out).as_posix()}:{name}")
+    for line in truth_lines(out):
+        print(line)
     if args.against is not None:
         for line in drift_report(out, args.against):
             print(line, file=sys.stderr)
@@ -117,6 +115,22 @@ def desk_runs(out: Path, seed: int) -> None:
             out_path=out / case / "comparison.csv",
             windows=[COMPARE_WINDOW],
         )
+
+
+def truth_lines(out: Path) -> list[str]:
+    """``sha256  cache/dir:name`` for the u, h and tu arrays of the one truth-cache entry in each cache
+    directory under ``out``, sorted by directory."""
+    entries = sorted(out.rglob("truth_*.npz"))
+    if len({path.parent for path in entries}) != len(entries):
+        raise ValueError(f"a truth-cache directory under {out} holds more than one entry")
+    lines = []
+    for path in entries:
+        with np.load(path) as stored:
+            for name in ("u", "h", "tu"):
+                array = stored[name]
+                digest = hashlib.sha256(f"{array.dtype.str}{array.shape}".encode() + array.tobytes()).hexdigest()
+                lines.append(f"{digest}  {path.parent.relative_to(out).as_posix()}:{name}")
+    return lines
 
 
 def desk_table(out: Path) -> list[list[str]]:

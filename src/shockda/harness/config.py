@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError
-from ..solver import GRAVITY, Grid1D, SolverConfig, resolve_steps
+from ..solver import Grid1D, resolve_steps
 from ..stoker import DamBreakParams, ObservationOperator
 from ..assimilation.weights import FilterConfig
 from .._csvio import fmt17
@@ -54,8 +54,6 @@ class ExperimentConfig:
     output_dir: Path = Path("runs/out")
     h0: float = 1.0
     h1: float = 0.8
-    g: float = GRAVITY
-    x_dam: float = 0.0
     fine_refine: int = 20
     snapshot_times: tuple = (0.05, 0.10, 0.15)
     cache_dir: Path | None = None
@@ -91,10 +89,11 @@ class ExperimentConfig:
             raise ConfigError("obs_stride_steps must be at least 1")
         if self.fine_refine < 1:
             raise ConfigError("fine_refine must be at least 1")
-        # delegate the remaining range checks: cfl to SolverConfig, n to Grid1D (through n_steps)
+        if not 0.0 < self.cfl < 1.0:
+            raise ConfigError(f"cfl must lie in (0, 1), got {self.cfl}")
+        # delegate the remaining range checks: n to Grid1D (through n_steps)
         self.filter_config()
         self.dam_params()
-        self.solver_config()
         if self.n_steps < self.obs_stride_steps:  # n_steps also validates t_end divisibility
             raise ConfigError(f"t_end={self.t_end} is {self.n_steps} steps, "
                               f"under one observation stride of {self.obs_stride_steps}")
@@ -134,6 +133,7 @@ class ExperimentConfig:
 
     @property
     def dt(self) -> float:
+        """The solver's step, dt = cfl * dx at every step."""
         return self.cfl * self.grid().dx
 
     @property
@@ -162,11 +162,8 @@ class ExperimentConfig:
             dist=self.dist,
         )
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(cfl=self.cfl, g=self.g)
-
     def dam_params(self) -> DamBreakParams:
-        return DamBreakParams(h0=self.h0, h1=self.h1, g=self.g, x_dam=self.x_dam)
+        return DamBreakParams(h0=self.h0, h1=self.h1)
 
     def resolved_cache_dir(self) -> Path:
         """Default truth cache shared by sibling runs of the same experiment."""

@@ -27,7 +27,7 @@ import numpy as np
 
 from .. import __version__, solver
 from ..errors import ConfigError
-from ..solver import Grid1D, SolverConfig, solve_coupled_swe, transport_step
+from ..solver import Grid1D, solve_coupled_swe, transport_step
 from ..stoker import stoker_evaluate, stoker_solve, synthesize_observations
 from ..assimilation.ensemble import ensemble_moments, gradient_second_moment, sample_variance_diag
 from ..assimilation.filters import run_baseline_filter, run_weighted_filter
@@ -43,9 +43,9 @@ _OSC_WAVENUMBER = 30.0
 
 
 def initial_condition(config: ExperimentConfig, grid: Grid1D) -> np.ndarray:
-    """Case initial depth, at rest: dam-break step, or the oscillatory profile."""
+    """Case initial depth, at rest: dam-break step at x = 0, or the oscillatory profile."""
     x = grid.points
-    h = np.where(x < config.x_dam, config.h0, config.h1)
+    h = np.where(x < 0.0, config.h0, config.h1)
     if config.case == "oscillatory":
         h = np.where(x < -0.5, config.h0 + _OSC_AMPLITUDE * np.sin(_OSC_WAVENUMBER * x), h)
     return h
@@ -66,7 +66,7 @@ class TruthBundle:
 
 
 def _truth_fingerprint(config: ExperimentConfig) -> str:
-    keys = ("case", "n", "cfl", "t_end", "obs_stride_steps", "h0", "h1", "g", "x_dam", "fine_refine")
+    keys = ("case", "n", "cfl", "t_end", "obs_stride_steps", "h0", "h1", "fine_refine")
     parts = [f"version={__version__}"]
     for k in keys:
         v = getattr(config, k)
@@ -91,7 +91,7 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path) -> TruthBundle:
     if cached is not None:
         return cached
 
-    velocity = solve_coupled_swe(initial_condition(config, grid), grid, config.solver_config(), config.t_end).velocity
+    velocity = solve_coupled_swe(initial_condition(config, grid), grid, config.dt, config.t_end).velocity
 
     if config.case == "oscillatory":
         refine = config.fine_refine
@@ -99,7 +99,7 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path) -> TruthBundle:
         fine_run = solve_coupled_swe(
             initial_condition(config, fine_grid),
             fine_grid,
-            config.solver_config(),
+            config.cfl * fine_grid.dx,
             config.t_end,
             record=np.concatenate(([0], obs_steps * refine)),
             store_velocity=False,
@@ -248,7 +248,7 @@ def _run(config: ExperimentConfig, *names: str):
         raise
 
 
-def _forecast_worker(conn, parent_ends, block, velocity: np.ndarray, grid: Grid1D, solver_cfg: SolverConfig) -> None:
+def _forecast_worker(conn, parent_ends, block, velocity: np.ndarray, grid: Grid1D, dt: float) -> None:
     """Advance the members the parent puts in ``block``, a view of shared memory, by the step each
     message names, in place, and answer None or the exception raised; stop when the parent closes the pipe.
 
@@ -262,7 +262,7 @@ def _forecast_worker(conn, parent_ends, block, velocity: np.ndarray, grid: Grid1
         while True:
             step = conn.recv()
             try:
-                block[...] = transport_step(block, velocity, step, grid, solver_cfg, workspace=workspace)
+                block[...] = transport_step(block, velocity, step, grid, dt, workspace=workspace)
             except Exception as exc:
                 conn.send(exc)
             else:
@@ -270,7 +270,7 @@ def _forecast_worker(conn, parent_ends, block, velocity: np.ndarray, grid: Grid1
 
 
 @contextmanager
-def _forecast(velocity: np.ndarray, grid: Grid1D, solver_cfg: SolverConfig, rows: int):
+def _forecast(velocity: np.ndarray, grid: Grid1D, dt: float, rows: int):
     """Yield ``dynamics(members, step)``, one ``transport_step`` of a (rows, n) stack, and its process count.
 
     The count is w = min(CPUs this process may run on, rows, rows (n + 1) //
@@ -295,7 +295,7 @@ def _forecast(velocity: np.ndarray, grid: Grid1D, solver_cfg: SolverConfig, rows
     workspace = solver.Workspace()  # the workers build their own
 
     def step_rows(members, step):
-        return transport_step(members, velocity, step, grid, solver_cfg, workspace=workspace)
+        return transport_step(members, velocity, step, grid, dt, workspace=workspace)
 
     if workers <= 1:
         yield step_rows, 1
@@ -312,7 +312,7 @@ def _forecast(velocity: np.ndarray, grid: Grid1D, solver_cfg: SolverConfig, rows
             conn, child_conn = context.Pipe()
             conns.append(conn)
             procs.append(context.Process(target=_forecast_worker, daemon=True,
-                                         args=(child_conn, conns, blocks[-1], velocity, grid, solver_cfg)))
+                                         args=(child_conn, conns, blocks[-1], velocity, grid, dt)))
             procs[-1].start()
             child_conn.close()  # the worker holds the only other end, so its death reads as EOF here
 
@@ -396,7 +396,7 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
         y = synthesize_observations(truth_rows, H, config.gamma, config.seed)
         members = build_initial_ensemble(config, grid, config.seed)
         runner = run_baseline_filter if config.variant == "etkf_baseline" else run_weighted_filter
-        with _forecast(bundle.velocity, grid, config.solver_config(), config.ensemble_size) as (dynamics, workers):
+        with _forecast(bundle.velocity, grid, config.dt, config.ensemble_size) as (dynamics, workers):
             environment["forecast_workers"] = workers
             prior_mean, posterior_mean, prior_variance, prior_gsm = runner(
                 members, dynamics, y, H, config.gamma**2, config.filter_config(), grid,
@@ -440,15 +440,17 @@ def run_free_moments(config: ExperimentConfig) -> list[Path]:
     """The no-assimilation moment diagnostic: write moments.csv and a manifest, and return their paths.
 
     The initial ensemble is propagated with no analysis, and its mean,
-    variance and gradient second moment are written at the snapshot times:
-    at least one, each on a solver step.
+    variance and gradient second moment are written at the snapshot times
+    up to t_end: at least one, each on a solver step.  Later times are
+    ignored, as in ``run_experiment``.
     """
     with _run(config, "moments") as (paths, environment):
         dt = config.dt
-        if not config.snapshot_times:
-            raise ConfigError("the moment diagnostic needs at least one snapshot time")
+        times_in_run = [t for t in config.snapshot_times if t <= config.t_end]
+        if not times_in_run:
+            raise ConfigError(f"the moment diagnostic needs at least one snapshot time up to t_end={config.t_end}")
         snap_steps = []
-        for t in config.snapshot_times:
+        for t in times_in_run:
             s = int(round(t / dt))
             if abs(s * dt - t) > 1e-9 * max(1.0, t) or not 0 <= s <= config.n_steps:
                 raise ConfigError(f"snapshot time {t} does not land on a solver step inside the run")
@@ -469,7 +471,7 @@ def run_free_moments(config: ExperimentConfig) -> list[Path]:
 
         if 0 in snap_steps:
             record(0.0)
-        with _forecast(bundle.velocity, grid, config.solver_config(), config.ensemble_size) as (dynamics, workers):
+        with _forecast(bundle.velocity, grid, config.dt, config.ensemble_size) as (dynamics, workers):
             environment["forecast_workers"] = workers
             for step in range(max(snap_steps)):
                 members = dynamics(members, step)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 
-GRAVITY = 9.81
+GRAVITY = 9.81  # g of the coupled system and of the Stoker solution
 
 WENO_EPS = 1e-6
 
@@ -65,26 +65,6 @@ class Grid1D:
         return -1.0 + self.dx * np.arange(self.n)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Time-step rule and physical constant for the WENO/RK3 solver.
-
-    dt = cfl * dx at every step.  The Lax-Friedrichs splitting parameter is
-    always max(|u| + sqrt(g h)) over the grid, evaluated on the current
-    state; boundaries are closed with three constant-extrapolation ghost
-    points per side and frozen end values.
-    """
-
-    cfl: float = 0.1
-    g: float = GRAVITY
-
-    def __post_init__(self):
-        if not 0.0 < self.cfl < 1.0:
-            raise ConfigError(f"cfl must lie in (0, 1), got {self.cfl}")
-        if self.g <= 0.0:
-            raise ConfigError("g must be positive")
-
-
 class Workspace(dict):
     """The WENO5 plans and arrays one time loop reuses at every step, each built on first use.
 
@@ -100,7 +80,7 @@ class Workspace(dict):
         return value
 
 
-def lax_friedrichs_lambda(u, h, g: float, workspace: Workspace):
+def lax_friedrichs_lambda(u, h, workspace: Workspace):
     """max(|u| + sqrt(g h)) over the grid, per leading row if batched.
 
     ``u`` broadcasts to the shape of ``h`` (one velocity row for a member
@@ -112,7 +92,7 @@ def lax_friedrichs_lambda(u, h, g: float, workspace: Workspace):
     h = np.asarray(h, dtype=float)
     (speed,) = workspace["speed", h.shape, 1]
     with np.errstate(invalid="ignore"):
-        np.multiply(g, h, out=speed)
+        np.multiply(GRAVITY, h, out=speed)
         np.add(np.abs(u), np.sqrt(speed, out=speed), out=speed)
     return np.max(speed, axis=-1, keepdims=True)
 
@@ -296,17 +276,17 @@ def tvdrk3_step(state, rhs_evaluator, dt: float, step_index: int, workspace: Wor
     return result
 
 
-def _swe_rhs(stacked, g: float, dx: float, workspace: Workspace):
+def _swe_rhs(stacked, dx: float, workspace: Workspace):
     """Semi-discrete RHS for the coupled system on a (..., 2, n) stack, in a ``workspace`` array."""
     flux, out = workspace["swe_rhs", stacked.shape, 2]
     h = stacked[..., 0, :]
     hu = stacked[..., 1, :]
     u = np.divide(hu, h, out=out[..., 0, :])  # out is free until weno5_derivative writes it
-    lam = lax_friedrichs_lambda(u, h, g, workspace)[..., None, :]
+    lam = lax_friedrichs_lambda(u, h, workspace)[..., None, :]
     # flux = (hu, hu u + 0.5 g h h), the second row in that operation order
     flux[..., 0, :] = hu
     momentum_flux = np.multiply(hu, u, out=flux[..., 1, :])
-    pressure = np.multiply(np.multiply(0.5 * g, h, out=u), h, out=u)
+    pressure = np.multiply(np.multiply(0.5 * GRAVITY, h, out=u), h, out=u)
     np.add(momentum_flux, pressure, out=momentum_flux)
     weno5_derivative(stacked, flux, lam, dx, workspace, out)
     # frozen end values realize the non-reflecting Dirichlet closure
@@ -343,12 +323,12 @@ def resolve_steps(t_end: float, dt: float) -> int:
 def solve_coupled_swe(
     initial_h,
     grid: Grid1D,
-    config: SolverConfig,
+    dt: float,
     t_end: float,
     record=(),
     store_velocity: bool = True,
 ) -> CoupledRun:
-    """Integrate the coupled system from depth ``initial_h`` at rest to t_end with dt = cfl * dx.
+    """Integrate the coupled system from depth ``initial_h`` at rest to t_end in steps of ``dt``.
 
     ``record`` is an iterable of the step indices whose depth is kept
     (none by default).  The velocity u = hu/h is stored at every step
@@ -361,7 +341,6 @@ def solve_coupled_swe(
         raise ConfigError("initial depth does not match the grid")
     if t_end <= 0.0:
         raise ConfigError("t_end must be positive")
-    dt = config.cfl * grid.dx
     n_steps = resolve_steps(t_end, dt)
 
     keep = np.unique(np.asarray(list(record), dtype=int))
@@ -377,7 +356,7 @@ def solve_coupled_swe(
     for step in range(n_steps + 1):
         if step:
             with np.errstate(over="ignore"):  # an overflow is an inf, which the step's finiteness checks raise
-                state = tvdrk3_step(state, lambda s: _swe_rhs(s, config.g, grid.dx, workspace), dt, step, workspace)
+                state = tvdrk3_step(state, lambda s: _swe_rhs(s, grid.dx, workspace), dt, step, workspace)
         bad = ~((state[0] > 0.0) & (state[0] < np.inf))  # NaN compares false
         if bad.any():
             i = int(np.argmax(bad))
@@ -391,7 +370,7 @@ def solve_coupled_swe(
     return CoupledRun(n_steps, h_rec, u_hist)
 
 
-def transport_step(h, velocity: np.ndarray, step_index: int, grid: Grid1D, config: SolverConfig, workspace: Workspace):
+def transport_step(h, velocity: np.ndarray, step_index: int, grid: Grid1D, dt: float, workspace: Workspace):
     """Advance depth by one step of h_t + (h u)_x = 0 with stored u.
 
     ``h`` may be a single profile (n,) or a member stack (K, n); row
@@ -403,11 +382,10 @@ def transport_step(h, velocity: np.ndarray, step_index: int, grid: Grid1D, confi
     h = np.asarray(h, dtype=float)
     if h.shape[-1] != grid.n or u.shape[-1] != grid.n:
         raise ConfigError("depth/velocity length does not match the grid")
-    dt = config.cfl * grid.dx
     flux, out = workspace["transport_rhs", h.shape, 2]
 
     def rhs(hc):
-        lam = lax_friedrichs_lambda(u, hc, config.g, workspace)
+        lam = lax_friedrichs_lambda(u, hc, workspace)
         weno5_derivative(hc, np.multiply(hc, u, out=flux), lam, grid.dx, workspace, out)
         out[..., 0] = 0.0
         out[..., -1] = 0.0

@@ -1,11 +1,11 @@
 """Analytic wet-bed dam-break solution and synthetic observations.
 
-The classical Stoker solution for a step of depth h0 into quiescent water
-of depth h1 < h0: a left-running rarefaction fan, a constant intermediate
-state (h_m, u_m), and a right-running shock of speed s.  The intermediate
-depth solves the compatibility equation that equates the velocity obtained
-from the rarefaction Riemann invariant with the velocity from the shock
-jump conditions.
+The classical Stoker solution for a step at x = 0 of depth h0 into
+quiescent water of depth h1 < h0: a left-running rarefaction fan, a
+constant intermediate state (h_m, u_m), and a right-running shock of speed
+s.  The intermediate depth solves the compatibility equation that equates
+the velocity obtained from the rarefaction Riemann invariant with the
+velocity from the shock jump conditions.
 
 Also provides point-selection observation operators and Gaussian synthetic
 observations drawn from a seeded generator.
@@ -23,19 +23,15 @@ from .solver import GRAVITY
 
 @dataclass(frozen=True)
 class DamBreakParams:
-    """Left/right depths, gravity, and the dam location."""
+    """Left/right depths of the dam at x = 0."""
 
     h0: float = 1.0
     h1: float = 0.8
-    g: float = GRAVITY
-    x_dam: float = 0.0
 
     def __post_init__(self):
         # h0 == h1 is allowed and yields the degenerate no-wave solution
         if not (self.h0 >= self.h1 > 0.0):
             raise ConfigError(f"dam break requires h0 >= h1 > 0, got h0={self.h0}, h1={self.h1}")
-        if self.g <= 0.0:
-            raise ConfigError("g must be positive")
 
 
 @dataclass(frozen=True)
@@ -49,14 +45,14 @@ class StokerIntermediate:
 
 def _compat(h_m: float, p: DamBreakParams) -> float:
     """Rarefaction-invariant velocity minus shock-jump velocity at h_m."""
-    rare = 2.0 * (np.sqrt(p.g * p.h0) - np.sqrt(p.g * h_m))
-    shock = (h_m - p.h1) * np.sqrt(0.5 * p.g * (1.0 / p.h1 + 1.0 / h_m))
+    rare = 2.0 * (np.sqrt(GRAVITY * p.h0) - np.sqrt(GRAVITY * h_m))
+    shock = (h_m - p.h1) * np.sqrt(0.5 * GRAVITY * (1.0 / p.h1 + 1.0 / h_m))
     return rare - shock
 
 
 def _compat_prime(h_m: float, p: DamBreakParams) -> float:
-    phi = np.sqrt(0.5 * p.g * (1.0 / p.h1 + 1.0 / h_m))
-    return -np.sqrt(p.g / h_m) - phi + p.g * (h_m - p.h1) / (4.0 * phi * h_m * h_m)
+    phi = np.sqrt(0.5 * GRAVITY * (1.0 / p.h1 + 1.0 / h_m))
+    return -np.sqrt(GRAVITY / h_m) - phi + GRAVITY * (h_m - p.h1) / (4.0 * phi * h_m * h_m)
 
 
 def stoker_solve(params: DamBreakParams) -> StokerIntermediate:
@@ -95,7 +91,7 @@ def stoker_solve(params: DamBreakParams) -> StokerIntermediate:
             )
 
         h_m = float(x)
-        u_m = 2.0 * (np.sqrt(params.g * params.h0) - np.sqrt(params.g * h_m))
+        u_m = 2.0 * (np.sqrt(GRAVITY * params.h0) - np.sqrt(GRAVITY * h_m))
         s = h_m * u_m / (h_m - params.h1)
     if not np.isfinite([u_m, s]).all():
         raise NumericalError(f"dam-break intermediate state is not finite (h_m={h_m:.3e})")
@@ -104,33 +100,33 @@ def stoker_solve(params: DamBreakParams) -> StokerIntermediate:
 
 def rankine_hugoniot_residual(params: DamBreakParams, inter: StokerIntermediate) -> float:
     """Momentum jump condition residual across the shock (mass holds by construction of s)."""
-    left_flux = inter.h_m * inter.u_m**2 + 0.5 * params.g * inter.h_m**2
-    right_flux = 0.5 * params.g * params.h1**2
+    left_flux = inter.h_m * inter.u_m**2 + 0.5 * GRAVITY * inter.h_m**2
+    right_flux = 0.5 * GRAVITY * params.h1**2
     return float(inter.s * (inter.h_m * inter.u_m - 0.0) - (left_flux - right_flux))
 
 
 def rarefaction_invariant_residual(params: DamBreakParams, inter: StokerIntermediate) -> float:
-    return float(inter.u_m + 2.0 * np.sqrt(params.g * inter.h_m) - 2.0 * np.sqrt(params.g * params.h0))
+    return float(inter.u_m + 2.0 * np.sqrt(GRAVITY * inter.h_m) - 2.0 * np.sqrt(GRAVITY * params.h0))
 
 
 def stoker_evaluate(params: DamBreakParams, inter: StokerIntermediate, x: np.ndarray, t: float):
     """Evaluate the arrays (h, u) at the positions of the array x and time t >= 0.
 
-    Piecewise in the similarity variable (x - x_dam)/t: undisturbed left
+    Piecewise in the similarity variable x/t: undisturbed left
     state, rarefaction fan, intermediate state, undisturbed right state.
     At t = 0 this returns the initial step.
     """
     if t < 0.0:
         raise ConfigError("t must be nonnegative")
     if t == 0.0:
-        h = np.where(x < params.x_dam, params.h0, params.h1)
+        h = np.where(x < 0.0, params.h0, params.h1)
         u = np.zeros_like(h)
     else:
-        with np.errstate(over="ignore"):  # only far outside the fan (a huge x_dam), where np.select drops it
-            xi = (x - params.x_dam) / t
-            c0 = np.sqrt(params.g * params.h0)
-            foot = inter.u_m - np.sqrt(params.g * inter.h_m)
-            fan_h = (2.0 * c0 - xi) ** 2 / (9.0 * params.g)
+        with np.errstate(over="ignore"):  # only at a tiny t, far outside the fan, where np.select drops it
+            xi = x / t
+            c0 = np.sqrt(GRAVITY * params.h0)
+            foot = inter.u_m - np.sqrt(GRAVITY * inter.h_m)
+            fan_h = (2.0 * c0 - xi) ** 2 / (9.0 * GRAVITY)
             fan_u = 2.0 * (xi + c0) / 3.0
         conds = [xi <= -c0, xi < foot, xi < inter.s]
         h = np.select(conds, [params.h0, fan_h, inter.h_m], default=params.h1)

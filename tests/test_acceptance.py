@@ -29,7 +29,7 @@ from shockda.assimilation.filters import analysis_mean, etkf_transform
 from shockda.assimilation.weights import FilterConfig, build_weight
 from shockda.harness import ExperimentConfig, config_from_manifest, generate_truth, run_experiment
 from shockda.metrics import in_window, relative_error
-from shockda.solver import Grid1D, SolverConfig, Workspace, solve_coupled_swe, tvdrk3_step, weno5_derivative
+from shockda.solver import Grid1D, Workspace, solve_coupled_swe, tvdrk3_step, weno5_derivative
 from shockda.stoker import (
     DamBreakParams,
     ObservationOperator,
@@ -122,7 +122,7 @@ def test_dam_break_solution_and_coupled_solver_agree():
     grid = Grid1D(n=1001)
     h = np.where(grid.points < 0.0, 1.0, 0.8)
     run = solve_coupled_swe(
-        h, grid, SolverConfig(cfl=0.1), t_end=0.15,
+        h, grid, 0.1 * grid.dx, t_end=0.15,
         record=[750], store_velocity=False,
     )
     p = DamBreakParams()

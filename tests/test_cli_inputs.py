@@ -42,8 +42,6 @@ _VALUES = {
     "seed": (("0", "7", str(2**64), "99999999999999999999999999999"), ("-1", "1e3", "2.5", *_JUNK)),
     "h0": (("1.0", "2", "0.8", "1e-300", "1e300"), ("0", "-1", *_JUNK)),
     "h1": (("0.8", "1.0", "0.1", "1e-300", "1e300"), ("0", "-1", *_JUNK)),
-    "g": (("9.81", "1", "100"), ("0", "-9.81", *_JUNK)),
-    "x_dam": (("0", "0.5", "-0.5", "0.99", "2", "-1e300", "1e300"), _JUNK),
     "snapshot_times": (("0.05", "0.05,0.1", "0.1, 0.05", "0.05,0.05", "0.05,,0.1"),
                        ("", "0.0123", "-0.05", "1e300", *_JUNK)),
 }

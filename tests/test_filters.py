@@ -610,7 +610,7 @@ def test_cycled_filter_is_mirror_symmetric(case, variant, tmp_path):
         workspace = Workspace()
 
         def dynamics(h, step):
-            return transport_step(h, velocity, step, grid, cfg.solver_config(), workspace)
+            return transport_step(h, velocity, step, grid, cfg.dt, workspace)
 
         return runner(members, dynamics, y, H, cfg.gamma**2, cfg.filter_config(), grid, cfg.obs_stride_steps)
 

@@ -49,7 +49,7 @@ def test_forecast_bytes_and_layout_do_not_depend_on_the_worker_count(tmp_path, m
     for cpus in (1, 2, 3):
         _force_split(monkeypatch, cpus)
         members = start
-        with experiments._forecast(bundle.velocity, cfg.grid(), cfg.solver_config(), len(start)) as (dynamics, workers):
+        with experiments._forecast(bundle.velocity, cfg.grid(), cfg.dt, len(start)) as (dynamics, workers):
             assert workers == cpus
             assert len(multiprocessing.active_children()) == workers - 1
             for step in range(7):
@@ -161,13 +161,12 @@ def _counted_weno5(monkeypatch, nan_at_call=None):
 
 def _coupled_run(cfg, n_steps):
     grid = cfg.grid()
-    return solver.solve_coupled_swe(initial_condition(cfg, grid), grid, cfg.solver_config(),
-                                    n_steps * cfg.dt)
+    return solver.solve_coupled_swe(initial_condition(cfg, grid), grid, cfg.dt, n_steps * cfg.dt)
 
 
 def _desk_forecast(cfg, velocity, n_steps):
     members = np.asfortranarray(1.0 + 0.05 * np.random.default_rng(5).standard_normal((8, cfg.n)))
-    with experiments._forecast(velocity, cfg.grid(), cfg.solver_config(), len(members)) as (dynamics, workers):
+    with experiments._forecast(velocity, cfg.grid(), cfg.dt, len(members)) as (dynamics, workers):
         assert workers == 1
         for step in range(n_steps):
             members = dynamics(members, step)

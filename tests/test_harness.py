@@ -53,7 +53,7 @@ def test_case_presets_reproduce_reference_parameters():
     assert dense.alpha == 1.5
     assert dense.beta_max_target == 0.003
     assert dense.localization_bandwidth == 0
-    assert (dense.h0, dense.h1, dense.x_dam) == (1.0, 0.8, 0.0)
+    assert (dense.h0, dense.h1) == (1.0, 0.8)
     assert dense.observation_operator().m == dense.n
 
     # the dense baseline runs unlocalized (plain inflated covariance);
@@ -96,6 +96,13 @@ def test_config_validation():
         ExperimentConfig(gamma=0.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(variant="enkf")
+
+
+def test_config_validates_cfl():
+    # dt = cfl * dx, so the step is a fraction of a cell
+    for cfl in (0.0, 1.0):
+        with pytest.raises(ConfigError, match="cfl must lie in"):
+            ExperimentConfig(cfl=cfl)
 
 
 def test_step_count_rule_is_the_solvers():
@@ -492,6 +499,17 @@ def test_unknown_config_key_rejected():
         ExperimentConfig.for_case("dense", inflation="1.5")
 
 
+def test_gravity_and_the_dam_position_are_not_config_keys(tmp_path):
+    # g = 9.81 and the dam at x = 0 are constants, so a setting or a manifest line of either is rejected by name
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['g'\]"):
+        ExperimentConfig.for_case("dense", g="9.81")
+    path = tmp_path / "manifest.txt"
+    write_manifest(path, _small(output_dir=tmp_path / "run"), status="completed", environment={})
+    path.write_text(path.read_text() + "x_dam = 0\n")
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['x_dam'\]"):
+        config_from_manifest(path)
+
+
 # --------------------------------------------------------------- experiments
 
 
@@ -781,6 +799,20 @@ def test_cli_baseline_transform_that_cannot_be_decomposed_exits_3(tmp_path, caps
     assert err.startswith("numerical failure: transform system") and err.count("\n") == 1, err
     mapping = read_manifest(out / "manifest.txt")
     assert mapping["status"] == "failed" and mapping["error"].startswith("transform system")
+
+
+def test_cli_moments_ignores_snapshot_times_after_t_end(tmp_path, capsys):
+    # of the default snapshot times 0.05, 0.1 and 0.15, only 0.05 is inside a run to 0.05, as for assimilate
+    out = tmp_path / "moments"
+    assert main(["moments", "--n", "41", "--ensemble-size", "4", "--t-end", "0.05", "--out", str(out)]) == 0
+    with open(out / "moments.csv", newline="") as f:
+        (t,) = {float(row["t"]) for row in csv.DictReader(f)}
+    assert t == pytest.approx(0.05, abs=1e-9)
+    capsys.readouterr()
+    # a run that ends before every snapshot time has nothing to write
+    assert main(["moments", "--n", "41", "--ensemble-size", "4", "--t-end", "0.04", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: the moment diagnostic needs at least one snapshot time up to t_end=0.04\n"
 
 
 def test_cli_moments_without_snapshot_times_is_a_config_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,10 +33,15 @@ def test_script_help_exits_cleanly(script):
     assert "usage:" in result.stdout
 
 
-def test_artifact_hashes_reports_the_drift_of_differing_csvs(tmp_path):
+def _artifact_hashes():
     spec = importlib.util.spec_from_file_location("artifact_hashes", ROOT / "scripts" / "artifact_hashes.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_artifact_hashes_reports_the_drift_of_differing_csvs(tmp_path):
+    script = _artifact_hashes()
     new, old = tmp_path / "new", tmp_path / "old"
     for root, value, label in ((new, "2.5", "b"), (old, "2", "a")):
         (root / "run").mkdir(parents=True)
@@ -50,6 +56,24 @@ def test_artifact_hashes_reports_the_drift_of_differing_csvs(tmp_path):
         "run/moved.csv: t 0, h 0.12, obs 0, name text differs",
         f"2 of 3 CSVs differ from {old}",
     ]
+
+
+def test_artifact_hashes_keys_truth_lines_by_cache_directory(tmp_path):
+    # the entry's name hashes the cache fingerprint, so equal arrays under another name print the same lines
+    script = _artifact_hashes()
+    arrays = dict(u=np.zeros((3, 11)), h=np.ones((2, 11)), tu=np.arange(22.0).reshape(2, 11))
+    lines = []
+    for root, entry in ((tmp_path / "old", "truth_0123456789abcdef"), (tmp_path / "new", "truth_fedcba9876543210")):
+        for case in ("sparse", "dense"):
+            (root / case / "truth_cache").mkdir(parents=True)
+            np.savez(root / case / "truth_cache" / f"{entry}.npz", fingerprint=np.array(entry + case), **arrays)
+        lines.append(script.truth_lines(root))
+    assert lines[0] == lines[1]
+    assert [line.split("  ")[1] for line in lines[0]] == [
+        f"{case}/truth_cache:{name}" for case in ("dense", "sparse") for name in ("u", "h", "tu")]
+    np.savez(tmp_path / "new" / "dense" / "truth_cache" / "truth_0000000000000000.npz", **arrays)
+    with pytest.raises(ValueError, match="more than one entry"):
+        script.truth_lines(tmp_path / "new")
 
 
 def test_oscillatory_regions_prints_one_finite_row_per_variant():

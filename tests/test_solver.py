@@ -13,7 +13,6 @@ from shockda.solver import (
     GRAVITY,
     WENO_EPS,
     Grid1D,
-    SolverConfig,
     Workspace,
     lax_friedrichs_lambda,
     solve_coupled_swe,
@@ -38,23 +37,16 @@ def test_grid_rejects_too_few_points():
         Grid1D(n=5)
 
 
-def test_solver_config_validates_cfl():
-    with pytest.raises(ConfigError):
-        SolverConfig(cfl=0.0)
-    with pytest.raises(ConfigError):
-        SolverConfig(cfl=1.0)
-
-
 def test_lax_friedrichs_lambda_value():
     u = np.array([0.5, -2.0, 1.0])
     h = np.array([1.0, 4.0, 0.25])
-    lam = lax_friedrichs_lambda(u, h, 9.81, Workspace())
+    lam = lax_friedrichs_lambda(u, h, Workspace())
     assert lam[0] == pytest.approx(2.0 + np.sqrt(9.81 * 4.0))
     # a negative depth gives NaN for its row, silently: the RK3 stage check reports it
     batch_h = np.stack([h, -h])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch_lam = lax_friedrichs_lambda(u, batch_h, 9.81, Workspace())
+        batch_lam = lax_friedrichs_lambda(u, batch_h, Workspace())
     assert batch_lam[0, 0] == lam[0] and np.isnan(batch_lam[1, 0])
 
 
@@ -105,7 +97,7 @@ def test_weno_rejects_shape_mismatch():
 def test_weno_batched_rows_match_individual_calls():
     rng = np.random.default_rng(3)
     fields = 1.0 + 0.1 * rng.standard_normal((4, 33))
-    lam = lax_friedrichs_lambda(np.zeros_like(fields), fields, GRAVITY, Workspace())
+    lam = lax_friedrichs_lambda(np.zeros_like(fields), fields, Workspace())
     batched = _weno(fields, 0.5 * fields**2, lam, dx=0.05)
     for k in range(4):
         single = _weno(fields[k], 0.5 * fields[k] ** 2, lam[k], dx=0.05)
@@ -340,7 +332,7 @@ def test_rk3_local_order_via_richardson():
     workspace = Workspace()
 
     def rhs(s):
-        return _swe_rhs(s, GRAVITY, grid.dx, workspace)
+        return _swe_rhs(s, grid.dx, workspace)
 
     def gap(dt):
         one = tvdrk3_step(state, rhs, dt, 0, workspace)
@@ -363,20 +355,20 @@ def test_rk3_reports_stage_and_step_on_blowup():
 # ------------------------------------------------------------- coupled SWE
 
 
-def _lax_friedrichs_lambda_expression(u, h, g=GRAVITY):
+def _lax_friedrichs_lambda_expression(u, h):
     """Reference: the whole-array expression form of lax_friedrichs_lambda."""
     with np.errstate(invalid="ignore"):
-        speed = np.abs(u) + np.sqrt(g * np.asarray(h))
+        speed = np.abs(u) + np.sqrt(GRAVITY * np.asarray(h))
     return np.max(speed, axis=-1, keepdims=True)
 
 
-def _swe_rhs_expression(stacked, g, dx):
+def _swe_rhs_expression(stacked, dx):
     """Reference: _swe_rhs with a stacked flux, over the padded WENO5 reference."""
     h = stacked[..., 0, :]
     hu = stacked[..., 1, :]
     u = hu / h
-    lam = _lax_friedrichs_lambda_expression(u, h, g)[..., None, :]
-    flux = np.stack([hu, hu * u + 0.5 * g * h * h], axis=-2)
+    lam = _lax_friedrichs_lambda_expression(u, h)[..., None, :]
+    flux = np.stack([hu, hu * u + 0.5 * GRAVITY * h * h], axis=-2)
     out = _weno5_derivative_padded(stacked, flux, lam, dx)
     out[..., 0] = 0.0
     out[..., -1] = 0.0
@@ -399,16 +391,16 @@ def test_swe_rhs_and_lambda_match_expression_form_bitwise(members, n, order, see
     stacked[..., 0, :] = rng.lognormal(0.0, 0.5, shape[:-2] + (n,))
     stacked = np.array(stacked, order=order)
     before = stacked.copy()
-    got = _swe_rhs(stacked, GRAVITY, 0.01, Workspace())
+    got = _swe_rhs(stacked, 0.01, Workspace())
     np.testing.assert_array_equal(stacked, before)
-    np.testing.assert_array_equal(got, _swe_rhs_expression(stacked, GRAVITY, 0.01))
+    np.testing.assert_array_equal(got, _swe_rhs_expression(stacked, 0.01))
 
     h = stacked[..., 0, :]
     u = stacked[..., 1, :] / h
-    np.testing.assert_array_equal(lax_friedrichs_lambda(u, h, GRAVITY, Workspace()), _lax_friedrichs_lambda_expression(u, h))
+    np.testing.assert_array_equal(lax_friedrichs_lambda(u, h, Workspace()), _lax_friedrichs_lambda_expression(u, h))
     # one velocity row for every member, as transport_step passes it
     u_row = u.reshape(-1, n)[0]
-    np.testing.assert_array_equal(lax_friedrichs_lambda(u_row, h, GRAVITY, Workspace()),
+    np.testing.assert_array_equal(lax_friedrichs_lambda(u_row, h, Workspace()),
                                   _lax_friedrichs_lambda_expression(u_row, h))
 
 
@@ -417,13 +409,13 @@ def test_coupled_solve_matches_the_expression_loop_bitwise():
     cfg = ExperimentConfig.for_case("oscillatory", n=201, ensemble_size=5)
     grid = cfg.grid()
     initial = initial_condition(cfg, grid)
-    dt = cfg.solver_config().cfl * grid.dx
-    run = solve_coupled_swe(initial, grid, cfg.solver_config(), t_end=50 * dt, record=range(51))
+    dt = cfg.dt
+    run = solve_coupled_swe(initial, grid, dt, t_end=50 * dt, record=range(51))
     assert run.n_steps == 50
     state = np.stack([initial, np.zeros_like(initial)])
     h, hu = [state[0]], [state[1]]
     for _ in range(50):
-        state = _rk3_expression(state, lambda s: _swe_rhs_expression(s, GRAVITY, grid.dx), dt)
+        state = _rk3_expression(state, lambda s: _swe_rhs_expression(s, grid.dx), dt)
         h.append(state[0])
         hu.append(state[1])
     h, hu = np.array(h), np.array(hu)
@@ -431,11 +423,31 @@ def test_coupled_solve_matches_the_expression_loop_bitwise():
     np.testing.assert_array_equal(run.velocity, hu / h)
 
 
+@pytest.mark.parametrize("profile, n, n_steps", [
+    ("dam_break", 201, 50), ("oscillatory", 201, 50), ("random", 41, 20),
+    ("dam_break", 8193, 20),  # two face blocks of the (2, n) stack
+])
+def test_coupled_solve_is_mirror_symmetric(profile, n, n_steps):
+    # the mirror image of a depth at rest evolves into the mirror image of its run, bit for bit:
+    # every depth reversed, and every velocity reversed and negated
+    grid = Grid1D(n)
+    if profile == "random":
+        h = 1.0 + 0.1 * np.random.default_rng(11).uniform(0.0, 1.0, n)
+    elif profile == "oscillatory":
+        h = initial_condition(ExperimentConfig.for_case("oscillatory", n=n, ensemble_size=2), grid)
+    else:
+        h = np.where(grid.points < 0.0, 1.0, 0.8)
+    dt = 0.1 * grid.dx
+    plain, mirrored = (solve_coupled_swe(depth, grid, dt, n_steps * dt, record=range(n_steps + 1)) for depth in (h, h[::-1]))
+    assert plain.n_steps == n_steps
+    assert np.array_equal(mirrored.h[:, ::-1], plain.h)
+    assert np.array_equal(-mirrored.velocity[:, ::-1], plain.velocity)
+
+
 def test_coupled_uniform_rest_state_is_constant():
     grid = Grid1D(n=51)
     h = np.ones(51)
-    run = solve_coupled_swe(h.copy(), grid, SolverConfig(cfl=0.1), t_end=20 * 0.1 * grid.dx,
-                            record=[20])
+    run = solve_coupled_swe(h.copy(), grid, 0.1 * grid.dx, t_end=20 * 0.1 * grid.dx, record=[20])
     np.testing.assert_array_equal(run.h[-1], h)
     np.testing.assert_array_equal(run.velocity, np.zeros((21, 51)))
 
@@ -443,7 +455,7 @@ def test_coupled_uniform_rest_state_is_constant():
 def test_coupled_records_velocity_every_step():
     grid = Grid1D(n=51)
     h = np.where(grid.points < 0, 1.0, 0.8)
-    run = solve_coupled_swe(h, grid, SolverConfig(cfl=0.1), t_end=10 * 0.1 * grid.dx)
+    run = solve_coupled_swe(h, grid, 0.1 * grid.dx, t_end=10 * 0.1 * grid.dx)
     assert run.velocity.shape == (11, 51)
     assert run.h.shape == (0, 51)  # no depth rows unless asked for
     # velocity rows are hu/h of the recorded trajectory
@@ -454,7 +466,7 @@ def test_coupled_mass_conservation_before_waves_reach_boundary():
     grid = Grid1D(n=401)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(
-        h, grid, SolverConfig(cfl=0.1), t_end=0.1, record=[0, 200], store_velocity=False
+        h, grid, 0.1 * grid.dx, t_end=0.1, record=[0, 200], store_velocity=False
     )
     drift = abs(np.sum(run.h[-1]) - np.sum(run.h[0])) * grid.dx
     assert drift / 0.1 < 1e-8
@@ -465,7 +477,7 @@ def test_coupled_dam_break_total_variation_bound():
     grid = Grid1D(n=201)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(
-        h, grid, SolverConfig(cfl=0.1), t_end=0.1, record=range(101), store_velocity=False
+        h, grid, 0.1 * grid.dx, t_end=0.1, record=range(101), store_velocity=False
     )
     tv = np.sum(np.abs(np.diff(run.h, axis=-1)), axis=-1)
     assert tv[-1] <= tv[0] + 1e-3
@@ -477,26 +489,26 @@ def test_coupled_rejects_vacuum():
     # a violent step into near-dry water collapses the depth quickly
     h = np.where(grid.points < 0, 10.0, 1e-4)
     with pytest.raises(NumericalError):
-        solve_coupled_swe(h, grid, SolverConfig(cfl=0.9), t_end=50 * 0.9 * grid.dx)
+        solve_coupled_swe(h, grid, 0.9 * grid.dx, t_end=50 * 0.9 * grid.dx)
 
 
 def test_coupled_rejects_a_non_positive_or_non_finite_initial_depth():
     # raised at step 0, before the first step, with no RuntimeWarning
     grid = Grid1D(n=11)
-    solve_coupled_swe(np.ones(11), grid, SolverConfig(cfl=0.1), t_end=0.02)  # fine
+    solve_coupled_swe(np.ones(11), grid, 0.1 * grid.dx, t_end=0.02)  # fine
     for bad in (0.0, -0.1, np.nan, np.inf):
         h = np.ones(11)
         h[3] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="at index 3, step 0"):
-                solve_coupled_swe(h, grid, SolverConfig(cfl=0.1), t_end=0.02)
+                solve_coupled_swe(h, grid, 0.1 * grid.dx, t_end=0.02)
 
 
 def test_coupled_t_end_must_align_with_dt():
     grid = Grid1D(n=51)
     with pytest.raises(ConfigError):
-        solve_coupled_swe(np.ones(51), grid, SolverConfig(cfl=0.1), t_end=0.001234567)
+        solve_coupled_swe(np.ones(51), grid, 0.1 * grid.dx, t_end=0.001234567)
 
 
 def test_coupled_record_subset():
@@ -505,7 +517,7 @@ def test_coupled_record_subset():
 
     def run(record):
         return solve_coupled_swe(
-            h, grid, SolverConfig(cfl=0.1), t_end=10 * 0.1 * grid.dx, record=record
+            h, grid, 0.1 * grid.dx, t_end=10 * 0.1 * grid.dx, record=record
         )
 
     subset, full = run([10, 0, 5, 5]), run(range(11))
@@ -522,7 +534,7 @@ def test_coupled_determinism():
 
     def once():
         return solve_coupled_swe(
-            h.copy(), grid, SolverConfig(cfl=0.1), t_end=20 * 0.1 * grid.dx, record=range(21)
+            h.copy(), grid, 0.1 * grid.dx, t_end=20 * 0.1 * grid.dx, record=range(21)
         )
 
     a, b = once(), once()
@@ -535,22 +547,20 @@ def test_coupled_determinism():
 
 def test_transport_zero_velocity_keeps_constant_depth():
     grid = Grid1D(n=51)
-    cfg = SolverConfig(cfl=0.1)
     vel = np.zeros((2, 51))
     h = np.full(51, 0.9)
-    out = transport_step(h, vel, 0, grid, cfg, Workspace())
+    out = transport_step(h, vel, 0, grid, 0.1 * grid.dx, Workspace())
     assert np.array_equal(out, h)
 
 
 def test_transport_translation_accuracy_and_order():
     def one_step_error(n, c=0.5):
         grid = Grid1D(n=n)
-        cfg = SolverConfig(cfl=0.1)
-        dt = cfg.cfl * grid.dx
+        dt = 0.1 * grid.dx
         x = grid.points
         h = 1.0 + 0.1 * np.exp(-((x / 0.3) ** 2))
         vel = np.full((2, n), c)
-        out = transport_step(h, vel, 0, grid, cfg, Workspace())
+        out = transport_step(h, vel, 0, grid, dt, Workspace())
         exact = 1.0 + 0.1 * np.exp(-(((x - c * dt) / 0.3) ** 2))
         return np.max(np.abs(out - exact)[5 : n - 5])
 
@@ -563,8 +573,8 @@ def test_transport_translation_accuracy_and_order():
 
 def test_transport_steps_match_the_expression_loop_bitwise():
     # 20 steps of a C-ordered (8, 41) stack through one workspace, as a forecast runs them
-    grid, cfg = Grid1D(n=41), SolverConfig(cfl=0.1)
-    dt = cfg.cfl * grid.dx
+    grid = Grid1D(n=41)
+    dt = 0.1 * grid.dx
     rng = np.random.default_rng(29)
     velocity = 0.5 * np.sin(np.pi * grid.points + rng.uniform(0.0, 6.3, (20, 1)))
     got = expected = np.where(grid.points < 0.0, 1.0, 0.6) + 0.05 * rng.standard_normal((8, 41))
@@ -577,29 +587,28 @@ def test_transport_steps_match_the_expression_loop_bitwise():
         return out
 
     for step in range(20):
-        got = transport_step(got, velocity, step, grid, cfg, workspace)
+        got = transport_step(got, velocity, step, grid, dt, workspace)
         expected = _rk3_expression(expected, lambda h: rhs(h, velocity[step]), dt)
     np.testing.assert_array_equal(got, expected)
 
 
 def test_transport_batched_members_match_individual():
     grid = Grid1D(n=41)
-    cfg = SolverConfig(cfl=0.1)
+    dt = 0.1 * grid.dx
     rng = np.random.default_rng(5)
     members = 1.0 + 0.05 * rng.standard_normal((6, 41))
     u = 0.3 * np.sin(np.pi * grid.points)
     vel = np.stack([u, u])
-    batch = transport_step(members, vel, 0, grid, cfg, Workspace())
+    batch = transport_step(members, vel, 0, grid, dt, Workspace())
     for k in range(6):
-        np.testing.assert_array_equal(batch[k], transport_step(members[k], vel, 0, grid, cfg, Workspace()))
+        np.testing.assert_array_equal(batch[k], transport_step(members[k], vel, 0, grid, dt, Workspace()))
 
 
 def test_transport_step_index_out_of_range():
     grid = Grid1D(n=41)
-    cfg = SolverConfig(cfl=0.1)
     vel = np.zeros((3, 41))
     with pytest.raises(IndexError):
-        transport_step(np.ones(41), vel, 3, grid, cfg, Workspace())
+        transport_step(np.ones(41), vel, 3, grid, 0.1 * grid.dx, Workspace())
 
 
 def test_transport_gsm_of_propagated_mean_peaks_at_shock(tmp_path):
@@ -609,19 +618,19 @@ def test_transport_gsm_of_propagated_mean_peaks_at_shock(tmp_path):
     from shockda.stoker import DamBreakParams, stoker_solve
 
     grid = Grid1D(n=201)
-    cfg = SolverConfig(cfl=0.1)
+    dt = 0.1 * grid.dx
     h = np.where(grid.points < 0, 1.0, 0.8)
     n_steps = 100
-    run = solve_coupled_swe(h.copy(), grid, cfg, t_end=n_steps * cfg.cfl * grid.dx)
+    run = solve_coupled_swe(h.copy(), grid, dt, t_end=n_steps * dt)
 
     rng = np.random.default_rng(2)
     members = h + 0.05 * rng.standard_normal((30, 201))
     workspace = Workspace()
     for step in range(n_steps):
-        members = transport_step(members, run.velocity, step, grid, cfg, workspace)
+        members = transport_step(members, run.velocity, step, grid, dt, workspace)
     gsm = gradient_second_moment(members, grid.dx)
 
-    t_final = n_steps * cfg.cfl * grid.dx
+    t_final = n_steps * dt
     inter = stoker_solve(DamBreakParams())
     shock_index = np.argmin(np.abs(grid.points - inter.s * t_final))
     assert abs(int(np.argmax(gsm)) - shock_index) <= 3
