@@ -29,7 +29,7 @@ from shockda.stoker import stoker_solve
 def shock_region_error(cfg, solution_csv, t_lo=0.15, t_hi=0.3):
     """Mean relative L1 error over t in [t_lo, t_hi] on the cells within one of s*t, from solution.csv."""
     x = cfg.grid().points
-    s = stoker_solve(cfg.dam_params()).s
+    s = stoker_solve(cfg).s
     # solution.csv has one row per (analysis, cell); its obs column, blank off the observed cells, is not read
     truths, posteriors = np.loadtxt(solution_csv, delimiter=",", skiprows=1, usecols=(2, 5), unpack=True)
     values = []

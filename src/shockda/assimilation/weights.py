@@ -25,7 +25,7 @@ VARIANTS = ("etkf_baseline", "gsm", "gsm_clustered")
 _FLOOR_REL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass
 class FilterConfig:
     """Filter variant and its tuning knobs.
 

@@ -36,9 +36,10 @@ _CASE_PRESETS = {
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(FilterConfig, DamBreakParams):
+    """One run's settings: the filter's from FilterConfig, the depths h0 and h1 from DamBreakParams, the rest here."""
+
     case: str = "dense"
-    variant: str = "gsm"
     n: int = 1001
     cfl: float = 0.1
     t_end: float = 0.15
@@ -46,14 +47,8 @@ class ExperimentConfig:
     ic_perturb_std: float = 0.1
     gamma: float = 0.01
     obs_stride_steps: int = 5
-    alpha: float = 1.5
-    beta_max_target: float = 0.003
-    dist: int = 1
-    localization_bandwidth: int | None = 0
     seed: int = 1
     output_dir: Path = Path("runs/out")
-    h0: float = 1.0
-    h1: float = 0.8
     fine_refine: int = 20
     snapshot_times: tuple = (0.05, 0.10, 0.15)
     cache_dir: Path | None = None
@@ -91,9 +86,9 @@ class ExperimentConfig:
             raise ConfigError("fine_refine must be at least 1")
         if not 0.0 < self.cfl < 1.0:
             raise ConfigError(f"cfl must lie in (0, 1), got {self.cfl}")
-        # delegate the remaining range checks: n to Grid1D (through n_steps)
-        self.filter_config()
-        self.dam_params()
+        # delegate the remaining range checks: the inherited settings to their bases, n to Grid1D (through n_steps)
+        FilterConfig.__post_init__(self)
+        DamBreakParams.__post_init__(self)
         if self.n_steps < self.obs_stride_steps:  # n_steps also validates t_end divisibility
             raise ConfigError(f"t_end={self.t_end} is {self.n_steps} steps, "
                               f"under one observation stride of {self.obs_stride_steps}")
@@ -152,18 +147,6 @@ class ExperimentConfig:
         if self.case == "dense":
             return ObservationOperator.dense(self.n)
         return ObservationOperator.every_other(self.n)
-
-    def filter_config(self) -> FilterConfig:
-        return FilterConfig(
-            variant=self.variant,
-            alpha=self.alpha,
-            beta_max_target=self.beta_max_target,
-            localization_bandwidth=self.localization_bandwidth,
-            dist=self.dist,
-        )
-
-    def dam_params(self) -> DamBreakParams:
-        return DamBreakParams(h0=self.h0, h1=self.h1)
 
     def resolved_cache_dir(self) -> Path:
         """Default truth cache shared by sibling runs of the same experiment."""

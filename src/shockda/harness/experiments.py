@@ -107,11 +107,10 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path) -> TruthBundle:
         truth_h = fine_run.h[:, ::refine]
         truth_u = velocity[np.concatenate(([0], obs_steps))]
     else:
-        params = config.dam_params()
-        inter = stoker_solve(params)
+        inter = stoker_solve(config)
         rows_h, rows_u = [], []
         for t in np.concatenate(([0.0], config.obs_times)):
-            h_row, u_row = stoker_evaluate(params, inter, grid.points, float(t))
+            h_row, u_row = stoker_evaluate(config, inter, grid.points, float(t))
             rows_h.append(h_row)
             rows_u.append(u_row)
         truth_h = np.asarray(rows_h)
@@ -399,7 +398,7 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
         with _forecast(bundle.velocity, grid, config.dt, config.ensemble_size) as (dynamics, workers):
             environment["forecast_workers"] = workers
             prior_mean, posterior_mean, prior_variance, prior_gsm = runner(
-                members, dynamics, y, H, config.gamma**2, config.filter_config(), grid,
+                members, dynamics, y, H, config.gamma**2, config, grid,
                 steps_per_obs=config.obs_stride_steps)
 
         times = config.obs_times

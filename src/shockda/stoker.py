@@ -21,7 +21,7 @@ from .errors import ConfigError, NumericalError
 from .solver import GRAVITY
 
 
-@dataclass(frozen=True)
+@dataclass
 class DamBreakParams:
     """Left/right depths of the dam at x = 0."""
 
@@ -60,8 +60,8 @@ def stoker_solve(params: DamBreakParams) -> StokerIntermediate:
 
     The compatibility residual is positive at h1 and negative at h0, so a
     bisection bracket is maintained and used whenever a Newton step leaves
-    it.  The tolerance is 1e-14 on the residual magnitude, reached within
-    100 iterations.
+    it.  The residual is a velocity of scale sqrt(g h0), so the tolerance
+    on its magnitude is 1e-14 sqrt(g h0), reached within 100 iterations.
     """
     if params.h0 == params.h1:
         return StokerIntermediate(h_m=params.h0, u_m=0.0, s=0.0)
@@ -70,10 +70,11 @@ def stoker_solve(params: DamBreakParams) -> StokerIntermediate:
     # safeguard or is raised below as a convergence failure, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = params.h1, params.h0
+        tol = 1e-14 * np.sqrt(GRAVITY * params.h0)
         x = 0.5 * (lo + hi)
         fx = _compat(x, params)
         for _ in range(100):
-            if abs(fx) < 1e-14:
+            if abs(fx) < tol:
                 break
             if fx > 0.0:
                 lo = x
@@ -116,7 +117,7 @@ def stoker_evaluate(params: DamBreakParams, inter: StokerIntermediate, x: np.nda
     state, rarefaction fan, intermediate state, undisturbed right state.
     At t = 0 this returns the initial step.
     """
-    if t < 0.0:
+    if not t >= 0.0:  # a NaN fails it too
         raise ConfigError("t must be nonnegative")
     if t == 0.0:
         h = np.where(x < 0.0, params.h0, params.h1)
@@ -180,7 +181,7 @@ def synthesize_observations(truth_rows, H: ObservationOperator, gamma: float, se
     Noise is drawn in one row-major block over (row, observation index),
     so the observations regenerate bit-identically from their seed.
     """
-    if gamma <= 0.0:
+    if not gamma > 0.0:  # a NaN fails it too
         raise ConfigError("gamma must be positive")
     truth_rows = np.asarray(truth_rows, dtype=float)
     if truth_rows.ndim != 2 or truth_rows.shape[1] != H.n_state:

@@ -230,7 +230,7 @@ def test_dense_weighted_filter_beats_baseline(tmp_path):
 def _shock_cells(cfg, t):
     # the cells within one cell of the analytic shock position s*t
     x = cfg.grid().points
-    xi = int(np.argmin(np.abs(x - stoker_solve(cfg.dam_params()).s * t)))
+    xi = int(np.argmin(np.abs(x - stoker_solve(cfg).s * t)))
     return slice(max(xi - 1, 0), min(xi + 1, x.size - 1) + 1)
 
 

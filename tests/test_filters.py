@@ -612,7 +612,7 @@ def test_cycled_filter_is_mirror_symmetric(case, variant, tmp_path):
         def dynamics(h, step):
             return transport_step(h, velocity, step, grid, cfg.dt, workspace)
 
-        return runner(members, dynamics, y, H, cfg.gamma**2, cfg.filter_config(), grid, cfg.obs_stride_steps)
+        return runner(members, dynamics, y, H, cfg.gamma**2, cfg, grid, cfg.obs_stride_steps)
 
     plain = run(members, y, bundle.velocity)
     mirrored = run(np.asfortranarray(members[:, ::-1]), y[:, ::-1], -bundle.velocity[:, ::-1])

@@ -96,6 +96,13 @@ def test_config_validation():
         ExperimentConfig(gamma=0.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(variant="enkf")
+    # the filter settings and the depths are checked by FilterConfig and DamBreakParams, with their messages
+    for settings, message in ((dict(dist=-1), "dist must be >= 0"),
+                              (dict(localization_bandwidth=-1), "localization bandwidth must be >= 0"),
+                              (dict(variant="etkf_baseline", alpha=1.0), "inflation alpha must exceed 1"),
+                              (dict(h0=0.8, h1=1.0), "dam break requires h0 >= h1 > 0")):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.for_case("dense", **settings)
 
 
 def test_config_validates_cfl():
@@ -235,8 +242,8 @@ def test_truth_dense_right_state_before_shock_arrival(tmp_path):
     cfg = _small()
     bundle = generate_truth(cfg, cache_dir=tmp_path)
 
-    inter = stoker_solve(cfg.dam_params())
-    h_exact, u_exact = stoker_evaluate(cfg.dam_params(), inter, cfg.grid().points, float(cfg.obs_times[-1]))
+    inter = stoker_solve(cfg)
+    h_exact, u_exact = stoker_evaluate(cfg, inter, cfg.grid().points, float(cfg.obs_times[-1]))
     np.testing.assert_array_equal(bundle.truth_h[-1], h_exact)  # the analytic solution, not a solver run
     np.testing.assert_array_equal(bundle.truth_u[-1], u_exact)
     assert inter.s * cfg.t_end < 0.5  # shock has not yet reached x = 0.5
@@ -413,6 +420,16 @@ def test_manifest_round_trip(tmp_path):
     assert config_from_manifest(path) == cfg
     with pytest.raises(ConfigError):
         read_manifest(tmp_path / "missing.txt")
+
+    # keys are read by name, so a manifest in the order before the config inherited its h0..dist fields replays too
+    case_first = ("case", "variant", "n", "cfl", "t_end", "ensemble_size", "ic_perturb_std", "gamma",
+                  "obs_stride_steps", "alpha", "beta_max_target", "dist", "localization_bandwidth", "seed",
+                  "output_dir", "h0", "h1", "fine_refine", "snapshot_times", "cache_dir")
+    items = dict(cfg.to_items())
+    assert sorted(case_first) == sorted(items) and list(items) != list(case_first)
+    path_case_first = tmp_path / "manifest_case_first.txt"
+    path_case_first.write_text("".join(f"{k} = {items[k]}\n" for k in case_first) + "status = completed\n")
+    assert config_from_manifest(path_case_first) == cfg
 
     # an unmasked run (bandwidth none) survives the text round trip
     cfg_full = _small("dense", variant="etkf_baseline", output_dir=tmp_path / "full")

@@ -83,11 +83,20 @@ def test_stoker_degenerate_equal_depths():
 
 @pytest.mark.parametrize("h0, h1", [(1e300, 0.8), (1e300, 1e-300)])
 def test_stoker_huge_depth_raises_without_a_warning(h0, h1):
-    # the residual of a 1e300 step cannot reach the absolute tolerance, and h_m * h_m overflows
+    # h_m * h_m overflows, which leaves only bisection steps, and 100 halvings cannot narrow a 1e300 bracket to the root
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="dam-break"):
             stoker_solve(DamBreakParams(h0=h0, h1=h1))
+
+
+def test_stoker_large_depth_converges():
+    # the residual is a velocity of scale sqrt(g h0); an absolute tolerance of 1e-14 stopped this one at 9.1e-13
+    p = DamBreakParams(h0=1e6, h1=1.0)
+    inter = stoker_solve(p)
+    assert p.h0 > inter.h_m > p.h1
+    assert abs(rarefaction_invariant_residual(p, inter)) < 1e-14 * np.sqrt(GRAVITY * p.h0)
+
 
 def test_stoker_solve_mass_jump_consistency():
     # s is defined so the mass jump condition holds identically
@@ -112,6 +121,13 @@ def test_evaluate_rejects_negative_time():
     inter = stoker_solve(p)
     with pytest.raises(ConfigError):
         stoker_evaluate(p, inter, np.zeros(1), -0.1)
+
+
+def test_evaluate_rejects_nan_time():
+    # a NaN time passed the t < 0 check and returned the undisturbed right state everywhere
+    p = DamBreakParams()
+    with pytest.raises(ConfigError, match="t must be nonnegative"):
+        stoker_evaluate(p, stoker_solve(p), np.zeros(1), float("nan"))
 
 
 def test_evaluate_continuity_at_fan_left_edge():
@@ -225,6 +241,13 @@ def test_synthesize_observations_tiny_gamma_recovers_truth():
 
     y = synthesize_observations(truth[None], H, gamma=1e-300, seed=1)
     np.testing.assert_allclose(y[0], truth, atol=1e-290)
+
+
+def test_synthesize_observations_rejects_nan_gamma():
+    # a NaN gamma passed the gamma <= 0 check and returned all-NaN observations
+    H = ObservationOperator.dense(5)
+    with pytest.raises(ConfigError, match="gamma must be positive"):
+        synthesize_observations(np.ones((2, 5)), H, gamma=float("nan"), seed=1)
 
 
 def test_synthesize_observations_noise_variance():

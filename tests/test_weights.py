@@ -36,7 +36,7 @@ def _gsm_config(**kw):
 # ---------------------------------------------------------------- FilterConfig
 
 
-def test_filter_config_validation():
+def test_filter_settings_validation():
     with pytest.raises(ConfigError):
         FilterConfig(variant="enkf")
     with pytest.raises(ConfigError):
