@@ -145,21 +145,23 @@ def analysis_mean(m_hat: np.ndarray, y: np.ndarray, H: ObservationOperator, gamm
 
 
 def _assimilate(initial_members, dynamics, y, H: ObservationOperator, gamma_sq: float, config: FilterConfig,
-                grid: Grid1D, steps_per_obs: int) -> tuple[np.ndarray, ...]:
-    """Run one cycle per row of the (cycles, m) observations ``y``; return the prior mean, posterior mean,
-    prior variance and prior gsm as C-ordered (cycles, n) arrays, row j for analysis j: a contiguous row
-    sums in the order of a fresh 1-D array."""
+                grid: Grid1D, steps_per_obs: int, snapshots) -> tuple[np.ndarray, ...]:
+    """Run one cycle per row of the (cycles, m) observations ``y``; return the prior and posterior means as
+    (cycles, n) arrays, row j for analysis j, then the prior variance and gsm, computed only at the analyses
+    whose index is in the sequence ``snapshots``, as (rows, n) arrays, one row per such analysis in order.
+    Every array is C-ordered: a contiguous row sums in the order of a fresh 1-D array."""
     members = np.array(initial_members, dtype=float)
     if members.ndim != 2:
         raise ConfigError("initial ensemble must be a (K, n) stack")
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.shape[1] != H.m:
         raise ConfigError(f"observations {y.shape} are not (cycles, {H.m})")
-    K = members.shape[0]
+    K, n = members.shape
     sqrt_km1 = np.sqrt(K - 1)
     baseline = config.variant == "etkf_baseline"
 
-    prior_mean, posterior_mean, prior_variance, prior_gsm = np.empty((4, y.shape[0], members.shape[1]))
+    prior_mean, posterior_mean = np.empty((2, y.shape[0], n))
+    prior_variance, prior_gsm = [], []
     step = 0
     for j in range(y.shape[0]):
         for _ in range(steps_per_obs):
@@ -178,34 +180,37 @@ def _assimilate(initial_members, dynamics, y, H: ObservationOperator, gamma_sq: 
 
         prior_mean[j] = ens.mean
         posterior_mean[j] = m
-        prior_variance[j] = sample_variance_diag(ens)
-        prior_gsm[j] = gradient_second_moment(ens.members, grid.dx)
+        if j in snapshots:
+            prior_variance.append(sample_variance_diag(ens))
+            prior_gsm.append(gradient_second_moment(ens.members, grid.dx))
 
-    return prior_mean, posterior_mean, prior_variance, prior_gsm
+    return prior_mean, posterior_mean, np.reshape(prior_variance, (-1, n)), np.reshape(prior_gsm, (-1, n))
 
 
 def run_baseline_filter(initial_members, dynamics, y, H: ObservationOperator, gamma_sq: float,
-                        config: FilterConfig, grid: Grid1D, steps_per_obs: int) -> tuple[np.ndarray, ...]:
+                        config: FilterConfig, grid: Grid1D, steps_per_obs: int, snapshots) -> tuple[np.ndarray, ...]:
     """ETKF with multiplicative inflation and banded covariance localization.
 
     Each cycle: forecast all members ``steps_per_obs`` dynamics steps,
     inflate the centered ensemble by alpha, use the localized inflated
     covariance as the analysis weight, and transform the inflated
-    anomalies into posterior anomalies.  Returns ``_assimilate``'s arrays.
+    anomalies into posterior anomalies.  Returns ``_assimilate``'s arrays,
+    the moments at the analyses in ``snapshots`` only.
     """
     if config.variant != "etkf_baseline":
         raise ConfigError(f"baseline filter got variant '{config.variant}'")
-    return _assimilate(initial_members, dynamics, y, H, gamma_sq, config, grid, steps_per_obs)
+    return _assimilate(initial_members, dynamics, y, H, gamma_sq, config, grid, steps_per_obs, snapshots)
 
 
 def run_weighted_filter(initial_members, dynamics, y, H: ObservationOperator, gamma_sq: float,
-                        config: FilterConfig, grid: Grid1D, steps_per_obs: int) -> tuple[np.ndarray, ...]:
+                        config: FilterConfig, grid: Grid1D, steps_per_obs: int, snapshots) -> tuple[np.ndarray, ...]:
     """Modified ETKF whose analysis weight comes from the gradient second moment.
 
     No inflation anywhere: both the weight and the transform use the raw
     centered ensemble.  The clustered variant re-detects the jump from the
-    prior mean at every assimilation time.  Returns ``_assimilate``'s arrays.
+    prior mean at every assimilation time.  Returns ``_assimilate``'s
+    arrays, the moments at the analyses in ``snapshots`` only.
     """
     if config.variant not in ("gsm", "gsm_clustered"):
         raise ConfigError(f"weighted filter got variant '{config.variant}'")
-    return _assimilate(initial_members, dynamics, y, H, gamma_sq, config, grid, steps_per_obs)
+    return _assimilate(initial_members, dynamics, y, H, gamma_sq, config, grid, steps_per_obs, snapshots)

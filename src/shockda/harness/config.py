@@ -46,12 +46,13 @@ class ExperimentConfig(FilterConfig, DamBreakParams):
     ensemble_size: int = 100
     ic_perturb_std: float = 0.1
     gamma: float = 0.01
-    obs_stride_steps: int = 5
     seed: int = 1
     output_dir: Path = Path("runs/out")
     fine_refine: int = 20
     snapshot_times: tuple = (0.05, 0.10, 0.15)
     cache_dir: Path | None = None
+
+    obs_stride_steps = 5  # solver steps per analysis: a constant, not a field, so no manifest line
 
     def __post_init__(self):
         if self.case not in CASES:
@@ -80,8 +81,6 @@ class ExperimentConfig(FilterConfig, DamBreakParams):
             raise ConfigError("ic_perturb_std must be nonnegative")
         if not (self.gamma > 0.0 and 0.0 < self.gamma * self.gamma < np.inf):  # gamma^2 is the noise variance
             raise ConfigError(f"gamma must be positive with a finite, nonzero square, got {self.gamma}")
-        if self.obs_stride_steps < 1:
-            raise ConfigError("obs_stride_steps must be at least 1")
         if self.fine_refine < 1:
             raise ConfigError("fine_refine must be at least 1")
         if not 0.0 < self.cfl < 1.0:

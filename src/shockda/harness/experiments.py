@@ -360,19 +360,30 @@ def read_manifest(path) -> dict:
     return mapping
 
 
-def require_completed(path) -> None:
-    """Reject a file whose sibling ``manifest.txt`` exists and does not say ``status = completed``:
-    it is left over from an earlier run.  A file with no manifest beside it passes."""
-    manifest = Path(path).parent / "manifest.txt"
-    if manifest.exists() and (status := read_manifest(manifest).get("status")) != "completed":
-        raise ConfigError(f"{path}: the run beside it did not complete ({manifest} says status = {status})")
-
-
 def config_from_manifest(path) -> ExperimentConfig:
     mapping = read_manifest(path)
     run_keys = ("shockda_version", "status", "error", "blas_threads", "forecast_workers")
     mapping = {k: v for k, v in mapping.items() if k not in run_keys}
+    stride = str(ExperimentConfig.obs_stride_steps)  # a line of manifests written while it was a setting
+    if mapping.pop("obs_stride_steps", stride) != stride:
+        raise ConfigError(f"{path}: obs_stride_steps is fixed at {stride} solver steps")
     return ExperimentConfig.for_case(mapping.pop("case", "dense"), **mapping)
+
+
+def _snapshot_indices(config: ExperimentConfig, steps: range, what: str) -> list[int]:
+    """Positions in ``steps`` of the snapshot times up to t_end (later ones are ignored), ascending and each once.
+
+    Time t is step s = round(t / dt) if |s dt - t| <= 1e-9; a time that is no step of ``steps``, called
+    ``what``, is a ConfigError.  The work is per snapshot time, not per step."""
+    dt = config.dt
+    found = set()
+    for t in config.snapshot_times:
+        if t <= config.t_end:
+            s = round(t / dt)
+            if abs(s * dt - t) > 1e-9 or s not in steps:
+                raise ConfigError(f"snapshot time {t} is not {what} (every {steps.step * dt:g})")
+            found.add(steps.index(s))
+    return sorted(found)
 
 
 def run_experiment(config: ExperimentConfig) -> list[Path]:
@@ -383,11 +394,9 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     """
     with _run(config, "solution", "error", "moments", "summary") as (paths, environment):
         solution_csv, error_csv, moments_csv, summary_csv = paths
-        # moments.csv takes its rows from analyses; times after t_end are ignored
-        near = np.abs(np.subtract.outer(config.obs_times, config.snapshot_times)) <= 1e-9  # (cycles, snapshots)
-        for t, hit in zip(config.snapshot_times, near.any(axis=0)):
-            if t <= config.t_end and not hit:
-                raise ConfigError(f"snapshot time {t} is not an observation time (every {config.obs_times[0]:g})")
+        stride = config.obs_stride_steps
+        # moments.csv takes its rows from analyses; analysis j follows solver step (j + 1) * stride
+        snapshots = _snapshot_indices(config, range(stride, config.n_steps + 1, stride), "an observation time")
         grid = config.grid()
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         H = config.observation_operator()
@@ -398,8 +407,7 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
         with _forecast(bundle.velocity, grid, config.dt, config.ensemble_size) as (dynamics, workers):
             environment["forecast_workers"] = workers
             prior_mean, posterior_mean, prior_variance, prior_gsm = runner(
-                members, dynamics, y, H, config.gamma**2, config, grid,
-                steps_per_obs=config.obs_stride_steps)
+                members, dynamics, y, H, config.gamma**2, config, grid, stride, snapshots)
 
         times = config.obs_times
         window = in_window(grid.points, *SMOOTH_WINDOW)
@@ -415,9 +423,7 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
         write_csv(error_csv, ("t", "x", "pointwise_error"),
                   (t_col, x_col, pointwise_error(posterior_mean, truth_rows).ravel()))
         write_csv(summary_csv, ("t", "relative_error_full", "relative_error_window"), (times, *relative_errors))
-        snap = near.any(axis=1)
-        _write_moments_csv(moments_csv, grid, times[snap],
-                           prior_mean[snap], prior_variance[snap], prior_gsm[snap])
+        _write_moments_csv(moments_csv, grid, times[snapshots], prior_mean[snapshots], prior_variance, prior_gsm)
     return [*paths, config.output_dir / "manifest.txt"]
 
 
@@ -440,43 +446,26 @@ def run_free_moments(config: ExperimentConfig) -> list[Path]:
 
     The initial ensemble is propagated with no analysis, and its mean,
     variance and gradient second moment are written at the snapshot times
-    up to t_end: at least one, each on a solver step.  Later times are
-    ignored, as in ``run_experiment``.
+    up to t_end: at least one, each on a solver step (t = 0 included).
+    Later times are ignored, as in ``run_experiment``.
     """
     with _run(config, "moments") as (paths, environment):
-        dt = config.dt
-        times_in_run = [t for t in config.snapshot_times if t <= config.t_end]
-        if not times_in_run:
+        snap_steps = _snapshot_indices(config, range(config.n_steps + 1), "a solver step")
+        if not snap_steps:
             raise ConfigError(f"the moment diagnostic needs at least one snapshot time up to t_end={config.t_end}")
-        snap_steps = []
-        for t in times_in_run:
-            s = int(round(t / dt))
-            if abs(s * dt - t) > 1e-9 * max(1.0, t) or not 0 <= s <= config.n_steps:
-                raise ConfigError(f"snapshot time {t} does not land on a solver step inside the run")
-            snap_steps.append(s)
-
         grid = config.grid()
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         members = build_initial_ensemble(config, grid, config.seed)
 
-        times, means, variances, gsms = [], [], [], []
-
-        def record(t):
-            ens = ensemble_moments(members)
-            times.append(t)
-            means.append(ens.mean)
-            variances.append(sample_variance_diag(ens))
-            gsms.append(gradient_second_moment(ens.members, grid.dx))
-
-        if 0 in snap_steps:
-            record(0.0)
+        rows = []  # (mean, variance, gsm) per snapshot step
         with _forecast(bundle.velocity, grid, config.dt, config.ensemble_size) as (dynamics, workers):
             environment["forecast_workers"] = workers
-            for step in range(max(snap_steps)):
-                members = dynamics(members, step)
-                if (step + 1) in snap_steps:
-                    record((step + 1) * dt)
-        _write_moments_csv(paths[0], grid, times, means, variances, gsms)
+            for step in range(snap_steps[-1] + 1):
+                members = dynamics(members, step - 1) if step else members
+                if step in snap_steps:
+                    ens = ensemble_moments(members)
+                    rows.append((ens.mean, sample_variance_diag(ens), gradient_second_moment(ens.members, grid.dx)))
+        _write_moments_csv(paths[0], grid, [s * config.dt for s in snap_steps], *zip(*rows))
     return [*paths, config.output_dir / "manifest.txt"]
 
 
@@ -497,8 +486,9 @@ def compare_runs(summary_paths, out_path, windows, labels=None):
     Returns (times, {label: values}, {window: {label: mean}}); mismatched
     time grids are rejected naming the first row that differs, or the first
     row the shorter file lacks, and so is a label given twice, empty, or
-    ``t``, the time column's name.  A summary left over from a run that did
-    not complete is rejected (``require_completed``).
+    ``t``, the time column's name.  A summary whose sibling ``manifest.txt``
+    exists and does not say ``status = completed`` is rejected: it is left
+    over from an earlier run.  A summary with no manifest beside it passes.
     """
     summary_paths = [Path(p) for p in summary_paths]
     if not summary_paths:
@@ -523,7 +513,9 @@ def compare_runs(summary_paths, out_path, windows, labels=None):
     for label, path in zip(labels, summary_paths):
         if not path.exists():
             raise ConfigError(f"summary not found: {path}")
-        require_completed(path)
+        manifest = path.parent / "manifest.txt"
+        if manifest.exists() and (status := read_manifest(manifest).get("status")) != "completed":
+            raise ConfigError(f"{path}: the run beside it did not complete ({manifest} says status = {status})")
         reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
         for name in ("t", "relative_error_full"):
             if reader.fieldnames is None or name not in reader.fieldnames:

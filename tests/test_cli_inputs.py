@@ -32,7 +32,6 @@ _VALUES = {
     "cfl": (("0.1", "0.05", "0.2", "0.5"), ("0", "1", "-0.1", "1e-300", "5e-324", *_JUNK)),
     "fine_refine": (("1", "2", "4"), ("0", "-1", "2.5", *_JUNK)),
     "t_end": (("0.05", "0.1", "0.15", "0.3"), ("0", "-0.05", "0.0123", "1e300", "inf", *_JUNK)),
-    "obs_stride_steps": (("1", "3", "5"), ("0", "-1", "1000", "2.5", *_JUNK)),
     "ic_perturb_std": (("0", "0.05", "0.1", "1", "1e300"), ("-0.1", *_JUNK)),
     "gamma": (("0.01", "0.1", "1e-150", "1e150"), ("0", "-0.01", "1e-200", "1e300", *_JUNK)),
     "alpha": (("1.5", "1.01", "1e10", "1e200", "1e300"), ("1.0", "0.5", "-1", *_JUNK)),

@@ -12,6 +12,7 @@ from shockda.harness.experiments import build_initial_ensemble, generate_truth
 from shockda.solver import Grid1D, Workspace, transport_step
 from shockda.stoker import ObservationOperator, synthesize_observations
 from shockda.assimilation.ensemble import correlation_matrix_factor, ensemble_moments, gradient_second_moment
+from shockda.assimilation import filters
 from shockda.assimilation.filters import analysis_mean, etkf_transform, run_baseline_filter, run_weighted_filter
 from shockda.assimilation.weights import (
     FilterConfig,
@@ -459,7 +460,7 @@ def test_static_estimation_converges_monotonically():
     H = ObservationOperator.dense(n)
     stream = _make_stream(truth, np.linspace(0.1, 0.8, 8), H, gamma=0.01, exact=True)
     cfg = FilterConfig(variant="etkf_baseline", alpha=1.5, localization_bandwidth=None)
-    posterior = run_baseline_filter(members, _identity_dynamics, *stream, cfg, grid, steps_per_obs=1)[1]
+    posterior = run_baseline_filter(members, _identity_dynamics, *stream, cfg, grid, steps_per_obs=1, snapshots=())[1]
 
     errors = [np.linalg.norm(m - truth) / np.linalg.norm(truth) for m in posterior]
     assert all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
@@ -493,7 +494,7 @@ def test_posterior_ensemble_mean_equals_analysis_mean():
         (FilterConfig(variant="gsm_clustered", beta_max_target=0.0027, localization_bandwidth=1, dist=1), run_weighted_filter),
     ):
         handed = []
-        posterior_mean = runner(members, _members_seen(handed), *stream, cfg, grid, steps_per_obs=1)[1]
+        posterior_mean = runner(members, _members_seen(handed), *stream, cfg, grid, steps_per_obs=1, snapshots=())[1]
         assert len(handed) == len(posterior_mean) == 3
         for posterior, m in zip(handed[1:], posterior_mean):
             np.testing.assert_allclose(ensemble_moments(posterior).mean, m, atol=1e-12)
@@ -521,7 +522,7 @@ def test_baseline_filter_under_linear_dynamics_follows_the_kalman_recursion(n, k
     members = 1.0 + 0.3 * rng.standard_normal((K, n))
     config = FilterConfig(variant="etkf_baseline", alpha=alpha, localization_bandwidth=bandwidth)
     posterior = run_baseline_filter(members, lambda v, step: v @ M.T, obs, H, gamma**2, config, Grid1D(n),
-                                    steps_per_obs=steps_per_obs)[1]
+                                    steps_per_obs=steps_per_obs, snapshots=())[1]
 
     offsets = np.arange(n)
     mask = np.ones((n, n)) if bandwidth is None else np.abs(offsets[:, None] - offsets) <= bandwidth
@@ -562,7 +563,7 @@ def test_weighted_filter_under_linear_dynamics_matches_a_dense_ensemble_oracle(n
     grid = Grid1D(n)
     config = FilterConfig(variant=variant, beta_max_target=target, localization_bandwidth=bandwidth, dist=dist)
     posterior = run_weighted_filter(members, lambda v, step: v @ M.T, obs, H, gamma**2, config, grid,
-                                    steps_per_obs=steps_per_obs)[1]
+                                    steps_per_obs=steps_per_obs, snapshots=())[1]
 
     offsets = np.arange(n)
     band = np.ones((n, n)) if bandwidth is None else np.abs(offsets[:, None] - offsets) <= bandwidth
@@ -612,13 +613,36 @@ def test_cycled_filter_is_mirror_symmetric(case, variant, tmp_path):
         def dynamics(h, step):
             return transport_step(h, velocity, step, grid, cfg.dt, workspace)
 
-        return runner(members, dynamics, y, H, cfg.gamma**2, cfg, grid, cfg.obs_stride_steps)
+        return runner(members, dynamics, y, H, cfg.gamma**2, cfg, grid, cfg.obs_stride_steps, range(len(y)))
 
     plain = run(members, y, bundle.velocity)
     mirrored = run(np.asfortranarray(members[:, ::-1]), y[:, ::-1], -bundle.velocity[:, ::-1])
-    # prior mean, posterior mean, prior variance and prior gsm
+    # prior mean, posterior mean, and prior variance and prior gsm at every analysis
     for a, b in zip(plain, mirrored, strict=True):
         assert np.abs(b[:, ::-1] - a).max() <= 1e-12 * np.abs(a).max()
+
+
+
+def test_dense_clustered_run_is_the_gsm_run(tmp_path):
+    # at the dense preset (bandwidth 0) the clustered weight is the gsm weight to roundoff
+    # (test_clustered_weight_is_the_gsm_weight_at_bandwidth_zero), so the cycled runs agree too:
+    # clustering acts only through couplings.  The initial perturbations give every cell spread
+    posteriors = []
+    for variant in ("gsm", "gsm_clustered"):
+        cfg = ExperimentConfig.for_case("dense", n=201, ensemble_size=50, seed=1, variant=variant)
+        grid, H = cfg.grid(), cfg.observation_operator()
+        bundle = generate_truth(cfg, cache_dir=tmp_path)
+        y = synthesize_observations(bundle.truth_h[1:], H, cfg.gamma, cfg.seed)
+        workspace = Workspace()
+
+        def dynamics(h, step):
+            return transport_step(h, bundle.velocity, step, grid, cfg.dt, workspace)
+
+        members = build_initial_ensemble(cfg, grid, cfg.seed)
+        posteriors.append(run_weighted_filter(members, dynamics, y, H, cfg.gamma**2, cfg, grid,
+                                              cfg.obs_stride_steps, ())[1])
+    assert posteriors[0].shape == (30, 201)
+    np.testing.assert_allclose(posteriors[1], posteriors[0], rtol=1e-12, atol=0.0)
 
 
 def test_filter_runs_are_deterministic():
@@ -632,8 +656,8 @@ def test_filter_runs_are_deterministic():
     cfg = FilterConfig(variant="gsm", localization_bandwidth=0)
 
     handed_a, handed_b = [], []
-    a = run_weighted_filter(members, _members_seen(handed_a), *stream, cfg, grid, steps_per_obs=2)
-    b = run_weighted_filter(members, _members_seen(handed_b), *stream, cfg, grid, steps_per_obs=2)
+    a = run_weighted_filter(members, _members_seen(handed_a), *stream, cfg, grid, steps_per_obs=2, snapshots=[0, 1])
+    b = run_weighted_filter(members, _members_seen(handed_b), *stream, cfg, grid, steps_per_obs=2, snapshots=[0, 1])
     assert len(a[1]) == len(b[1]) == 2
     for ra, rb in zip(a, b, strict=True):
         np.testing.assert_array_equal(ra, rb)  # every array, element for element
@@ -656,8 +680,42 @@ def test_dynamics_called_between_observations_with_global_step():
     H = ObservationOperator.dense(n)
     stream = _make_stream(truth, [0.1, 0.2, 0.3], H, gamma=0.01, rng=rng)
     cfg = FilterConfig(variant="gsm", localization_bandwidth=0)
-    run_weighted_filter(members, recording_dynamics, *stream, cfg, grid, steps_per_obs=5)
+    run_weighted_filter(members, recording_dynamics, *stream, cfg, grid, steps_per_obs=5, snapshots=())
     assert calls == list(range(15))
+
+
+@pytest.mark.parametrize("variant", ["etkf_baseline", "gsm", "gsm_clustered"])
+def test_prior_moments_are_computed_at_the_snapshot_analyses_only(variant, monkeypatch):
+    # moments.csv keeps the prior variance and gsm of the snapshot analyses alone, so the filter computes
+    # them there and nowhere else; the rows it returns are those of a run that marks every analysis
+    rng = np.random.default_rng(16)
+    n, K, cycles = 21, 6, 4
+    grid = Grid1D(n=n)
+    truth = np.where(grid.points < 0, 1.0, 0.8)
+    members = truth + 0.05 * rng.standard_normal((K, n))
+    H = ObservationOperator.every_other(n)
+    stream = _make_stream(truth, range(cycles), H, gamma=0.01, rng=rng)
+    cfg = FilterConfig(variant=variant, alpha=1.3, beta_max_target=0.0027, localization_bandwidth=1)
+    runner = run_baseline_filter if variant == "etkf_baseline" else run_weighted_filter
+    every = runner(members, _members_seen([]), *stream, cfg, grid, 1, range(cycles))
+
+    calls = []
+    for name in ("sample_variance_diag", "gradient_second_moment"):
+        def counted(*args, name=name, original=getattr(filters, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(filters, name, counted)
+    for snapshots in ((), (2,), (0, 3)):
+        calls.clear()
+        prior_mean, posterior_mean, variance, gsm = runner(members, _members_seen([]), *stream, cfg, grid, 1,
+                                                           snapshots)
+        assert sorted(calls) == sorted(["sample_variance_diag", "gradient_second_moment"] * len(snapshots))
+        np.testing.assert_array_equal(prior_mean, every[0])
+        np.testing.assert_array_equal(posterior_mean, every[1])
+        for rows, marked in ((variance, every[2]), (gsm, every[3])):
+            assert rows.shape == (len(snapshots), n) and rows.flags.c_contiguous
+            np.testing.assert_array_equal(rows, marked[list(snapshots)])
 
 
 def test_filter_variant_mismatch_rejected():
@@ -667,9 +725,10 @@ def test_filter_variant_mismatch_rejected():
     H = ObservationOperator.dense(15)
     stream = _make_stream(np.ones(15), [0.1], H, gamma=0.01, rng=rng)
     with pytest.raises(ConfigError):
-        run_baseline_filter(members, _identity_dynamics, *stream, FilterConfig(variant="gsm"), grid, 1)
+        run_baseline_filter(members, _identity_dynamics, *stream, FilterConfig(variant="gsm"), grid, 1, ())
     with pytest.raises(ConfigError):
-        run_weighted_filter(members, _identity_dynamics, *stream, FilterConfig(variant="etkf_baseline", alpha=1.5), grid, 1)
+        run_weighted_filter(members, _identity_dynamics, *stream, FilterConfig(variant="etkf_baseline", alpha=1.5),
+                            grid, 1, ())
 
 
 def test_filter_iteration_interface():
@@ -682,9 +741,10 @@ def test_filter_iteration_interface():
     times = [0.1, 0.2]
     stream = _make_stream(truth, times, H, gamma=0.01, rng=rng)
     cfg = FilterConfig(variant="gsm_clustered", localization_bandwidth=1, dist=2, beta_max_target=0.0027)
-    arrays = run_weighted_filter(members, _identity_dynamics, *stream, cfg, grid, steps_per_obs=1)
+    arrays = run_weighted_filter(members, _identity_dynamics, *stream, cfg, grid, steps_per_obs=1,
+                                 snapshots=range(len(times)))
 
-    # prior mean, posterior mean, prior variance and prior gsm: one C-ordered row per analysis time
+    # prior mean, posterior mean, prior variance and prior gsm: one C-ordered row per analysis time, each marked
     assert len(arrays) == 4
     for a in arrays:
         assert a.shape == (len(times), n)
@@ -705,11 +765,13 @@ def test_weighted_filter_reduces_error_against_baseline_static():
 
     base = run_baseline_filter(
         members, _identity_dynamics, *stream,
-        FilterConfig(variant="etkf_baseline", alpha=1.5, localization_bandwidth=0), grid, steps_per_obs=1,
+        FilterConfig(variant="etkf_baseline", alpha=1.5, localization_bandwidth=0), grid,
+        steps_per_obs=1, snapshots=(),
     )[1]
     weighted = run_weighted_filter(
         members, _identity_dynamics, *stream,
-        FilterConfig(variant="gsm", beta_max_target=0.003, localization_bandwidth=0), grid, steps_per_obs=1,
+        FilterConfig(variant="gsm", beta_max_target=0.003, localization_bandwidth=0), grid,
+        steps_per_obs=1, snapshots=(),
     )[1]
     err = lambda posterior: np.mean([np.linalg.norm(m - truth) for m in posterior])
     assert err(weighted) < 2.0 * err(base)  # sanity bracket, not a benchmark

@@ -421,15 +421,23 @@ def test_manifest_round_trip(tmp_path):
     with pytest.raises(ConfigError):
         read_manifest(tmp_path / "missing.txt")
 
-    # keys are read by name, so a manifest in the order before the config inherited its h0..dist fields replays too
+    # keys are read by name, so a manifest in the order before the config inherited its h0..dist fields replays
+    # too; manifests written while obs_stride_steps was a field hold it after gamma, and replay at its value only
     case_first = ("case", "variant", "n", "cfl", "t_end", "ensemble_size", "ic_perturb_std", "gamma",
-                  "obs_stride_steps", "alpha", "beta_max_target", "dist", "localization_bandwidth", "seed",
+                  "alpha", "beta_max_target", "dist", "localization_bandwidth", "seed",
                   "output_dir", "h0", "h1", "fine_refine", "snapshot_times", "cache_dir")
     items = dict(cfg.to_items())
     assert sorted(case_first) == sorted(items) and list(items) != list(case_first)
-    path_case_first = tmp_path / "manifest_case_first.txt"
-    path_case_first.write_text("".join(f"{k} = {items[k]}\n" for k in case_first) + "status = completed\n")
-    assert config_from_manifest(path_case_first) == cfg
+    assert "obs_stride_steps" not in items
+    for order in (case_first, list(items)):
+        lines = [f"{k} = {items[k]}\n" for k in order]
+        lines.insert(order.index("gamma") + 1, "obs_stride_steps = 5\n")
+        path_older = tmp_path / "manifest_older.txt"
+        path_older.write_text("".join(lines) + "status = completed\n")
+        assert config_from_manifest(path_older) == cfg
+        path_older.write_text(path_older.read_text().replace("obs_stride_steps = 5", "obs_stride_steps = 3"))
+        with pytest.raises(ConfigError, match="obs_stride_steps is fixed at 5 solver steps"):
+            config_from_manifest(path_older)
 
     # an unmasked run (bandwidth none) survives the text round trip
     cfg_full = _small("dense", variant="etkf_baseline", output_dir=tmp_path / "full")
@@ -839,6 +847,34 @@ def test_cli_moments_without_snapshot_times_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "snapshot time" in err
     assert read_manifest(out / "manifest.txt")["status"] == "failed"
+
+
+@pytest.mark.parametrize("command, flags, spacing", [
+    ("assimilate", [], "an observation time (every 0.025)"),
+    ("moments", ["--cfl", "0.01"], "a solver step (every 0.0005)"),
+])
+def test_snapshot_times_resolve_by_one_rule_in_both_commands(tmp_path, capsys, command, flags, spacing):
+    # a snapshot time up to t_end lands on the step nearest it if it lies within 1e-9 of it: an analysis
+    # step for assimilate, any solver step for moments; a time that misses is rejected before any truth
+    def run(times):
+        out = tmp_path / "run"
+        cfg = _write_cfg(tmp_path, f"snapshot_times = {times}\n")
+        argv = [command, "--n", "41", "--ensemble-size", "4", "--t-end", "0.05", *flags]
+        code = main([*argv, "--config", str(cfg), "--out", str(out)])
+        if code != 0:
+            return code, capsys.readouterr().err
+        with open(out / "moments.csv", newline="") as f:
+            return code, sorted({float(row["t"]) for row in csv.DictReader(f)})
+
+    for off_grid in ("0.049999998", "0.0123"):  # 2e-9 before the step at 0.05, and between steps
+        assert run(off_grid) == (2, f"config error: snapshot time {off_grid} is not {spacing}\n")
+    assert not (tmp_path / "truth_cache").exists()
+    assert run("0.0499999995") == (0, [pytest.approx(0.05, abs=1e-15)])  # 5e-10 before it
+    # t = 0 is the initial ensemble: a solver step, but no analysis
+    if command == "moments":
+        assert run("0, 0.05") == (0, [0.0, pytest.approx(0.05, abs=1e-15)])
+    else:
+        assert run("0, 0.05") == (2, f"config error: snapshot time 0.0 is not {spacing}\n")
 
 
 @pytest.mark.parametrize(

@@ -269,7 +269,7 @@ def test_observation_stream_shape_validation():
                            (run_weighted_filter, FilterConfig(variant="gsm"))):
         for y in (np.zeros((2, 11)), np.zeros(6), np.zeros((2, 6, 1))):  # the state's width, rank 1, rank 3
             with pytest.raises(ConfigError, match="observations"):
-                runner(members, lambda v, step: v, y, H, 0.01**2, config, Grid1D(11), 1)
+                runner(members, lambda v, step: v, y, H, 0.01**2, config, Grid1D(11), 1, ())
     with pytest.raises(ConfigError, match="truth rows"):
         synthesize_observations(np.ones((2, 10)), H, gamma=0.01, seed=1)
     with pytest.raises(ConfigError, match="truth rows"):

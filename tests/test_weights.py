@@ -234,6 +234,30 @@ def test_clustered_weight_matches_dense_reference():
     np.testing.assert_allclose(W.toarray(), dense, atol=1e-15)
 
 
+
+def test_clustered_weight_is_the_gsm_weight_at_bandwidth_zero():
+    # at bandwidth 0 (the dense preset) no coupling is left for the cluster rule to mask, and
+    # gsm_clustered's diagonal sqrt(S_i) r_ii sqrt(S_i) is gsm's S_i, as r_ii = 1 up to roundoff
+    rng = np.random.default_rng(17)
+    n, K = 41, 20
+    grid = _grid(n)
+    members = np.where(grid.points < 0.0, 1.0, 0.8) + 0.05 * rng.standard_normal((K, n))
+    gsm, clustered = (build_weight(ensemble_moments(members), _gsm_config(variant=variant), grid)
+                      for variant in ("gsm", "gsm_clustered"))
+    assert gsm.form == clustered.form == "band" and clustered.matrix.shape == (1, n)
+    np.testing.assert_allclose(clustered.matrix, gsm.matrix, rtol=1e-12, atol=0.0)
+
+    # a cell with no spread is excluded above because there the two differ outright: gsm keeps its S_i,
+    # a second moment of differences, while the correlation factor zeroes its row (r_ii = 0), so the
+    # clustered diagonal is the invertibility floor
+    members[:, 5] = 0.9
+    gsm, clustered = (build_weight(ensemble_moments(members), _gsm_config(variant=variant), grid)
+                      for variant in ("gsm", "gsm_clustered"))
+    assert clustered.matrix[0, 5] == 1e-12 * clustered.matrix.max() < 1e-6 * gsm.matrix[0, 5]
+    others = np.arange(n) != 5
+    np.testing.assert_allclose(clustered.matrix[0, others], gsm.matrix[0, others], rtol=1e-12, atol=0.0)
+
+
 def test_full_weight_with_identity_correlation_reduces_to_diagonal():
     # members whose anomalies live on disjoint points have diagonal R-hat;
     # simpler: compare the no-mask full form against the diagonal form after
