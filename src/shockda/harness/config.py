@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError
-from ..solver import Grid1D, resolve_steps
+from ..solver import Grid1D
 from ..stoker import DamBreakParams, ObservationOperator
 from ..assimilation.weights import FilterConfig
 from .._csvio import fmt17
@@ -71,8 +71,6 @@ class ExperimentConfig(FilterConfig, DamBreakParams):
         for name, kind in _FIELD_TYPES.items():  # a NaN fails every comparison below
             if kind in (float, tuple) and not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.t_end <= 0.0:
-            raise ConfigError("t_end must be positive")
         if self.ensemble_size < 2:
             raise ConfigError("ensemble size must be at least 2")
         if self.seed < 0:
@@ -88,7 +86,7 @@ class ExperimentConfig(FilterConfig, DamBreakParams):
         # delegate the remaining range checks: the inherited settings to their bases, n to Grid1D (through n_steps)
         FilterConfig.__post_init__(self)
         DamBreakParams.__post_init__(self)
-        if self.n_steps < self.obs_stride_steps:  # n_steps also validates t_end divisibility
+        if self.n_steps < self.obs_stride_steps:  # n_steps also validates t_end
             raise ConfigError(f"t_end={self.t_end} is {self.n_steps} steps, "
                               f"under one observation stride of {self.obs_stride_steps}")
         # element counts of float64 arrays a run allocates; only the oscillatory truth has a fine grid,
@@ -130,17 +128,43 @@ class ExperimentConfig(FilterConfig, DamBreakParams):
         """The solver's step, dt = cfl * dx at every step."""
         return self.cfl * self.grid().dx
 
-    @property
-    def n_steps(self) -> int:
-        return resolve_steps(self.t_end, self.dt)
+    def step_at(self, t: float) -> int | None:
+        """The solver step s that time ``t`` is, or None: t is step s = round(t / dt) iff |s dt - t| <= 1e-9."""
+        ratio = t / self.dt
+        if abs(ratio) < np.inf and abs((s := round(ratio)) * self.dt - t) <= 1e-9:
+            return s
+        return None
 
     @property
-    def obs_step_indices(self) -> np.ndarray:
-        return np.arange(self.obs_stride_steps, self.n_steps + 1, self.obs_stride_steps)
+    def n_steps(self) -> int:
+        """Solver steps to t_end, which must be a positive whole number of them (``step_at``)."""
+        if not (self.dt > 0.0 and self.t_end / self.dt < np.inf):  # dt can underflow to 0, t_end / dt overflow
+            raise ConfigError(f"t_end={self.t_end} is no finite number of steps of dt={self.dt}")
+        if (steps := self.step_at(self.t_end)) is None or steps < 1:
+            raise ConfigError(f"t_end={self.t_end} is not a positive integer multiple of dt={self.dt}")
+        return steps
+
+    @property
+    def truth_steps(self) -> range:
+        """The solver steps of the truth rows: step 0, then each analysis, every ``obs_stride_steps``."""
+        return range(0, self.n_steps + 1, self.obs_stride_steps)
 
     @property
     def obs_times(self) -> np.ndarray:
-        return self.obs_step_indices * self.dt
+        return np.asarray(self.truth_steps[1:]) * self.dt
+
+    def snapshot_indices(self, steps: range, what: str) -> list[int]:
+        """Positions in ``steps`` of the snapshot times up to t_end (later ones are ignored), ascending and each once.
+
+        A time that is no step of ``steps`` (``step_at``), called ``what``, is a ConfigError."""
+        found = set()
+        for t in self.snapshot_times:
+            if t <= self.t_end:
+                s = self.step_at(t)
+                if s is None or s not in steps:
+                    raise ConfigError(f"snapshot time {t} is not {what} (every {steps.step * self.dt:g})")
+                found.add(steps.index(s))
+        return sorted(found)
 
     def observation_operator(self) -> ObservationOperator:
         if self.case == "dense":

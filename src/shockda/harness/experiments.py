@@ -55,9 +55,10 @@ def initial_condition(config: ExperimentConfig, grid: Grid1D) -> np.ndarray:
 class TruthBundle:
     """Velocity history for the dynamics plus reference depth/velocity rows.
 
-    Row s of ``velocity`` is the coarse run's velocity at step s.  Row 0 of
-    ``truth_h``/``truth_u`` is the initial condition; row j >= 1 belongs to
-    the config's observation time ``obs_times[j-1]``.
+    Row s of ``velocity`` is the coarse run's velocity at step s.  Row j of
+    ``truth_h``/``truth_u`` is at the config's ``truth_steps[j]``.  They are
+    the analytic solution, or for the oscillatory case the fine reference's
+    depth on the grid and the coarse run's velocity (rows of ``velocity``).
     """
 
     velocity: np.ndarray
@@ -78,12 +79,12 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path) -> TruthBundle:
     """Coupled run for the velocity, plus the reference depth rows.
 
     Dense/sparse cases evaluate the analytic dam-break solution at the
-    observation times; the oscillatory case runs a ``fine_refine``-times
-    finer reference and subsamples it by exact index mapping.  Results are
-    cached under ``cache_dir``, one file per geometry fingerprint.
+    observation times; the oscillatory case runs a reference ``fine_refine``
+    times finer in x and t and subsamples it by exact index mapping.  Results
+    are cached under ``cache_dir``, one file per geometry fingerprint.
     """
     grid = config.grid()
-    obs_steps = config.obs_step_indices
+    rows = config.truth_steps
 
     fingerprint = _truth_fingerprint(config)
     entry = Path(cache_dir) / f"truth_{hashlib.sha256(fingerprint.encode()).hexdigest()[:16]}.npz"
@@ -91,7 +92,7 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path) -> TruthBundle:
     if cached is not None:
         return cached
 
-    velocity = solve_coupled_swe(initial_condition(config, grid), grid, config.dt, config.t_end).velocity
+    velocity = solve_coupled_swe(initial_condition(config, grid), grid, config.dt, config.n_steps).velocity
 
     if config.case == "oscillatory":
         refine = config.fine_refine
@@ -100,21 +101,16 @@ def generate_truth(config: ExperimentConfig, cache_dir: Path) -> TruthBundle:
             initial_condition(config, fine_grid),
             fine_grid,
             config.cfl * fine_grid.dx,
-            config.t_end,
-            record=np.concatenate(([0], obs_steps * refine)),
+            refine * config.n_steps,
+            record=[refine * s for s in rows],
             store_velocity=False,
         )
         truth_h = fine_run.h[:, ::refine]
-        truth_u = velocity[np.concatenate(([0], obs_steps))]
+        truth_u = velocity[rows]
     else:
         inter = stoker_solve(config)
-        rows_h, rows_u = [], []
-        for t in np.concatenate(([0.0], config.obs_times)):
-            h_row, u_row = stoker_evaluate(config, inter, grid.points, float(t))
-            rows_h.append(h_row)
-            rows_u.append(u_row)
-        truth_h = np.asarray(rows_h)
-        truth_u = np.asarray(rows_u)
+        rows_hu = [stoker_evaluate(config, inter, grid.points, s * config.dt) for s in rows]
+        truth_h, truth_u = (np.array(column) for column in zip(*rows_hu))
 
     bundle = TruthBundle(velocity, truth_h, truth_u)
     _save_truth_cache(entry, fingerprint, bundle)
@@ -147,7 +143,7 @@ def _load_truth_cache(entry: Path, fingerprint: str, config: ExperimentConfig) -
             u, h, tu = stored["u"], stored["h"], stored["tu"]
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
         return None
-    rows = (config.obs_times.size + 1, config.n)
+    rows = (len(config.truth_steps), config.n)
     if u.shape != (config.n_steps + 1, config.n) or h.shape != rows or tu.shape != rows:
         return None
     return TruthBundle(u, h, tu)
@@ -370,22 +366,6 @@ def config_from_manifest(path) -> ExperimentConfig:
     return ExperimentConfig.for_case(mapping.pop("case", "dense"), **mapping)
 
 
-def _snapshot_indices(config: ExperimentConfig, steps: range, what: str) -> list[int]:
-    """Positions in ``steps`` of the snapshot times up to t_end (later ones are ignored), ascending and each once.
-
-    Time t is step s = round(t / dt) if |s dt - t| <= 1e-9; a time that is no step of ``steps``, called
-    ``what``, is a ConfigError.  The work is per snapshot time, not per step."""
-    dt = config.dt
-    found = set()
-    for t in config.snapshot_times:
-        if t <= config.t_end:
-            s = round(t / dt)
-            if abs(s * dt - t) > 1e-9 or s not in steps:
-                raise ConfigError(f"snapshot time {t} is not {what} (every {steps.step * dt:g})")
-            found.add(steps.index(s))
-    return sorted(found)
-
-
 def run_experiment(config: ExperimentConfig) -> list[Path]:
     """Run one filter variant end to end; return the paths it wrote, its four CSVs and then the manifest.
 
@@ -394,9 +374,8 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     """
     with _run(config, "solution", "error", "moments", "summary") as (paths, environment):
         solution_csv, error_csv, moments_csv, summary_csv = paths
-        stride = config.obs_stride_steps
-        # moments.csv takes its rows from analyses; analysis j follows solver step (j + 1) * stride
-        snapshots = _snapshot_indices(config, range(stride, config.n_steps + 1, stride), "an observation time")
+        # moments.csv takes its rows from analyses; analysis j follows solver step truth_steps[j + 1]
+        snapshots = config.snapshot_indices(config.truth_steps[1:], "an observation time")
         grid = config.grid()
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
         H = config.observation_operator()
@@ -407,7 +386,7 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
         with _forecast(bundle.velocity, grid, config.dt, config.ensemble_size) as (dynamics, workers):
             environment["forecast_workers"] = workers
             prior_mean, posterior_mean, prior_variance, prior_gsm = runner(
-                members, dynamics, y, H, config.gamma**2, config, grid, stride, snapshots)
+                members, dynamics, y, H, config.gamma**2, config, grid, config.obs_stride_steps, snapshots)
 
         times = config.obs_times
         window = in_window(grid.points, *SMOOTH_WINDOW)
@@ -450,7 +429,7 @@ def run_free_moments(config: ExperimentConfig) -> list[Path]:
     Later times are ignored, as in ``run_experiment``.
     """
     with _run(config, "moments") as (paths, environment):
-        snap_steps = _snapshot_indices(config, range(config.n_steps + 1), "a solver step")
+        snap_steps = config.snapshot_indices(range(config.n_steps + 1), "a solver step")
         if not snap_steps:
             raise ConfigError(f"the moment diagnostic needs at least one snapshot time up to t_end={config.t_end}")
         grid = config.grid()
@@ -473,7 +452,7 @@ def run_truth_only(config: ExperimentConfig) -> list[Path]:
     """Generate and cache the truth, write it as a (t, x, h, u) CSV, and return its path and the manifest's."""
     with _run(config, "truth") as (paths, _):
         bundle = generate_truth(config, cache_dir=config.resolved_cache_dir())
-        times = np.r_[0.0, config.obs_times]
+        times = np.asarray(config.truth_steps) * config.dt
         write_csv(paths[0], ("t", "x", "h", "u"),
                   (*_time_x_columns(times, config.grid()), bundle.truth_h.ravel(), bundle.truth_u.ravel()))
     return [*paths, config.output_dir / "manifest.txt"]
@@ -483,12 +462,14 @@ def compare_runs(summary_paths, out_path, windows, labels=None):
     """Join the ``relative_error_full`` columns of summary CSVs on their (shared) time grid, aggregate over
     ``windows`` and write the table to ``out_path``.
 
-    Returns (times, {label: values}, {window: {label: mean}}); mismatched
-    time grids are rejected naming the first row that differs, or the first
-    row the shorter file lacks, and so is a label given twice, empty, or
-    ``t``, the time column's name.  A summary whose sibling ``manifest.txt``
-    exists and does not say ``status = completed`` is rejected: it is left
-    over from an earlier run.  A summary with no manifest beside it passes.
+    Returns (times, {label: values}, {window: {label: mean}}).  Rejected,
+    each naming its row: a ``t`` or ``relative_error_full`` cell that is not
+    a finite number, and mismatched time grids (the first row that differs,
+    or the first row the shorter file lacks).  So is a label given twice,
+    empty, or ``t``, the time column's name.  A summary whose sibling
+    ``manifest.txt`` exists and does not say ``status = completed`` is
+    rejected: it is left over from an earlier run.  A summary with no
+    manifest beside it passes.
     """
     summary_paths = [Path(p) for p in summary_paths]
     if not summary_paths:
@@ -523,10 +504,13 @@ def compare_runs(summary_paths, out_path, windows, labels=None):
         t_list, v_list = [], []
         for row in reader:
             try:
-                t_list.append(float(row["t"]))
-                v_list.append(float(row["relative_error_full"]))
+                t, value = float(row["t"]), float(row["relative_error_full"])
+                if not np.isfinite([t, value]).all():
+                    raise ValueError(f"t={t} and relative_error_full={value} must both be finite")
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{path} row {reader.line_num}: {exc}") from exc
+            t_list.append(t)
+            v_list.append(value)
         times = np.asarray(t_list)
         if times_ref is None:
             times_ref = times

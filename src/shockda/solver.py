@@ -310,25 +310,15 @@ class CoupledRun:
     velocity: np.ndarray | None = None
 
 
-def resolve_steps(t_end: float, dt: float) -> int:
-    """Number of steps of size dt > 0 to t_end, which must be a positive multiple of dt."""
-    if not (dt > 0.0 and t_end / dt < np.inf):  # dt = cfl * dx can underflow to 0, t_end / dt overflow
-        raise ConfigError(f"t_end={t_end} is no finite number of steps of dt={dt}")
-    steps = int(round(t_end / dt))
-    if steps < 1 or abs(steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ConfigError(f"t_end={t_end} is not a positive integer multiple of dt={dt}")
-    return steps
-
-
 def solve_coupled_swe(
     initial_h,
     grid: Grid1D,
     dt: float,
-    t_end: float,
+    n_steps: int,
     record=(),
     store_velocity: bool = True,
 ) -> CoupledRun:
-    """Integrate the coupled system from depth ``initial_h`` at rest to t_end in steps of ``dt``.
+    """Integrate the coupled system from depth ``initial_h`` at rest for ``n_steps`` >= 1 steps of ``dt``.
 
     ``record`` is an iterable of the step indices whose depth is kept
     (none by default).  The velocity u = hu/h is stored at every step
@@ -339,9 +329,8 @@ def solve_coupled_swe(
     initial_h = np.asarray(initial_h, dtype=float)
     if initial_h.ndim != 1 or initial_h.shape[-1] != grid.n:
         raise ConfigError("initial depth does not match the grid")
-    if t_end <= 0.0:
-        raise ConfigError("t_end must be positive")
-    n_steps = resolve_steps(t_end, dt)
+    if n_steps < 1:
+        raise ConfigError(f"n_steps must be at least 1, got {n_steps}")
 
     keep = np.unique(np.asarray(list(record), dtype=int))
     if keep.size and (keep[0] < 0 or keep[-1] > n_steps):

@@ -122,7 +122,7 @@ def test_dam_break_solution_and_coupled_solver_agree():
     grid = Grid1D(n=1001)
     h = np.where(grid.points < 0.0, 1.0, 0.8)
     run = solve_coupled_swe(
-        h, grid, 0.1 * grid.dx, t_end=0.15,
+        h, grid, 0.1 * grid.dx, n_steps=750,  # to t = 0.15
         record=[750], store_velocity=False,
     )
     p = DamBreakParams()

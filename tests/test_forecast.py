@@ -161,7 +161,7 @@ def _counted_weno5(monkeypatch, nan_at_call=None):
 
 def _coupled_run(cfg, n_steps):
     grid = cfg.grid()
-    return solver.solve_coupled_swe(initial_condition(cfg, grid), grid, cfg.dt, n_steps * cfg.dt)
+    return solver.solve_coupled_swe(initial_condition(cfg, grid), grid, cfg.dt, n_steps)
 
 
 def _desk_forecast(cfg, velocity, n_steps):

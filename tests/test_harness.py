@@ -10,7 +10,6 @@ import pytest
 
 from shockda.errors import ConfigError, NumericalError
 from shockda.harness import experiments
-from shockda.solver import resolve_steps
 from shockda.stoker import stoker_evaluate, stoker_solve
 from shockda.harness import (
     CASES,
@@ -112,15 +111,28 @@ def test_config_validates_cfl():
             ExperimentConfig(cfl=cfl)
 
 
-def test_step_count_rule_is_the_solvers():
-    cfg = _small()
-    assert cfg.n_steps == resolve_steps(cfg.t_end, cfg.dt) == 30
-    for t_end in (0.1501, 0.001):  # not a step multiple; shorter than one step
-        with pytest.raises(ConfigError) as from_config:
+def test_step_count_rule():
+    assert _small().n_steps == 30  # dt = 0.1 * 0.05 to t_end=0.15
+    # not a step multiple; shorter than one step; no step at all, by the same rule and message
+    for t_end in (0.1501, 0.001, 0.0, -0.05):
+        with pytest.raises(ConfigError, match=rf"t_end={t_end} is not a positive integer multiple of dt="):
             _small(t_end=t_end)
-        with pytest.raises(ConfigError) as from_solver:
-            resolve_steps(t_end, cfg.dt)
-        assert str(from_config.value) == str(from_solver.value)
+
+
+def test_a_time_within_1e9_of_a_step_is_that_step():
+    # one rule for t_end and snapshot times alike: 5e-10 off a step is that step, 2e-9 off is no step
+    assert _small(t_end=0.15 + 5e-10).n_steps == 30
+    assert _small(t_end=3.0 - 5e-10).n_steps == 600
+    for t_end in (0.15 + 2e-9, 3.0 - 2e-9):  # the tolerance does not grow with t_end
+        with pytest.raises(ConfigError, match="is not a positive integer multiple of dt="):
+            _small(t_end=t_end)
+    cfg = _small(snapshot_times=(0.05 + 5e-10, 0.1 - 5e-10))
+    assert cfg.snapshot_indices(cfg.truth_steps[1:], "an observation time") == [1, 3]  # steps 10 and 20
+    assert cfg.snapshot_indices(range(cfg.n_steps + 1), "a solver step") == [10, 20]
+    for t, text in ((0.05 + 2e-9, r"0\.050000002"), (-1e308, r"-1e\+308")):  # -1e308 / dt overflows to -inf
+        cfg = _small(snapshot_times=(t,))
+        with pytest.raises(ConfigError, match=rf"snapshot time {text} is not a solver step \(every 0\.005\)"):
+            cfg.snapshot_indices(range(cfg.n_steps + 1), "a solver step")
 
 
 def test_t_end_shorter_than_one_observation_stride_is_rejected(tmp_path):
@@ -145,7 +157,7 @@ _BAD_SETTINGS = [
     # gamma^2 used to overflow (an OverflowError traceback) or underflow to 0 after the truth was computed
     ("assimilate", ["--gamma", "1e300"], "gamma must be positive with a finite, nonzero square"),
     ("assimilate", ["--gamma", "1e-200"], "gamma must be positive with a finite, nonzero square"),
-    # a run too large for any machine used to fail in np.arange or np.empty, a zero dt in resolve_steps
+    # a run too large for any machine used to fail in np.arange or np.empty, a zero dt in the step count
     ("assimilate", ["--t-end", "1e300"], "t_end=1e+300 is 2e+302 steps, whose velocity history of"),
     ("assimilate", ["--cfl", "1e-300"], "t_end=0.15 is 3e+300 steps, whose velocity history of"),
     ("moments", ["--t-end", "1e300"], "t_end=1e+300 is 2e+304 steps, whose velocity history of"),
@@ -196,7 +208,7 @@ def test_observation_schedule():
     cfg = _small()
     # dt = 0.1 * 0.05, 30 steps to t_end=0.15, analysis every 5th step
     assert cfg.n_steps == 30
-    np.testing.assert_array_equal(cfg.obs_step_indices, [5, 10, 15, 20, 25, 30])
+    assert list(cfg.truth_steps) == [0, 5, 10, 15, 20, 25, 30]  # step 0, then each analysis
     np.testing.assert_allclose(cfg.obs_times, np.arange(1, 7) * 0.025, rtol=1e-14)
 
 
@@ -264,11 +276,21 @@ def test_truth_degenerate_flat_state(tmp_path):
     assert np.max(np.abs(bundle.velocity)) == 0.0
 
 
-def test_truth_oscillatory_reference(tmp_path):
+def test_truth_oscillatory_reference(tmp_path, monkeypatch):
     cfg = _small("oscillatory", fine_refine=4, cache_dir=tmp_path / "cache")
+    runs = []
+    real = experiments.solve_coupled_swe
+
+    def recorded(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(experiments, "solve_coupled_swe", recorded)
     bundle = generate_truth(cfg, cache_dir=cfg.resolved_cache_dir())
-    # the reference velocity is the coarse run's, at the observation steps
-    np.testing.assert_array_equal(bundle.truth_u, bundle.velocity[np.r_[0, cfg.obs_step_indices]])
+    # the fine reference runs fine_refine steps per coarse step, to the same t_end
+    assert [run.n_steps for run in runs] == [cfg.n_steps, cfg.fine_refine * cfg.n_steps]
+    # the reference velocity is the coarse run's, at the truth steps
+    np.testing.assert_array_equal(bundle.truth_u, bundle.velocity[cfg.truth_steps])
     grid = cfg.grid()
     np.testing.assert_allclose(bundle.truth_h[0], initial_condition(cfg, grid), atol=1e-12)
     assert bundle.truth_h.shape == (cfg.obs_times.size + 1, cfg.n)
@@ -884,8 +906,11 @@ def test_snapshot_times_resolve_by_one_rule_in_both_commands(tmp_path, capsys, c
         (b"t,relative_error_full\n0.1,0.5\n0.2,oops\n", r"s\.csv row 3: .*'oops'"),
         (b"t,relative_error_full\n0.1,0.5\n0.2\n", r"s\.csv row 3"),
         (b"t,relative_error_full\n0.1,0.5\n0.2,0.\xff\n", r"s\.csv: 'utf-8' codec can't decode byte 0xff"),
+        (b"t,relative_error_full\n0.1,nan\n0.2,0.5\n", r"s\.csv row 2: t=0\.1 and relative_error_full=nan must both be finite"),
+        (b"t,relative_error_full\n0.1,0.5\n0.2,inf\n", r"s\.csv row 3: t=0\.2 and relative_error_full=inf must both be finite"),
+        (b"t,relative_error_full\n0.1,0.5\nnan,0.5\n", r"s\.csv row 3: t=nan and relative_error_full=0\.5 must both be finite"),
     ],
-    ids=["no t column", "non-numeric cell", "short row", "not utf-8"],
+    ids=["no t column", "non-numeric cell", "short row", "not utf-8", "nan value", "inf value", "nan t"],
 )
 def test_compare_rejects_a_malformed_summary(tmp_path, capsys, text, message):
     summary = tmp_path / "s.csv"

@@ -410,7 +410,7 @@ def test_coupled_solve_matches_the_expression_loop_bitwise():
     grid = cfg.grid()
     initial = initial_condition(cfg, grid)
     dt = cfg.dt
-    run = solve_coupled_swe(initial, grid, dt, t_end=50 * dt, record=range(51))
+    run = solve_coupled_swe(initial, grid, dt, n_steps=50, record=range(51))
     assert run.n_steps == 50
     state = np.stack([initial, np.zeros_like(initial)])
     h, hu = [state[0]], [state[1]]
@@ -438,7 +438,7 @@ def test_coupled_solve_is_mirror_symmetric(profile, n, n_steps):
     else:
         h = np.where(grid.points < 0.0, 1.0, 0.8)
     dt = 0.1 * grid.dx
-    plain, mirrored = (solve_coupled_swe(depth, grid, dt, n_steps * dt, record=range(n_steps + 1)) for depth in (h, h[::-1]))
+    plain, mirrored = (solve_coupled_swe(depth, grid, dt, n_steps, record=range(n_steps + 1)) for depth in (h, h[::-1]))
     assert plain.n_steps == n_steps
     assert np.array_equal(mirrored.h[:, ::-1], plain.h)
     assert np.array_equal(-mirrored.velocity[:, ::-1], plain.velocity)
@@ -447,7 +447,7 @@ def test_coupled_solve_is_mirror_symmetric(profile, n, n_steps):
 def test_coupled_uniform_rest_state_is_constant():
     grid = Grid1D(n=51)
     h = np.ones(51)
-    run = solve_coupled_swe(h.copy(), grid, 0.1 * grid.dx, t_end=20 * 0.1 * grid.dx, record=[20])
+    run = solve_coupled_swe(h.copy(), grid, 0.1 * grid.dx, n_steps=20, record=[20])
     np.testing.assert_array_equal(run.h[-1], h)
     np.testing.assert_array_equal(run.velocity, np.zeros((21, 51)))
 
@@ -455,7 +455,7 @@ def test_coupled_uniform_rest_state_is_constant():
 def test_coupled_records_velocity_every_step():
     grid = Grid1D(n=51)
     h = np.where(grid.points < 0, 1.0, 0.8)
-    run = solve_coupled_swe(h, grid, 0.1 * grid.dx, t_end=10 * 0.1 * grid.dx)
+    run = solve_coupled_swe(h, grid, 0.1 * grid.dx, n_steps=10)
     assert run.velocity.shape == (11, 51)
     assert run.h.shape == (0, 51)  # no depth rows unless asked for
     # velocity rows are hu/h of the recorded trajectory
@@ -466,7 +466,7 @@ def test_coupled_mass_conservation_before_waves_reach_boundary():
     grid = Grid1D(n=401)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(
-        h, grid, 0.1 * grid.dx, t_end=0.1, record=[0, 200], store_velocity=False
+        h, grid, 0.1 * grid.dx, n_steps=200, record=[0, 200], store_velocity=False  # to t = 0.1
     )
     drift = abs(np.sum(run.h[-1]) - np.sum(run.h[0])) * grid.dx
     assert drift / 0.1 < 1e-8
@@ -477,7 +477,7 @@ def test_coupled_dam_break_total_variation_bound():
     grid = Grid1D(n=201)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(
-        h, grid, 0.1 * grid.dx, t_end=0.1, record=range(101), store_velocity=False
+        h, grid, 0.1 * grid.dx, n_steps=100, record=range(101), store_velocity=False  # to t = 0.1
     )
     tv = np.sum(np.abs(np.diff(run.h, axis=-1)), axis=-1)
     assert tv[-1] <= tv[0] + 1e-3
@@ -489,26 +489,27 @@ def test_coupled_rejects_vacuum():
     # a violent step into near-dry water collapses the depth quickly
     h = np.where(grid.points < 0, 10.0, 1e-4)
     with pytest.raises(NumericalError):
-        solve_coupled_swe(h, grid, 0.9 * grid.dx, t_end=50 * 0.9 * grid.dx)
+        solve_coupled_swe(h, grid, 0.9 * grid.dx, n_steps=50)
 
 
 def test_coupled_rejects_a_non_positive_or_non_finite_initial_depth():
     # raised at step 0, before the first step, with no RuntimeWarning
     grid = Grid1D(n=11)
-    solve_coupled_swe(np.ones(11), grid, 0.1 * grid.dx, t_end=0.02)  # fine
+    solve_coupled_swe(np.ones(11), grid, 0.1 * grid.dx, n_steps=1)  # fine
     for bad in (0.0, -0.1, np.nan, np.inf):
         h = np.ones(11)
         h[3] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="at index 3, step 0"):
-                solve_coupled_swe(h, grid, 0.1 * grid.dx, t_end=0.02)
+                solve_coupled_swe(h, grid, 0.1 * grid.dx, n_steps=1)
 
 
-def test_coupled_t_end_must_align_with_dt():
+def test_coupled_solve_needs_at_least_one_step():
     grid = Grid1D(n=51)
-    with pytest.raises(ConfigError):
-        solve_coupled_swe(np.ones(51), grid, 0.1 * grid.dx, t_end=0.001234567)
+    for n_steps in (0, -1):
+        with pytest.raises(ConfigError, match=f"n_steps must be at least 1, got {n_steps}"):
+            solve_coupled_swe(np.ones(51), grid, 0.1 * grid.dx, n_steps)
 
 
 def test_coupled_record_subset():
@@ -517,7 +518,7 @@ def test_coupled_record_subset():
 
     def run(record):
         return solve_coupled_swe(
-            h, grid, 0.1 * grid.dx, t_end=10 * 0.1 * grid.dx, record=record
+            h, grid, 0.1 * grid.dx, n_steps=10, record=record
         )
 
     subset, full = run([10, 0, 5, 5]), run(range(11))
@@ -534,7 +535,7 @@ def test_coupled_determinism():
 
     def once():
         return solve_coupled_swe(
-            h.copy(), grid, 0.1 * grid.dx, t_end=20 * 0.1 * grid.dx, record=range(21)
+            h.copy(), grid, 0.1 * grid.dx, n_steps=20, record=range(21)
         )
 
     a, b = once(), once()
@@ -621,7 +622,7 @@ def test_transport_gsm_of_propagated_mean_peaks_at_shock(tmp_path):
     dt = 0.1 * grid.dx
     h = np.where(grid.points < 0, 1.0, 0.8)
     n_steps = 100
-    run = solve_coupled_swe(h.copy(), grid, dt, t_end=n_steps * dt)
+    run = solve_coupled_swe(h.copy(), grid, dt, n_steps)
 
     rng = np.random.default_rng(2)
     members = h + 0.05 * rng.standard_normal((30, 201))

@@ -190,7 +190,7 @@ def test_analytic_matches_coupled_weno_at_origin():
     grid = Grid1D(n=1001)
     h = np.where(grid.points < 0, 1.0, 0.8)
     run = solve_coupled_swe(
-        h, grid, 0.1 * grid.dx, t_end=0.15, record=[750], store_velocity=False
+        h, grid, 0.1 * grid.dx, n_steps=750, record=[750], store_velocity=False  # to t = 0.15
     )
     p = DamBreakParams()
     inter = stoker_solve(p)
